@@ -81,7 +81,7 @@ def _peak_rss_mb():
 
 
 def _cores() -> int:
-    """CPU cores this process may use (what the sharedmem backend sees)."""
+    """CPU cores this process may use (host provenance for each row)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -89,8 +89,8 @@ def _cores() -> int:
 
 
 def _run_once(p: int, n_per_pe: int, engine: str, seed: int = 0,
-              profile: bool = False, backend=None, levels=None):
-    """One timed AMS-sort run; returns (wall, SortResult, phase_wall, backend_used)."""
+              profile: bool = False, levels=None):
+    """One timed AMS-sort run; returns (wall, SortResult, phase_wall)."""
     rng = np.random.default_rng(1)
     data = rng.integers(0, 2 ** 62, size=p * n_per_pe, dtype=np.int64)
     machine = SimulatedMachine(p, seed=seed)
@@ -106,18 +106,18 @@ def _run_once(p: int, n_per_pe: int, engine: str, seed: int = 0,
     result = run_on_machine(
         machine, local, algorithm="ams",
         config=AMSConfig(levels=levels if levels else _levels_for(p)),
-        validate=False, engine=engine, backend=backend,
+        validate=False, engine=engine,
     )
     wall = time.perf_counter() - t0
     phase_wall = dict(machine.wall_profile) if profile else None
-    return wall, result, phase_wall, machine.backend_used
+    return wall, result, phase_wall
 
 
 def _best_of(p: int, n_per_pe: int, engine: str, repeats: int,
-             profile: bool = False, backend=None, levels=None):
+             profile: bool = False, levels=None):
     """Best wall of ``repeats`` runs.
 
-    Returns ``(wall, results, phase_wall, backend_used)`` where ``results``
+    Returns ``(wall, results, phase_wall)`` where ``results``
     holds the first two runs' :class:`SortResult`\\ s — the second one is
     what the large-``p`` seeded-determinism check compares against, so the
     check costs no extra run.
@@ -125,18 +125,16 @@ def _best_of(p: int, n_per_pe: int, engine: str, repeats: int,
     walls = []
     results = []
     phase_wall = None
-    backend_used = None
     for _ in range(max(1, repeats)):
-        wall, result, pw, backend_used = _run_once(
-            p, n_per_pe, engine, profile=profile, backend=backend,
-            levels=levels,
+        wall, result, pw = _run_once(
+            p, n_per_pe, engine, profile=profile, levels=levels,
         )
         if not walls or wall < min(walls):
             phase_wall = pw
         walls.append(wall)
         if len(results) < 2:
             results.append(result)
-    return min(walls), results, phase_wall, backend_used
+    return min(walls), results, phase_wall
 
 
 def run_comparison(
@@ -145,137 +143,100 @@ def run_comparison(
     reference_max: int = 1024,
     repeats: int = 3,
     profile: bool = False,
-    backends=(None,),
     levels=None,
 ):
     """Run the flat/reference comparison; returns a list of row dicts.
 
-    ``backends`` is a sequence of kernel-backend specs (``None`` = process
-    default); each produces its own row per ``p``.  The per-PE reference
-    runs once per ``p`` and every backend's flat output is checked against
-    it, so the rows double as a cross-backend byte-identity check.
     ``levels`` overrides the per-``p`` recursion-depth policy when set.
     """
     rows = []
     cores = _cores()
     for p in p_list:
         compared = p <= reference_max
-        ref_run = None  # the reference runs once per p, shared by all backends
-        first_backend = None  # (name, SortResult) of the first backend's run
-        for backend in backends:
-            # Compared points use the same best-of-N on both engines;
-            # flat-only points at large p run twice — the second same-seed
-            # run doubles as the determinism check that replaces the per-PE
-            # comparison there.
-            flat_repeats = repeats if (compared or p <= 1024) else 2
-            wall_flat, flat_results, phase_wall, backend_used = _best_of(
-                p, n_per_pe, "flat", flat_repeats, profile=profile,
-                backend=backend, levels=levels,
+        # Compared points use the same best-of-N on both engines; flat-only
+        # points at large p run twice — the second same-seed run doubles as
+        # the determinism check that replaces the per-PE comparison there.
+        flat_repeats = repeats if (compared or p <= 1024) else 2
+        wall_flat, flat_results, phase_wall = _best_of(
+            p, n_per_pe, "flat", flat_repeats, profile=profile, levels=levels,
+        )
+        res_flat = flat_results[0]
+        row_levels = levels if levels else _levels_for(p)
+        row = {
+            "p": int(p),
+            "n_per_pe": int(n_per_pe),
+            "levels": row_levels,
+            "plan": [int(r) for r in AMSConfig(levels=row_levels).plan_for(p)],
+            "cores": cores,
+            "wall_flat_s": wall_flat,
+            "peak_rss_mb": _peak_rss_mb(),
+            "modelled_time_s": res_flat.total_time,
+            "imbalance": res_flat.imbalance,
+            "max_startups": res_flat.traffic.get("max_startups_per_pe", 0),
+        }
+        if profile and phase_wall is not None:
+            row["phase_wall_s"] = phase_wall
+        if compared:
+            wall_ref, (res_ref, *_rest), _ = _best_of(
+                p, n_per_pe, "reference", repeats, levels=levels
             )
-            res_flat = flat_results[0]
-            row_levels = levels if levels else _levels_for(p)
-            row = {
-                "p": int(p),
-                "n_per_pe": int(n_per_pe),
-                "levels": row_levels,
-                "plan": [int(r) for r in AMSConfig(levels=row_levels).plan_for(p)],
-                "backend": backend_used,
-                "backend_spec": backend if backend is not None else "default",
-                "cores": cores,
-                "wall_flat_s": wall_flat,
-                "peak_rss_mb": _peak_rss_mb(),
-                "modelled_time_s": res_flat.total_time,
-                "imbalance": res_flat.imbalance,
-                "max_startups": res_flat.traffic.get("max_startups_per_pe", 0),
-            }
-            if profile and phase_wall is not None:
-                row["phase_wall_s"] = phase_wall
-            if compared:
-                if ref_run is None:
-                    ref_run = _best_of(
-                        p, n_per_pe, "reference", repeats, levels=levels
-                    )
-                wall_ref, (res_ref, *_rest), _, _ = ref_run
-                identical_output = all(
-                    np.array_equal(a, b)
-                    for a, b in zip(res_flat.output, res_ref.output)
-                )
-                identical_makespan = res_flat.total_time == res_ref.total_time
-                row.update({
-                    "wall_reference_s": wall_ref,
-                    "speedup": wall_ref / wall_flat,
-                    "identical_output": identical_output,
-                    "identical_makespan": identical_makespan,
-                })
-                if not (identical_output and identical_makespan):
-                    raise AssertionError(
-                        f"flat ({backend_used}) and reference engines "
-                        f"diverged at p={p}: "
-                        f"output identical={identical_output}, "
-                        f"makespan identical={identical_makespan}"
-                    )
-            else:
-                # The per-PE reference is infeasible at this scale; pin
-                # seeded determinism instead: same seed, same machine, run
-                # twice — byte-identical outputs and identical modelled
-                # makespan.  The second best-of run above doubles as the
-                # re-run.
-                res_again = flat_results[1]
-                identical_output = all(
-                    np.array_equal(a, b)
-                    for a, b in zip(res_flat.output, res_again.output)
-                )
-                identical_makespan = res_flat.total_time == res_again.total_time
-                row.update({
-                    "identical_output": identical_output,
-                    "identical_makespan": identical_makespan,
-                    "determinism_check": "flat-rerun",
-                })
-                if not (identical_output and identical_makespan):
-                    raise AssertionError(
-                        f"flat engine ({backend_used}) is not "
-                        f"seed-deterministic at p={p}: "
-                        f"output identical={identical_output}, "
-                        f"makespan identical={identical_makespan}"
-                    )
-            # Backends must be byte-identical to each other, not just
-            # self-deterministic — pin the first backend's output as the
-            # reference for the rest (this is the only cross-backend check
-            # feasible at p where the per-PE reference cannot run).
-            if first_backend is None:
-                first_backend = (backend_used, res_flat)
-            else:
-                base_name, base_res = first_backend
-                if not all(
-                    np.array_equal(a, b)
-                    for a, b in zip(base_res.output, res_flat.output)
-                ) or base_res.total_time != res_flat.total_time:
-                    raise AssertionError(
-                        f"backends {base_name!r} and {backend_used!r} "
-                        f"diverged at p={p}"
-                    )
-                row["identical_to_first_backend"] = True
-            rows.append(row)
-            msg = (
-                f"p={p:5d}  n/p={n_per_pe}  backend={backend_used:9s}  "
-                f"flat={row['wall_flat_s']:.3f}s"
+            identical_output = all(
+                np.array_equal(a, b)
+                for a, b in zip(res_flat.output, res_ref.output)
             )
-            if "speedup" in row:
-                msg += (
-                    f"  reference={row['wall_reference_s']:.3f}s"
-                    f"  speedup={row['speedup']:.2f}x  identical=yes"
+            identical_makespan = res_flat.total_time == res_ref.total_time
+            row.update({
+                "wall_reference_s": wall_ref,
+                "speedup": wall_ref / wall_flat,
+                "identical_output": identical_output,
+                "identical_makespan": identical_makespan,
+            })
+            if not (identical_output and identical_makespan):
+                raise AssertionError(
+                    f"flat and reference engines diverged at p={p}: "
+                    f"output identical={identical_output}, "
+                    f"makespan identical={identical_makespan}"
                 )
-            elif row.get("determinism_check"):
-                msg += "  deterministic=yes"
-            if row["peak_rss_mb"] is not None:
-                msg += f"  rss={row['peak_rss_mb']:.0f}MB"
-            msg += f"  modelled={row['modelled_time_s']:.5f}s"
-            if profile and phase_wall is not None:
-                top = sorted(phase_wall.items(), key=lambda kv: -kv[1])[:3]
-                msg += "  wall[" + " ".join(
-                    f"{k}={v:.2f}s" for k, v in top
-                ) + "]"
-            print(msg, flush=True)
+        else:
+            # The per-PE reference is infeasible at this scale; pin seeded
+            # determinism instead: same seed, same machine, run twice —
+            # byte-identical outputs and identical modelled makespan.  The
+            # second best-of run above doubles as the re-run.
+            res_again = flat_results[1]
+            identical_output = all(
+                np.array_equal(a, b)
+                for a, b in zip(res_flat.output, res_again.output)
+            )
+            identical_makespan = res_flat.total_time == res_again.total_time
+            row.update({
+                "identical_output": identical_output,
+                "identical_makespan": identical_makespan,
+                "determinism_check": "flat-rerun",
+            })
+            if not (identical_output and identical_makespan):
+                raise AssertionError(
+                    f"flat engine is not seed-deterministic at p={p}: "
+                    f"output identical={identical_output}, "
+                    f"makespan identical={identical_makespan}"
+                )
+        rows.append(row)
+        msg = f"p={p:5d}  n/p={n_per_pe}  flat={row['wall_flat_s']:.3f}s"
+        if "speedup" in row:
+            msg += (
+                f"  reference={row['wall_reference_s']:.3f}s"
+                f"  speedup={row['speedup']:.2f}x  identical=yes"
+            )
+        elif row.get("determinism_check"):
+            msg += "  deterministic=yes"
+        if row["peak_rss_mb"] is not None:
+            msg += f"  rss={row['peak_rss_mb']:.0f}MB"
+        msg += f"  modelled={row['modelled_time_s']:.5f}s"
+        if profile and phase_wall is not None:
+            top = sorted(phase_wall.items(), key=lambda kv: -kv[1])[:3]
+            msg += "  wall[" + " ".join(
+                f"{k}={v:.2f}s" for k, v in top
+            ) + "]"
+        print(msg, flush=True)
     return rows
 
 
@@ -311,10 +272,6 @@ def main(argv=None) -> int:
     parser.add_argument("--require-speedup", type=float, default=None,
                         help="fail unless the speedup at the largest compared p "
                              "reaches this factor (e.g. 5.0)")
-    parser.add_argument("--backend", nargs="+", default=[None],
-                        help="kernel backend specs to bench, one row each "
-                             "('numpy', 'sharedmem', 'sharedmem:N'); "
-                             "default: REPRO_BACKEND or numpy")
     parser.add_argument("--levels", type=int, default=None,
                         help="override the per-p recursion-depth policy "
                              "(default: 3 levels above p=4096, else 2)")
@@ -335,7 +292,6 @@ def main(argv=None) -> int:
         reference_max=args.reference_max,
         repeats=args.repeats,
         profile=args.profile,
-        backends=args.backend,
         levels=args.levels,
     )
     write_json(rows, args.output)

@@ -51,9 +51,8 @@ def profile_run(
     algorithm: str = "ams",
     seed: int = 0,
     engine: str = "flat",
-    backend: str | None = None,
 ):
-    """One profiled run; returns ``(wall_seconds, phase_wall, SortResult, machine)``."""
+    """One profiled run; returns ``(wall_seconds, phase_wall, SortResult)``."""
     rng = np.random.default_rng(1)
     data = rng.integers(0, 2 ** 62, size=p * n_per_pe, dtype=np.int64)
     dist = DistArray.from_sizes(data, np.full(p, n_per_pe, dtype=np.int64))
@@ -66,10 +65,10 @@ def profile_run(
     t0 = time.perf_counter()
     result = run_on_machine(
         machine, dist, algorithm=algorithm, config=config,
-        validate=False, engine=engine, backend=backend,
+        validate=False, engine=engine,
     )
     wall = time.perf_counter() - t0
-    return wall, dict(machine.wall_profile), result, machine
+    return wall, dict(machine.wall_profile), result
 
 
 def format_profile(wall: float, phase_wall: dict) -> str:
@@ -103,9 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("--levels", type=int, default=3)
     parser.add_argument("--algorithm", default="ams", choices=("ams", "rlm"))
     parser.add_argument("--engine", default="flat", choices=("flat", "reference"))
-    parser.add_argument("--backend", default=None,
-                        help="kernel backend spec ('numpy', 'sharedmem', "
-                             "'sharedmem:N'); default: REPRO_BACKEND or numpy")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=1,
                         help="run N times and report the per-phase median "
@@ -120,23 +116,15 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    # Resolve the backend to an instance up front so its per-kernel dispatch
-    # counters (SharedMemBackend.stats()) can be read back after the runs —
-    # get_backend caches named specs, so every run shares this instance.
-    from repro.dist.backend import get_backend
-
-    backend_obj = get_backend(args.backend)
-
     profiler = cProfile.Profile() if args.cprofile else None
     walls, phase_walls = [], []
     result = None
     for rep in range(args.repeat):
         if profiler is not None and rep == 0:
             profiler.enable()
-        wall_i, phase_i, result, machine = profile_run(
+        wall_i, phase_i, result = profile_run(
             args.p, n_per_pe=args.n_per_pe, levels=args.levels,
             algorithm=args.algorithm, seed=args.seed, engine=args.engine,
-            backend=backend_obj,
         )
         if profiler is not None and rep == 0:
             profiler.disable()
@@ -147,7 +135,7 @@ def main(argv=None) -> int:
     label = "median of %d runs" % args.repeat if args.repeat > 1 else "1 run"
     print(
         f"{args.algorithm} p={args.p} n/p={args.n_per_pe} levels={args.levels} "
-        f"engine={args.engine} backend={machine.backend_used}: "
+        f"engine={args.engine}: "
         f"modelled={result.total_time:.5f}s ({label})"
     )
     print(format_profile(wall, phase_wall))
@@ -166,14 +154,10 @@ def main(argv=None) -> int:
             "levels": args.levels,
             "algorithm": args.algorithm,
             "engine": args.engine,
-            "backend": machine.backend_used,
             "repeat": args.repeat,
             "wall_s": wall,
             "phase_wall_s": phase_wall,
             "modelled_time_s": result.total_time,
-            # Per-kernel sharded/inline dispatch counts, accumulated over
-            # all repeats ({} for stateless backends like numpy).
-            "backend_stats": backend_obj.stats(),
         }
         args.json.parent.mkdir(parents=True, exist_ok=True)
         with args.json.open("a") as fh:

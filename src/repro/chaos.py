@@ -3,32 +3,27 @@
 :mod:`repro.sim.faults` injects *simulated* faults into the modelled
 clocks — stragglers, dropped exchange rounds — and is part of the paper
 reproduction's physics.  This module is the other half of the robustness
-story: it attacks the **host-level** execution layer (the shared-memory
-worker pool and the campaign cell cache) so the self-healing machinery can
-be proven to recover.  Chaos never touches modelled time, RNG streams or
-sorted outputs; by the backend byte-identity contract a chaos run that
-*completes* must produce results byte-identical to a healthy run — the
-injection only exercises respawn/retry/recompute paths.
+story: it attacks the **host-level** execution layer (the campaign cell
+cache) so the recovery machinery can be proven to work.  Chaos never
+touches modelled time, RNG streams or sorted outputs; a chaos run must
+produce results byte-identical to a healthy run — the injection only
+exercises the detect-and-recompute path.
 
 Enable it with the ``REPRO_CHAOS`` environment variable (OFF by default),
 a compact ``key:value`` spec mirroring the fault-plan grammar::
 
-    REPRO_CHAOS="seed:7,kill:0.3,corrupt:0.4,trunc:0.2"
+    REPRO_CHAOS="seed:7,corrupt:0.4,trunc:0.2"
 
 * ``seed`` — base seed of the chaos draws (default 0).
-* ``kill`` — probability that a shared-memory pool dispatch round SIGKILLs
-  one of its worker processes (parent-side injection, after the shard task
-  was sent, so the worker may die mid-kernel).
 * ``corrupt`` — probability that a just-written campaign cell cache file
   has a run of bytes flipped in place.
 * ``trunc`` — probability that a just-written cache file is truncated to
   half its length instead.
 
-All draws are **deterministic**: SHA-256 of ``(seed, stream, counter)``,
-never :func:`random.random`, so a chaos run is reproducible bit for bit.
-Cache-corruption draws are keyed by the cache *file name* (the content
-hash of the cell), so which cells get corrupted does not depend on the
-completion order of a sharded campaign.
+All draws are **deterministic**: SHA-256 of the seed and the cache *file
+name* (the content hash of the cell), never :func:`random.random`, so a
+chaos run is reproducible bit for bit and which cells get corrupted does
+not depend on the completion order of a sharded campaign.
 """
 
 from __future__ import annotations
@@ -44,20 +39,16 @@ class ChaosPlan:
     """Parsed ``REPRO_CHAOS`` spec; all rates default to zero (no chaos)."""
 
     seed: int = 0
-    kill_rate: float = 0.0
     corrupt_rate: float = 0.0
     truncate_rate: float = 0.0
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.kill_rate > 0 or self.corrupt_rate > 0 or self.truncate_rate > 0
-        )
+        return self.corrupt_rate > 0 or self.truncate_rate > 0
 
 
 _KEYS = {
     "seed": "seed",
-    "kill": "kill_rate",
     "corrupt": "corrupt_rate",
     "trunc": "truncate_rate",
 }
@@ -111,47 +102,18 @@ def parse_chaos_spec(
 class ChaosState:
     """Runtime chaos draws + counters for one process.
 
-    The counters are reporting only (they surface next to the recovery
-    counters so a chaos run's log shows what was injected); the draws are
-    pure functions of the plan seed and their stream/counter key.
+    The counters are reporting only (they surface next to the campaign
+    stats so a chaos run's log shows what was injected); the draws are
+    pure functions of the plan seed and the file name.
     """
 
     def __init__(self, plan: ChaosPlan):
         self.plan = plan
-        self._kill_round = 0
         self.counters: Dict[str, int] = {
-            "kills_injected": 0,
             "cache_corruptions": 0,
             "cache_truncations": 0,
         }
 
-    def _draw(self, stream: str, counter: "int | str") -> float:
-        digest = hashlib.sha256(
-            f"{self.plan.seed}|{stream}|{counter}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    # ------------------------------------------------------------------
-    # Worker-pool injection
-    # ------------------------------------------------------------------
-    def kill_worker(self, nworkers: int) -> Optional[int]:
-        """Worker index to SIGKILL this dispatch round, or ``None``.
-
-        Each call consumes one round counter, so bounded shard retries
-        re-draw (a retry round can be hit again — at any rate below 1 the
-        pool recovers; at rate 1 the retry budget exhausts and the backend
-        degrades to inline execution, which is also a legal outcome).
-        """
-        i = self._kill_round
-        self._kill_round += 1
-        if nworkers <= 0 or self._draw("kill", i) >= self.plan.kill_rate:
-            return None
-        self.counters["kills_injected"] += 1
-        return int(self._draw("kill-target", i) * nworkers) % nworkers
-
-    # ------------------------------------------------------------------
-    # Cache corruption
-    # ------------------------------------------------------------------
     def maybe_corrupt_cache(self, path: "os.PathLike | str") -> Optional[str]:
         """Corrupt or truncate the file at ``path`` per the plan's rates.
 
@@ -160,7 +122,8 @@ class ChaosState:
         same cells are attacked regardless of write order.
         """
         name = os.path.basename(os.fspath(path))
-        u = self._draw("cache", name)
+        digest = hashlib.sha256(f"{self.plan.seed}|cache|{name}".encode()).digest()
+        u = int.from_bytes(digest[:8], "big") / 2**64
         if u < self.plan.truncate_rate:
             try:
                 size = os.path.getsize(path)
@@ -201,7 +164,7 @@ def get_chaos() -> Optional[ChaosState]:
     Re-reads the environment on every call (it is two dict lookups), so
     tests can monkeypatch ``REPRO_CHAOS`` without import-order games; the
     state object itself is kept while the spec string is unchanged so the
-    round counters advance across calls.
+    injection counters accumulate across calls.
     """
     global _STATE, _SPEC
     spec = os.environ.get("REPRO_CHAOS", "").strip()

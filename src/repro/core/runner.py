@@ -177,6 +177,15 @@ def distribute_array(data: np.ndarray, p: int) -> List[np.ndarray]:
     return [np.ascontiguousarray(c) for c in chunks]
 
 
+def _reject_nan(local_data: "DistArray | Sequence[np.ndarray]") -> None:
+    """Raise for NaN keys; only floating-point inputs are scanned."""
+    arrays = [local_data.values] if isinstance(local_data, DistArray) else local_data
+    for arr in arrays:
+        arr = np.asarray(arr)
+        if arr.dtype.kind == "f" and np.isnan(arr).any():
+            raise ValueError("cannot sort NaN keys: NaN has no place in a total order")
+
+
 def run_on_machine(
     machine: SimulatedMachine,
     local_data: "DistArray | Sequence[np.ndarray]",
@@ -212,20 +221,27 @@ def run_on_machine(
         byte-identical outputs, clocks and phase breakdowns.
     backend:
         Kernel backend executing the flat engine's element-scale array
-        kernels: a :class:`~repro.dist.backend.base.KernelBackend`
-        instance or spec string (``'numpy'``, ``'sharedmem'``,
-        ``'sharedmem:4'``).  ``None`` uses the machine's backend, else the
-        process default (``REPRO_BACKEND`` or numpy).  Backends are
-        byte-identical, so this changes wall-clock time only — never the
-        result, the clocks or the RNG streams.
+        kernels for this run: a :class:`~repro.dist.backend.base.
+        KernelBackend` instance (e.g. a proxy that times or records every
+        kernel call) or ``'numpy'``.  ``None`` keeps the active backend
+        (numpy unless :func:`repro.dist.backend.install` set another).
+        Backends are byte-identical, so this never changes the result, the
+        clocks or the RNG streams.
     kwargs:
         Extra keyword arguments forwarded to the algorithm function
         (baselines take e.g. ``oversampling`` or ``schedule``).
+
+    Raises
+    ------
+    ValueError
+        For NaN keys: NaN has no place in a total order, and the
+        algorithms' splitter comparisons would misroute such elements.
     """
     from repro.dist.backend import use_backend
 
     if len(local_data) != machine.p:
         raise ValueError("need one input array per PE")
+    _reject_nan(local_data)
     machine.reset()
     comm = machine.world()
     func = _resolve_algorithm(algorithm, engine)
@@ -239,17 +255,8 @@ def run_on_machine(
     else:
         run_input = list(local_data)
         input_list = run_input
-    if backend is None:
-        backend = machine.backend
-    if isinstance(backend, str):
-        from repro.dist.backend import validate_backend_spec
-
-        validate_backend_spec(backend, source="backend spec")
     with use_backend(backend) as active_backend:
         output = func(comm, run_input, **call_kwargs)
-        # Recorded *after* the run: a supervised backend may have demoted
-        # itself mid-run, and provenance must name the substrate that
-        # actually finished the job.
         machine.backend_used = active_backend.effective_name()
     if isinstance(output, DistArray):
         output = output.to_list()

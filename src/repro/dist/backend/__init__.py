@@ -2,124 +2,53 @@
 
 The flat engine's element-scale kernels (:mod:`repro.dist.flatops`)
 dispatch to one process-wide active :class:`~repro.dist.backend.base.
-KernelBackend`.  This package resolves *backend specs* to instances and
-swaps the active backend:
+KernelBackend`.  The numpy kernels are the only backend the package ships;
+the dispatch exists so a caller can install a proxy around them (the
+benchmark's kernel tracer, test fakes).  Backend *specs* resolve as:
 
 * ``get_backend(None)`` — the process default: whatever :func:`install`
-  set, else the ``REPRO_BACKEND`` environment variable, else ``numpy``.
-* ``get_backend("numpy")`` — the in-process reference backend.
-* ``get_backend("sharedmem")`` / ``"sharedmem:4"`` — the shared-memory
-  worker-pool backend (optionally with an explicit worker count).
+  set, else ``numpy``.
+* ``get_backend("numpy")`` — the in-process numpy kernels.
 * ``get_backend(instance)`` — pass-through for a constructed backend.
 
-Named specs resolve to process-wide singletons so repeated runs share one
-worker pool.  :func:`use_backend` scopes a switch to a ``with`` block —
-that is what ``run_on_machine(..., backend=...)`` uses, so one process can
-compare backends without touching global state permanently.
+:func:`use_backend` scopes a switch to a ``with`` block — that is what
+``run_on_machine(..., backend=...)`` uses, so one process can swap the
+kernels for one run without touching global state permanently.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Optional, Union
 
 from repro.dist import flatops
 from repro.dist.backend.base import KernelBackend
 from repro.dist.backend.numpy_backend import NumpyBackend
-from repro.dist.backend.sharedmem import SharedMemBackend
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "SharedMemBackend",
-    "BACKEND_NAMES",
-    "validate_backend_spec",
     "get_backend",
     "current_backend",
     "install",
     "use_backend",
 ]
 
-#: Spec names accepted by ``--backend`` flags and ``REPRO_BACKEND``
-#: (``sharedmem`` also accepts a ``:N`` worker-count suffix).
-BACKEND_NAMES = ("numpy", "sharedmem")
-
-
-def validate_backend_spec(spec: Optional[str], source: str = "backend spec") -> Optional[str]:
-    """Parse-check a backend spec string without instantiating anything.
-
-    Every entry point that *accepts* a spec (``SimulatedMachine``,
-    ``run_on_machine``, ``--backend`` flags, ``REPRO_BACKEND``) calls this
-    up front so a typo fails at configuration time with a clear message,
-    not worker-pool construction time deep inside a run.  ``source`` names
-    the entry point in the error (e.g. ``"REPRO_BACKEND"``).  Returns the
-    normalised spec (or ``None`` for no spec).
-    """
-    if spec is None:
-        return None
-    key = str(spec).strip().lower()
-    if not key:
-        return None
-    name, _, arg = key.partition(":")
-    if name == "numpy":
-        if arg:
-            raise ValueError(
-                f"bad {source} {spec!r}: numpy takes no ':' argument"
-            )
-        return key
-    if name == "sharedmem":
-        if not arg:
-            return key
-        try:
-            workers = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"bad {source} {spec!r}: worker count must be an integer"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"bad {source} {spec!r}: worker count must be >= 1"
-            )
-        return key
-    raise ValueError(
-        f"unknown {source} {spec!r}; known: {', '.join(BACKEND_NAMES)} "
-        "(sharedmem takes an optional ':<workers>' suffix)"
-    )
-
-
-_INSTANCES: dict = {}
+_NUMPY = NumpyBackend()
 _DEFAULT: Optional[KernelBackend] = None  # set by install()
-
-
-def _from_spec(spec: str) -> KernelBackend:
-    spec = validate_backend_spec(spec, source="backend spec") or "numpy"
-    name, _, arg = spec.partition(":")
-    if name == "numpy":
-        return NumpyBackend()
-    if not arg:
-        return SharedMemBackend()
-    return SharedMemBackend(workers=int(arg))
 
 
 def get_backend(
     spec: Union[None, str, KernelBackend] = None
 ) -> KernelBackend:
-    """Resolve a backend spec to a (usually shared) instance."""
+    """Resolve a backend spec to an instance (``"numpy"`` is a singleton)."""
     if isinstance(spec, KernelBackend):
         return spec
     if spec is None:
-        if _DEFAULT is not None:
-            return _DEFAULT
-        spec = os.environ.get("REPRO_BACKEND", "").strip() or "numpy"
-        # Name the env var in the error: the user never typed a flag.
-        validate_backend_spec(spec, source="REPRO_BACKEND spec")
-    key = str(spec).strip().lower()
-    inst = _INSTANCES.get(key)
-    if inst is None:
-        inst = _from_spec(key)
-        _INSTANCES[key] = inst
-    return inst
+        return _DEFAULT if _DEFAULT is not None else _NUMPY
+    if str(spec).strip().lower() == "numpy":
+        return _NUMPY
+    raise ValueError(f"unknown backend spec {spec!r}; known: numpy")
 
 
 def current_backend() -> KernelBackend:
@@ -130,8 +59,7 @@ def current_backend() -> KernelBackend:
 def install(spec: Union[None, str, KernelBackend]) -> KernelBackend:
     """Set the process-wide active backend; returns the instance.
 
-    ``install(None)`` reverts to environment resolution (``REPRO_BACKEND``
-    or numpy).
+    ``install(None)`` reverts to the numpy default.
     """
     global _DEFAULT
     backend = None if spec is None else get_backend(spec)

@@ -5,25 +5,17 @@ recursion level (segmented sorts, segmented/blockwise binary searches,
 ragged histograms, stable radix argsorts and the gather passes that apply
 them).  Everything else the engine does — cost accounting, island
 bookkeeping, message descriptor assembly — is tiny by comparison.  This
-module extracts exactly that hot kernel set behind a small ABC so that one
-simulated machine can be driven by interchangeable execution substrates:
+module names exactly that hot kernel set as a small ABC.
+:class:`~repro.dist.backend.numpy_backend.NumpyBackend`, the
+single-process numpy kernels of :mod:`repro.dist.flatops`, is its one
+implementation; the interface is the hook through which a proxy (a kernel
+timer, a test fake that records calls) sees every kernel call of a run.
 
-* :class:`~repro.dist.backend.numpy_backend.NumpyBackend` — backend zero,
-  the existing single-process numpy kernels of :mod:`repro.dist.flatops`;
-* :class:`~repro.dist.backend.sharedmem.SharedMemBackend` — a persistent
-  worker pool over shared memory that partitions each kernel by PE/segment
-  or element ranges (the CSR ``DistArray`` layout splits cleanly on segment
-  boundaries) and merges the per-shard results deterministically.
-
-**Byte-identity contract.**  Every backend must return bit-identical arrays
+**Byte-identity contract.**  A backend must return bit-identical arrays
 for identical inputs — the engine's equivalence suites pin the flat engine
 against the per-PE reference *through* whichever backend is active, so a
 backend that reorders ties, changes a dtype or reassociates a float sum is
-a correctness bug, not a performance trade-off.  The kernels below are
-chosen so that deterministic parallel merges exist: value sorts are
-strategy-independent, searches and gathers are positionally independent,
-histogram counts are integer sums, and stable argsorts have a unique
-answer that a counting sort reproduces shard by shard.
+a correctness bug, not a performance trade-off.
 
 Backends never touch modelled time: kernels are simulator *bookkeeping*,
 which the cost-model contract leaves free to optimise.
@@ -32,7 +24,7 @@ which the cost-model contract leaves free to optimise.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,7 +38,7 @@ class KernelBackend(ABC):
     *byte-identical* to those references on every input.
     """
 
-    #: Short identifier used by ``--backend`` flags and ``REPRO_BACKEND``.
+    #: Short identifier; a run records it as ``machine.backend_used``.
     name: str = "abstract"
 
     # ------------------------------------------------------------------
@@ -140,52 +132,6 @@ class KernelBackend(ABC):
         the index ramp in the caller.
         """
 
-    # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-    @property
-    def is_parallel(self) -> bool:
-        """Whether kernels may execute on more than one OS thread/process."""
-        return False
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-kernel dispatch counters (empty for stateless backends)."""
-        return {}
-
     def effective_name(self) -> str:
-        """The name describing how kernels *actually* execute right now.
-
-        Equals :attr:`name` unless the backend has demoted itself (e.g. a
-        supervised pool that degraded to inline execution after repeated
-        worker failures); ``machine.backend_used`` records this value so a
-        run's provenance shows the substrate that really ran it.
-        """
+        """The name a run records as ``machine.backend_used``: :attr:`name`."""
         return self.name
-
-    def close(self) -> None:
-        """Release pools/shared memory; the backend stays usable (lazy restart)."""
-
-    def release_workspace(self) -> None:
-        """Drop pooled workspace-arena buffers wherever kernels execute.
-
-        The default releases the process arena (in-process backends draw
-        their scratch from it); multiprocess backends additionally forward
-        the release to their workers, each of which owns a private arena.
-        Purely a memory hook — outputs are unaffected.
-        """
-        from repro.dist.workspace import get_arena
-
-        get_arena().release()
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return self.name
-
-    def __enter__(self) -> "KernelBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.describe()})"

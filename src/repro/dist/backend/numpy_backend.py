@@ -1,9 +1,8 @@
-"""Backend zero: the in-process numpy reference kernels.
+"""The in-process numpy kernels: the engine's one kernel backend.
 
 A stateless adapter binding the :class:`~repro.dist.backend.base.
 KernelBackend` interface to the ``*_numpy`` reference implementations in
-:mod:`repro.dist.flatops`.  Every other backend is pinned byte-for-byte
-against this one.
+:mod:`repro.dist.flatops`.  A proxy backend delegates to it.
 """
 
 from __future__ import annotations

@@ -7,13 +7,12 @@ the exchange, delivery, partitioning and merging steps.
 
 The element-scale kernels (segmented sorts and searches, histograms, stable
 radix argsorts, gathers) are *dispatched*: the public names forward to the
-active :class:`~repro.dist.backend.base.KernelBackend`, whose default — the
+active :class:`~repro.dist.backend.base.KernelBackend`, by default the
 ``*_numpy`` reference implementations in this module, wrapped as
-:class:`~repro.dist.backend.numpy_backend.NumpyBackend` — is the
-single-process numpy engine.  ``REPRO_BACKEND=sharedmem`` (or
-``run_on_machine(..., backend=...)``) swaps in the shared-memory
-multiprocess backend; every backend is byte-identical to the reference, so
-the choice never changes engine output.
+:class:`~repro.dist.backend.numpy_backend.NumpyBackend`.
+``run_on_machine(..., backend=...)`` installs a proxy in its place (the
+benchmark's kernel tracer); a proxy must stay byte-identical to the
+reference, so the choice never changes engine output.
 """
 
 from __future__ import annotations
@@ -831,8 +830,8 @@ def take_ranges_numpy(
 # Kernel dispatch
 # ----------------------------------------------------------------------
 # The active backend executing the element-scale kernels above.  ``None``
-# until first use, then resolved from ``REPRO_BACKEND`` (default: the
-# in-process numpy reference) by :func:`repro.dist.backend.get_backend`;
+# until first use, then resolved (default: the in-process numpy reference)
+# by :func:`repro.dist.backend.get_backend`;
 # :func:`repro.dist.backend.install` / ``use_backend`` swap it.
 
 _BACKEND = None

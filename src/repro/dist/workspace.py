@@ -30,10 +30,9 @@ Design:
 * :meth:`~WorkspaceArena.arange` is the persistent read-only index ramp
   (the former ``flatops.cached_arange`` cache, folded in here so it obeys
   the same release discipline).
-* :meth:`~WorkspaceArena.release` drops every pooled buffer and ramp —
-  the hook long campaigns use to shed the high-water workspace between
-  cells.  Checked-out buffers survive a release; they simply are not
-  re-pooled when recycled afterwards.
+* :meth:`~WorkspaceArena.release` drops every pooled buffer and ramp,
+  shedding the high-water workspace.  Checked-out buffers survive a
+  release; they simply are not re-pooled when recycled afterwards.
 * Everything here is bookkeeping: a checkout is ``np.empty`` semantics
   (uninitialised), so call sites must fully overwrite before reading,
   and outputs stay byte-identical with the arena on, off
@@ -41,10 +40,9 @@ Design:
 
 The arena is deliberately per *process*: the engine simulates one
 machine at a time, ``SimulatedMachine`` holds the process arena and
-exposes ``release_workspace()``, and forked backend workers (the
-sharedmem pool) reset to a fresh arena of their own via
-``os.register_at_fork`` — a child never shares Python-level pools with
-its parent.
+exposes ``release_workspace()``, and forked campaign workers reset to a
+fresh arena of their own via ``os.register_at_fork`` — a child never
+shares Python-level pools with its parent.
 """
 
 from __future__ import annotations
@@ -284,7 +282,7 @@ def get_arena():
 
 
 def set_arena(arena) -> None:
-    """Install ``arena`` as the process arena (tests, backend workers)."""
+    """Install ``arena`` as the process arena (tests)."""
     global _ARENA
     _ARENA = arena
 
@@ -295,7 +293,7 @@ def reset_arena() -> None:
     _ARENA = None
 
 
-# A forked child must never share Python-level pools with its parent: the
-# sharedmem backend workers each own a fresh arena sized by their shard of
-# the work, not the parent's whole-machine high water.
+# A forked child must never share Python-level pools with its parent: a
+# campaign worker owns a fresh arena sized by its own cells, not the
+# parent's high water.
 os.register_at_fork(after_in_child=reset_arena)

@@ -78,13 +78,6 @@ def campaign_main(argv: List[str] | None = None) -> int:
              "(default: uniform zipf nearly_sorted duplicates staggered)",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="kernel backend for every cell ('numpy', 'sharedmem', "
-             "'sharedmem:N'); exported as REPRO_BACKEND so worker processes "
-             "inherit it.  Backends are byte-identical, so cached cell "
-             "summaries stay valid across backends",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=None,
         help="cell summary cache directory (default: .campaign-cache/<profile>)",
     )
@@ -126,7 +119,7 @@ def campaign_main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="deterministic chaos injection for the execution layer, e.g. "
-             "'seed:7,kill:0.3,corrupt:0.2' (exported as REPRO_CHAOS; see "
+             "'seed:7,corrupt:0.2,trunc:0.1' (exported as REPRO_CHAOS; see "
              "repro.chaos for the grammar — results stay byte-identical)",
     )
     parser.add_argument(
@@ -150,21 +143,13 @@ def campaign_main(argv: List[str] | None = None) -> int:
         from repro.chaos import parse_chaos_spec
 
         parse_chaos_spec(args.chaos)  # fail fast on bad grammar
-        os.environ["REPRO_CHAOS"] = args.chaos  # workers + backend inherit
+        os.environ["REPRO_CHAOS"] = args.chaos  # worker processes inherit
 
     if args.require_cached and (args.no_cache or args.no_resume):
         parser.error(
             "--require-cached cannot succeed with --no-cache/--no-resume: "
             "every cell would execute"
         )
-
-    if args.backend is not None:
-        import os
-
-        from repro.dist.backend import install
-
-        install(args.backend)  # validates the spec and switches this process
-        os.environ["REPRO_BACKEND"] = args.backend  # worker processes inherit
 
     cache_dir = args.cache_dir
     if cache_dir is None and not args.no_cache:
@@ -190,21 +175,13 @@ def campaign_main(argv: List[str] | None = None) -> int:
         cell_timeout_s=args.cell_timeout,
     )
 
-    # Fold in the execution-infrastructure recovery counters so a chaos or
-    # degraded run is visible in the stats artifact: chaos injections from
-    # this process, and — for serial runs — the active backend's supervisor
-    # counters (sharded campaigns execute cells in worker processes whose
-    # backends die with them).
+    # Fold this process's chaos injections into the stats artifact so a
+    # chaos run shows what was attacked next to what was recovered.
     from repro.chaos import get_chaos
-    from repro.dist.backend import current_backend
 
     chaos = get_chaos()
     if chaos is not None:
         stats["chaos"] = dict(chaos.counters)
-    backend_obj = current_backend()
-    if hasattr(backend_obj, "supervisor_stats"):
-        stats["backend_supervisor"] = backend_obj.supervisor_stats()
-        stats["backend_effective"] = backend_obj.effective_name()
 
     print(campaign_mod.format_campaign(summary))
     print(
@@ -276,11 +253,6 @@ def main(argv: List[str] | None = None) -> int:
         help="input distribution fed to every experiment (default: uniform)",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="kernel backend ('numpy', 'sharedmem', 'sharedmem:N'); "
-             "byte-identical, affects wall-clock only",
-    )
-    parser.add_argument(
         "--faults", nargs="+", default=None, metavar="SPEC",
         help="fault-spec ladder for the 'faults' experiment, e.g. "
              "'stragglers:0.1' 'droprate:0.01' (only valid when 'faults' is "
@@ -288,16 +260,15 @@ def main(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.backend is not None:
-        from repro.dist.backend import install
-
-        install(args.backend)
-
     names = list(args.experiments)
     if "all" in names:
         names = sorted(EXPERIMENTS)
     seen = set()
     ordered = [n for n in names if not (n in seen or seen.add(n))]
+    # Every name is checked before the first experiment prints anything.
+    for name in ordered:
+        if name not in EXPERIMENTS:
+            parser.error(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
 
     extra_kwargs: Dict[str, Dict[str, object]] = {}
     if args.faults is not None:
@@ -313,8 +284,6 @@ def main(argv: List[str] | None = None) -> int:
         extra_kwargs["faults"] = {"fault_specs": specs}
 
     for name in ordered:
-        if name not in EXPERIMENTS:
-            parser.error(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
         print(f"=== {name} ===")
         print(EXPERIMENTS[name](
             scale=args.scale, workload=args.workload, **extra_kwargs.get(name, {})

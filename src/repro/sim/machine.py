@@ -70,14 +70,6 @@ class SimulatedMachine:
         Seed for the machine's replicated random generator (used for
         decisions that the paper makes identically on all PEs, e.g. the
         shared random pivot in multisequence selection).
-    backend:
-        Default kernel backend for runs on this machine — a
-        :class:`~repro.dist.backend.base.KernelBackend` instance or spec
-        string (``'numpy'``, ``'sharedmem'``, ``'sharedmem:4'``).  ``None``
-        defers to the process default (``REPRO_BACKEND`` env var, else
-        numpy).  Backends only change the host wall-clock of the
-        *simulation*; modelled clocks, counters and outputs are
-        byte-identical across all of them.
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` (or spec string like
         ``"stragglers:0.1,droprate:0.01"``) injecting deterministic
@@ -94,7 +86,6 @@ class SimulatedMachine:
         spec: Optional[MachineSpec] = None,
         topology: Optional[Topology] = None,
         seed: int = 0,
-        backend: "object | str | None" = None,
         faults: "object | str | None" = None,
     ):
         if p <= 0:
@@ -127,12 +118,6 @@ class SimulatedMachine:
         self._sample_rng = CounterRNG(self.seed)
         self.wall_profile: Optional[dict] = None
         self._wall_mark: Optional[float] = None
-        #: Default kernel backend (spec or instance) for runs on this machine.
-        if isinstance(backend, str):
-            from repro.dist.backend import validate_backend_spec
-
-            validate_backend_spec(backend, source="backend spec")
-        self.backend = backend
         #: Name of the backend the most recent ``run_on_machine`` executed
         #: with — what the wall-profile attribution tooling reports.
         self.backend_used: Optional[str] = None
@@ -150,22 +135,15 @@ class SimulatedMachine:
         from repro.dist.workspace import get_arena
 
         #: The process workspace arena level execution draws scratch from.
-        #: Owned in the sense of lifecycle: :meth:`release_workspace` is the
-        #: public hook to shed the pooled high-water buffers between runs.
         self.arena = get_arena()
 
     def release_workspace(self) -> None:
-        """Drop the pooled workspace buffers (arena + backend workers).
+        """Drop the pooled workspace buffers of the process arena.
 
-        Long campaigns call this between cells so the high-water scratch of
-        a big machine does not stay resident while smaller cells run.  The
-        next run simply faults its buffers back in; outputs and modelled
-        clocks are unaffected.
+        The next run simply faults its buffers back in; outputs and
+        modelled clocks are unaffected.
         """
         self.arena.release()
-        backend = self.backend
-        if backend is not None and hasattr(backend, "release_workspace"):
-            backend.release_workspace()
 
     # ------------------------------------------------------------------
     # Random number generation

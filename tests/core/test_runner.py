@@ -6,11 +6,13 @@ import pytest
 from repro.core.config import AMSConfig, RLMConfig
 from repro.core.runner import (
     ALGORITHMS,
+    ENGINES,
     SortResult,
     distribute_array,
     run_on_machine,
     sort_array,
 )
+from repro.dist.array import DistArray
 from repro.machine.counters import PAPER_PHASES
 from repro.machine.spec import laptop_like
 from repro.sim.machine import SimulatedMachine
@@ -95,6 +97,35 @@ class TestRunOnMachine:
         with pytest.raises(AssertionError):
             run_on_machine(machine, data, algorithm="ams",
                            config=AMSConfig(node_size=2), max_imbalance=0.0)
+
+    @staticmethod
+    def _special_floats(with_nan):
+        """12 PEs of ``[nan, r, -inf, inf, r]`` (``nan`` left out on request)."""
+        rng = np.random.default_rng(0)
+        head = [np.nan] if with_nan else []
+        return [np.array(head + [r, -np.inf, np.inf, r]) for r in
+                (rng.random() for _ in range(12))]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_nan_keys_rejected(self, algorithm, engine):
+        data = self._special_floats(with_nan=True)
+        config = RLMConfig(levels=2) if algorithm == "rlm" else None
+        for local in (data, DistArray.from_list(data)):
+            machine = SimulatedMachine(12, spec=laptop_like())
+            with pytest.raises(ValueError, match="cannot sort NaN keys"):
+                run_on_machine(machine, local, algorithm=algorithm, config=config,
+                               validate=False, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_infinite_keys_sort(self, algorithm, engine):
+        data = self._special_floats(with_nan=False)
+        config = RLMConfig(levels=2) if algorithm == "rlm" else None
+        machine = SimulatedMachine(12, spec=laptop_like())
+        result = run_on_machine(machine, data, algorithm=algorithm, config=config,
+                                engine=engine)
+        assert np.array_equal(np.concatenate(result.output), np.sort(np.concatenate(data)))
 
 
 class TestSortResult:

@@ -1,16 +1,16 @@
-"""NumpyBackend vs SharedMemBackend: byte-identical kernels and runs.
+"""The kernel dispatch hook: a second ``KernelBackend`` sees every kernel call.
 
-The backend layer (:mod:`repro.dist.backend`) is a wall-clock optimisation,
-not a re-modelling: every kernel of every backend must return exactly the
-bytes of the numpy reference implementation, and an end-to-end sort must
-produce the same outputs, clocks, phase breakdowns and traffic counters
-regardless of which backend executed it.  These tests force the shared-memory
-backend to shard every call (``workers=2, min_parallel_elements=0``) so the
-multiprocess merge paths are exercised even on the tiny arrays Hypothesis
-generates.
+The flat engine's element-scale kernels dispatch through
+:mod:`repro.dist.backend`, so a proxy backend (the benchmark's kernel
+tracer) can observe a run without changing it.  These tests install a
+recording fake that counts its calls and delegates to the numpy kernels,
+and pin that every ``flatops`` dispatcher reaches it with its arguments
+intact, that every kernel the engine calls reaches it during AMS-sort and
+RLM-sort runs, and that a run through it is byte-identical to a numpy run:
+outputs, clocks, phase breakdowns and traffic counters.
 """
 
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +20,10 @@ from repro.core.config import AMSConfig, RLMConfig
 from repro.core.runner import run_on_machine
 from repro.dist import flatops
 from repro.dist.backend import (
+    KernelBackend,
     NumpyBackend,
-    SharedMemBackend,
     get_backend,
+    install,
     use_backend,
 )
 from repro.machine.spec import laptop_like
@@ -38,13 +39,34 @@ COUNTER_FIELDS = (
     "exchange_ops",
 )
 
+#: The nine abstract kernels of the interface.
+KERNELS = sorted(KernelBackend.__abstractmethods__)
+
+
+def _recorded(kernel):
+    def call(self, *args, **kwargs):
+        self.calls[kernel] += 1
+        return getattr(NumpyBackend, kernel)(self, *args, **kwargs)
+
+    return call
+
+
+class RecordingBackend(NumpyBackend):
+    """Numpy kernels that count their calls per kernel."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = Counter()
+
+
+for _kernel in KERNELS:
+    setattr(RecordingBackend, _kernel, _recorded(_kernel))
+
 
 @pytest.fixture(scope="module")
-def sharded():
-    """A shared-memory backend forced to shard every single call."""
-    backend = SharedMemBackend(workers=2, min_parallel_elements=0)
-    yield backend
-    backend.close()
+def recording():
+    return RecordingBackend()
 
 
 REFERENCE = NumpyBackend()
@@ -72,18 +94,30 @@ def csr_layout(draw, max_segments=10, max_len=24, high=12):
     return values, offsets
 
 
+def dispatched(backend, kernel, *args, **kwargs):
+    """``flatops.<kernel>(...)`` with ``backend`` installed; the call must reach it."""
+    before = backend.calls[kernel]
+    with use_backend(backend):
+        out = getattr(flatops, kernel)(*args, **kwargs)
+    assert backend.calls[kernel] > before, f"{kernel} bypassed the backend"
+    return out
+
+
 class TestKernelOracles:
+    """Each ``flatops`` dispatcher reaches the installed backend with its
+    arguments intact: its result equals the numpy kernel called directly."""
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_segmented_sort_values(self, sharded, data):
+    def test_segmented_sort_values(self, recording, data):
         values, offsets = csr_layout(data.draw)
         expect = REFERENCE.segmented_sort_values(values, offsets)
-        got = sharded.segmented_sort_values(values, offsets)
+        got = dispatched(recording, "segmented_sort_values", values, offsets)
         assert_identical(expect, got, "segmented_sort_values")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_segmented_searchsorted(self, sharded, data):
+    def test_segmented_searchsorted(self, recording, data):
         values, offsets = csr_layout(data.draw)
         values = REFERENCE.segmented_sort_values(values, offsets)
         n_seg = offsets.size - 1
@@ -99,14 +133,15 @@ class TestKernelOracles:
         expect = REFERENCE.segmented_searchsorted(
             values, offsets, queries, query_seg, side=side
         )
-        got = sharded.segmented_searchsorted(
+        got = dispatched(
+            recording, "segmented_searchsorted",
             values, offsets, queries, query_seg, side=side
         )
         assert_identical(expect, got, "segmented_searchsorted")
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
-    def test_segmented_searchsorted_windowed(self, sharded, data):
+    def test_segmented_searchsorted_windowed(self, recording, data):
         values, offsets = csr_layout(data.draw)
         values = REFERENCE.segmented_sort_values(values, offsets)
         n_seg = offsets.size - 1
@@ -120,14 +155,15 @@ class TestKernelOracles:
         expect = REFERENCE.segmented_searchsorted(
             values, offsets, queries, query_seg, side="right", lo=lo, hi=hi
         )
-        got = sharded.segmented_searchsorted(
+        got = dispatched(
+            recording, "segmented_searchsorted",
             values, offsets, queries, query_seg, side="right", lo=lo, hi=hi
         )
         assert_identical(expect, got, "segmented_searchsorted windowed")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_blockwise_searchsorted(self, sharded, data):
+    def test_blockwise_searchsorted(self, recording, data):
         values, offsets = csr_layout(data.draw)
         values = REFERENCE.segmented_sort_values(values, offsets)
         n_seg = offsets.size - 1
@@ -139,14 +175,15 @@ class TestKernelOracles:
         expect = REFERENCE.blockwise_searchsorted(
             values, offsets, queries, query_offsets, side=side
         )
-        got = sharded.blockwise_searchsorted(
+        got = dispatched(
+            recording, "blockwise_searchsorted",
             values, offsets, queries, query_offsets, side=side
         )
         assert_identical(expect, got, "blockwise_searchsorted")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_ragged_bincount(self, sharded, data):
+    def test_ragged_bincount(self, recording, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         n_seg = data.draw(st.integers(1, 8))
         nbins = rng.integers(0, 6, size=n_seg)
@@ -156,34 +193,34 @@ class TestKernelOracles:
         seg = seg[nbins[seg] > 0]
         key = (rng.random(seg.size) * nbins[seg]).astype(np.int64)
         expect = REFERENCE.ragged_bincount(seg, key, key_offsets)
-        got = sharded.ragged_bincount(seg, key, key_offsets)
+        got = dispatched(recording, "ragged_bincount", seg, key, key_offsets)
         assert_identical(expect, got, "ragged_bincount")
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 80), st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
-    def test_bincount(self, sharded, seed, n, high):
+    def test_bincount(self, recording, seed, n, high):
         rng = np.random.default_rng(seed)
         key = rng.integers(0, high, size=n)
         minlength = int(rng.integers(0, 2 * high))
         expect = REFERENCE.bincount(key, minlength=minlength)
-        got = sharded.bincount(key, minlength=minlength)
+        got = dispatched(recording, "bincount", key, minlength=minlength)
         assert_identical(expect, got, "bincount")
 
-    def test_bincount_weighted_falls_back(self, sharded):
+    def test_bincount_weighted(self, recording):
         rng = np.random.default_rng(0)
         key = rng.integers(0, 9, size=200)
         w = rng.random(200)
         expect = REFERENCE.bincount(key, minlength=16, weights=w)
-        got = sharded.bincount(key, minlength=16, weights=w)
+        got = dispatched(recording, "bincount", key, minlength=16, weights=w)
         assert_identical(expect, got, "bincount weighted")
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
-    def test_stable_key_argsort(self, sharded, seed, n, bound):
+    def test_stable_key_argsort(self, recording, seed, n, bound):
         rng = np.random.default_rng(seed)
         key = rng.integers(0, bound, size=n)
         expect = REFERENCE.stable_key_argsort(key, bound)
-        got = sharded.stable_key_argsort(key, bound)
+        got = dispatched(recording, "stable_key_argsort", key, bound)
         assert_identical(expect, got, "stable_key_argsort")
 
     @given(
@@ -193,27 +230,27 @@ class TestKernelOracles:
         st.integers(1, 12),
     )
     @settings(max_examples=40, deadline=None)
-    def test_stable_two_key_argsort(self, sharded, seed, n, mb, nb):
+    def test_stable_two_key_argsort(self, recording, seed, n, mb, nb):
         rng = np.random.default_rng(seed)
         major = rng.integers(0, mb, size=n)
         minor = rng.integers(0, nb, size=n)
         expect = REFERENCE.stable_two_key_argsort(major, minor, mb, nb)
-        got = sharded.stable_two_key_argsort(major, minor, mb, nb)
+        got = dispatched(recording, "stable_two_key_argsort", major, minor, mb, nb)
         assert_identical(expect, got, "stable_two_key_argsort")
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
-    def test_gather(self, sharded, seed, n):
+    def test_gather(self, recording, seed, n):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 1000, size=max(n, 1))
         indices = rng.integers(0, values.size, size=n)
         expect = REFERENCE.gather(values, indices)
-        got = sharded.gather(values, indices)
+        got = dispatched(recording, "gather", values, indices)
         assert_identical(expect, got, "gather")
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
-    def test_take_ranges(self, sharded, data):
+    def test_take_ranges(self, recording, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
         values = rng.integers(0, 1000, size=80)
         k = data.draw(st.integers(0, 12))
@@ -222,65 +259,53 @@ class TestKernelOracles:
             0, dtype=np.int64
         )
         expect = REFERENCE.take_ranges(values, starts, lengths)
-        got = sharded.take_ranges(values, starts, lengths)
+        got = dispatched(recording, "take_ranges", values, starts, lengths)
         assert_identical(expect, got, "take_ranges")
 
-    def test_forced_backend_really_shards(self, sharded):
-        """Large calls must actually hit the worker pool, not the fallback."""
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 50, size=100_000)
-        offsets = np.array([0, 40_000, 40_000, 100_000], dtype=np.int64)
-        sharded.segmented_sort_values(values, offsets)
-        sharded.stable_key_argsort(rng.integers(0, 64, size=100_000), 64)
-        stats = sharded.stats()
-        assert stats["segmented_sort_values"]["sharded"] > 0
-        assert stats["stable_key_argsort"]["sharded"] > 0
-
-    def test_float_values_supported(self, sharded):
+    def test_float_values_supported(self, recording):
         rng = np.random.default_rng(3)
         values = rng.random(5000)
         offsets = np.array([0, 1200, 1200, 5000], dtype=np.int64)
         expect = REFERENCE.segmented_sort_values(values, offsets)
-        got = sharded.segmented_sort_values(values, offsets)
+        got = dispatched(recording, "segmented_sort_values", values, offsets)
         assert_identical(expect, got, "segmented_sort_values float")
 
 
 # ---------------------------------------------------------------------------
-# Validation parity: the sharded backend must reject exactly what the
-# reference rejects, before any worker sees the call.
+# Validation: the numpy kernels reject malformed calls up front.
 # ---------------------------------------------------------------------------
 class TestValidationParity:
-    def test_searchsorted_window_out_of_range(self, sharded):
+    def test_searchsorted_window_out_of_range(self):
         values = np.arange(10)
         offsets = np.array([0, 10])
         q = np.array([5])
         seg = np.array([0])
         with pytest.raises(IndexError):
-            sharded.segmented_searchsorted(
+            REFERENCE.segmented_searchsorted(
                 values, offsets, q, seg, lo=np.array([4]), hi=np.array([20])
             )
 
-    def test_searchsorted_bad_segment(self, sharded):
+    def test_searchsorted_bad_segment(self):
         with pytest.raises(IndexError):
-            sharded.segmented_searchsorted(
+            REFERENCE.segmented_searchsorted(
                 np.arange(4), np.array([0, 4]), np.array([1]), np.array([3])
             )
 
-    def test_ragged_bincount_key_out_of_range(self, sharded):
+    def test_ragged_bincount_key_out_of_range(self):
         with pytest.raises((IndexError, ValueError)):
-            sharded.ragged_bincount(
+            REFERENCE.ragged_bincount(
                 np.array([0]), np.array([5]), np.array([0, 2])
             )
 
-    def test_blockwise_bad_offsets(self, sharded):
+    def test_blockwise_bad_offsets(self):
         with pytest.raises(ValueError):
-            sharded.blockwise_searchsorted(
+            REFERENCE.blockwise_searchsorted(
                 np.arange(4), np.array([0, 2, 4]), np.array([1]), np.array([0, 1])
             )
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: whole sorts must be byte-identical across backends.
+# End-to-end: whole sorts through the fake are byte-identical to numpy.
 # ---------------------------------------------------------------------------
 def run_with(backend, algorithm, config, p, data, seed):
     machine = SimulatedMachine(p, spec=laptop_like(), seed=seed)
@@ -295,7 +320,7 @@ def assert_runs_identical(backend_b, algorithm, config, p, data, seed=0):
     m_a, r_a = run_with("numpy", algorithm, config, p, data, seed)
     m_b, r_b = run_with(backend_b, algorithm, config, p, data, seed)
     assert m_a.backend_used == "numpy"
-    assert m_b.backend_used == "sharedmem"
+    assert m_b.backend_used == backend_b.name
     for i, (x, y) in enumerate(zip(r_a.output, r_b.output)):
         assert np.array_equal(x, y), f"output of PE {i} differs"
     assert r_a.total_time == r_b.total_time
@@ -314,78 +339,70 @@ def assert_runs_identical(backend_b, algorithm, config, p, data, seed=0):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("p", [16, 64])
-def test_ams_identical_across_backends(sharded, workload, p):
+def test_ams_identical_across_backends(recording, workload, p):
     data = per_pe_workload(workload, p, 60, seed=p)
     config = AMSConfig(levels=2, node_size=4)
-    assert_runs_identical(sharded, "ams", config, p, data, seed=p)
+    assert_runs_identical(recording, "ams", config, p, data, seed=p)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("p", [16, 64])
-def test_rlm_identical_across_backends(sharded, workload, p):
+def test_rlm_identical_across_backends(recording, workload, p):
     data = per_pe_workload(workload, p, 60, seed=p + 1)
     config = RLMConfig(levels=2, node_size=4)
-    assert_runs_identical(sharded, "rlm", config, p, data, seed=p)
+    assert_runs_identical(recording, "rlm", config, p, data, seed=p)
 
 
-def test_three_level_ams_identical(sharded):
+def test_three_level_ams_identical(recording):
     data = per_pe_workload("uniform", 27, 80, seed=3)
     config = AMSConfig(levels=3, node_size=2)
-    assert_runs_identical(sharded, "ams", config, 27, data, seed=3)
+    assert_runs_identical(recording, "ams", config, 27, data, seed=3)
 
 
 # ---------------------------------------------------------------------------
 # Registry / selection mechanics.
 # ---------------------------------------------------------------------------
 class TestBackendSelection:
-    def test_get_backend_specs(self):
-        assert get_backend("numpy").name == "numpy"
-        b = get_backend("sharedmem")
-        assert b.name == "sharedmem"
-        assert get_backend("sharedmem") is b  # singleton per spec
-        b4 = get_backend("sharedmem:4")
-        assert b4.workers == 4
+    def test_get_backend_specs(self, recording):
+        numpy_backend = get_backend("numpy")
+        assert isinstance(numpy_backend, NumpyBackend)
+        assert get_backend(" NumPy ") is numpy_backend  # one shared instance
+        assert get_backend(None) is numpy_backend  # the process default
+        assert get_backend(recording) is recording  # instances pass through
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("warp")
-        with pytest.raises(ValueError):
-            get_backend("sharedmem:zero")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharedmem")
-        flatops._BACKEND = None  # force re-resolution
-        try:
-            assert get_backend(None).name == "sharedmem"
-        finally:
-            monkeypatch.delenv("REPRO_BACKEND")
-            flatops._BACKEND = None
-
-    def test_use_backend_restores(self, sharded):
+        # Scripts written for the former shared-memory backend must fail loudly.
         before = flatops._active_backend()
-        with use_backend(sharded) as active:
-            assert active is sharded
-            assert flatops._active_backend() is sharded
+        for spec in ("sharedmem", "sharedmem:2", "warp"):
+            with pytest.raises(ValueError, match=f"unknown backend spec '{spec}'; known: numpy"):
+                get_backend(spec)
+            with pytest.raises(ValueError, match="unknown backend spec"):
+                install(spec)
         assert flatops._active_backend() is before
 
-    def test_dispatch_goes_through_backend(self, sharded):
-        rng = np.random.default_rng(11)
-        key = rng.integers(0, 32, size=50_000)
-        with use_backend(sharded):
-            calls_before = sum(
-                v["sharded"] + v["inline"]
-                for k, v in sharded.stats().items() if k != "supervisor"
-            )
-            flatops.stable_key_argsort(key, 32)
-            calls_after = sum(
-                v["sharded"] + v["inline"]
-                for k, v in sharded.stats().items() if k != "supervisor"
-            )
-        assert calls_after > calls_before
+    def test_use_backend_restores(self, recording):
+        before = flatops._active_backend()
+        with use_backend(recording) as active:
+            assert active is recording
+            assert flatops._active_backend() is recording
+        assert flatops._active_backend() is before
 
-    def test_machine_default_backend(self, sharded):
+    def test_dispatch_goes_through_backend(self):
+        backend = RecordingBackend()
+        data = per_pe_workload("duplicates", 8, 40, seed=5)
+        run_with(backend, "ams", AMSConfig(levels=2, node_size=2), 8, data, seed=5)
+        run_with(backend, "rlm", RLMConfig(levels=2, node_size=2), 8, data, seed=5)
+        # Every kernel the engine calls reaches the installed backend.  No
+        # engine path calls ragged_bincount; TestKernelOracles covers its
+        # dispatch.
+        assert len(KERNELS) == 9
+        assert sorted(backend.calls) == [k for k in KERNELS if k != "ragged_bincount"]
+
+    def test_machine_default_backend(self, recording):
         data = per_pe_workload("uniform", 8, 40, seed=5)
-        machine = SimulatedMachine(8, spec=laptop_like(), seed=5, backend=sharded)
-        run_on_machine(machine, data, algorithm="ams",
-                       config=AMSConfig(node_size=2))
-        assert machine.backend_used == "sharedmem"
+        machine = SimulatedMachine(8, spec=laptop_like(), seed=5)
+        run_on_machine(machine, data, algorithm="ams", config=AMSConfig(node_size=2))
+        assert machine.backend_used == "numpy"
+        run_on_machine(machine, data, algorithm="ams", config=AMSConfig(node_size=2),
+                       backend=recording)
+        assert machine.backend_used == "recording"

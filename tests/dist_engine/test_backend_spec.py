@@ -1,90 +1,40 @@
-"""Backend-spec validation: every entry point rejects bad specs early.
+"""Backend-spec validation: a bad spec fails early with a pinned message.
 
-A typo'd ``--backend sharedmem:abc`` must fail at argument time with a
-message naming the offending spec, not sometime later as an opaque crash
-inside a worker process.  These tests pin the error text at all four entry
-points: ``validate_backend_spec`` itself, ``SimulatedMachine``,
-``run_on_machine``, and the ``REPRO_BACKEND`` environment variable.
+``numpy`` is the only named backend; anything else must fail at call time
+with a message naming the offending spec, before any sorting starts.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.runner import run_on_machine
-from repro.dist.backend import get_backend, validate_backend_spec
+from repro.dist.backend import NumpyBackend, get_backend
 from repro.sim.machine import SimulatedMachine
 
 
 class TestValidateBackendSpec:
     def test_accepts_known_specs(self):
-        assert validate_backend_spec(None) is None
-        assert validate_backend_spec("") is None
-        assert validate_backend_spec("numpy") == "numpy"
-        assert validate_backend_spec("sharedmem") == "sharedmem"
-        assert validate_backend_spec("sharedmem:4") == "sharedmem:4"
-        assert validate_backend_spec("  SharedMem:4 ") == "sharedmem:4"
-
-    def test_non_integer_worker_count(self):
-        with pytest.raises(
-            ValueError,
-            match=r"bad backend spec 'sharedmem:abc': worker count must be "
-                  r"an integer",
-        ):
-            validate_backend_spec("sharedmem:abc")
-
-    def test_zero_worker_count(self):
-        with pytest.raises(
-            ValueError,
-            match=r"bad backend spec 'sharedmem:0': worker count must be >= 1",
-        ):
-            validate_backend_spec("sharedmem:0")
-
-    def test_negative_worker_count(self):
-        with pytest.raises(ValueError, match=r"worker count must be >= 1"):
-            validate_backend_spec("sharedmem:-2")
+        assert isinstance(get_backend(None), NumpyBackend)
+        assert get_backend("numpy") is get_backend("  NumPy ")
 
     def test_unknown_backend_lists_the_known_ones(self):
         with pytest.raises(
-            ValueError,
-            match=r"unknown backend spec 'cuda'; known: numpy, sharedmem",
+            ValueError, match=r"unknown backend spec 'cuda'; known: numpy"
         ):
-            validate_backend_spec("cuda")
+            get_backend("cuda")
 
     def test_numpy_takes_no_argument(self):
-        with pytest.raises(
-            ValueError,
-            match=r"bad backend spec 'numpy:2': numpy takes no ':' argument",
-        ):
-            validate_backend_spec("numpy:2")
-
-    def test_source_names_the_entry_point(self):
-        with pytest.raises(ValueError, match=r"bad REPRO_BACKEND spec 'sharedmem:x'"):
-            validate_backend_spec("sharedmem:x", source="REPRO_BACKEND spec")
+        with pytest.raises(ValueError, match=r"unknown backend spec 'numpy:2'"):
+            get_backend("numpy:2")
 
 
 class TestEntryPoints:
-    def test_simulated_machine_rejects_bad_spec_at_construction(self):
-        with pytest.raises(ValueError, match=r"worker count must be an integer"):
-            SimulatedMachine(4, backend="sharedmem:abc")
-
-    def test_simulated_machine_rejects_unknown_spec(self):
-        with pytest.raises(ValueError, match=r"unknown backend spec 'gpu'"):
-            SimulatedMachine(4, backend="gpu")
-
     def test_run_on_machine_rejects_bad_spec_before_running(self):
         machine = SimulatedMachine(4, seed=0)
         data = [np.arange(8) for _ in range(4)]
-        with pytest.raises(ValueError, match=r"worker count must be >= 1"):
-            run_on_machine(machine, data, algorithm="ams", backend="sharedmem:0")
-
-    def test_repro_backend_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharedmem:zero")
-        with pytest.raises(
-            ValueError,
-            match=r"bad REPRO_BACKEND spec 'sharedmem:zero': worker count "
-                  r"must be an integer",
-        ):
-            get_backend(None)
+        with pytest.raises(ValueError, match=r"unknown backend spec 'gpu:0'"):
+            run_on_machine(machine, data, algorithm="ams", backend="gpu:0")
+        assert machine.backend_used is None
 
     def test_get_backend_rejects_explicit_bad_spec(self):
         with pytest.raises(ValueError, match=r"unknown backend spec 'mpi'"):

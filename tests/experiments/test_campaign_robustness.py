@@ -12,12 +12,12 @@ import os
 
 import pytest
 
-from repro.dist.backend import NumpyBackend, SharedMemBackend, use_backend
+from repro.chaos import ChaosPlan, ChaosState, parse_chaos_spec
 from repro.experiments import campaign as cm
 
 
-#: Two weak-scaling cells: small enough that even a chaos run with a
-#: sharded backend finishes in seconds, non-degenerate enough to aggregate.
+#: Two weak-scaling cells: small enough that a chaos run finishes in
+#: seconds, non-degenerate enough to aggregate.
 NANO_PROFILE = {
     "name": "nano",
     "p_values": (4, 8),
@@ -206,22 +206,39 @@ class TestRetryAndQuarantine:
             cm.execute_cells(cells, jobs=2, strict=True)
 
 
-class TestChaosByteIdentity:
-    def test_worker_kills_leave_the_summary_byte_identical(self, monkeypatch):
-        healthy, _ = run_nano()
-        monkeypatch.setenv("REPRO_CHAOS", "seed:3,kill:0.2")
-        backend = SharedMemBackend(workers=2, min_parallel_elements=0)
-        try:
-            with use_backend(backend):
-                chaotic, _ = run_nano()
-            sup = backend.stats()["supervisor"]
-        finally:
-            backend.close()
-            monkeypatch.delenv("REPRO_CHAOS")
-        assert sup["chaos_kills"] >= 1  # faults actually happened
-        assert sup["respawns"] >= 1  # and were healed
-        assert cm.campaign_to_json(chaotic) == cm.campaign_to_json(healthy)
+class TestChaosInjection:
+    def test_parse_chaos_spec_grammar(self):
+        assert parse_chaos_spec(None) is None
+        assert parse_chaos_spec("") is None
+        plan = parse_chaos_spec("seed:7,corrupt:0.5,trunc:0.1")
+        assert plan == ChaosPlan(seed=7, corrupt_rate=0.5, truncate_rate=0.1)
+        assert plan.enabled
+        assert not ChaosPlan(seed=3).enabled
+        with pytest.raises(ValueError, match="unknown key 'frobnicate'"):
+            parse_chaos_spec("frobnicate:1")
+        # An old worker-kill spec must fail loudly, not run a healthy campaign.
+        with pytest.raises(ValueError, match="unknown key 'kill'"):
+            parse_chaos_spec("seed:7,kill:0.25")
+        with pytest.raises(ValueError, match="corrupt needs a number"):
+            parse_chaos_spec("corrupt:lots")
+        with pytest.raises(ValueError, match=r"must be a rate in \[0, 1\]"):
+            parse_chaos_spec("corrupt:1.5")
+        with pytest.raises(ValueError, match="exceed 1"):
+            parse_chaos_spec("corrupt:0.7,trunc:0.7")
 
+    def test_cache_corruption_keyed_by_name(self, tmp_path):
+        plan = parse_chaos_spec("seed:5,trunc:0.5,corrupt:0.5")
+        path = tmp_path / "abcdef.json"
+        path.write_text("x" * 100)
+        kind_one = ChaosState(plan).maybe_corrupt_cache(path)
+        path.write_text("x" * 100)
+        kind_two = ChaosState(plan).maybe_corrupt_cache(path)
+        assert kind_one == kind_two  # same name, same draw
+        assert kind_one in ("truncate", "corrupt")
+        assert path.read_bytes() != b"x" * 100
+
+
+class TestChaosByteIdentity:
     def test_chaos_corrupted_cache_recovers_byte_identically(
         self, tmp_path, monkeypatch
     ):

@@ -146,9 +146,14 @@ class TestCLI:
         assert main(["table1", "--workload", "zipf"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
-    def test_main_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            main(["does-not-exist"])
+    def test_main_unknown_experiment(self, capsys):
+        # Every name is checked before the first experiment runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "does-not-exist"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'does-not-exist'" in captured.err
 
     def test_paper_scale_is_campaign_only(self):
         with pytest.raises(SystemExit):

@@ -3,8 +3,7 @@
 The load-bearing guarantees, in order of importance:
 
 * **Byte-identity when off** — a machine with no plan, a default plan and an
-  all-zero plan produce bit-identical clocks, phase breakdowns and counters,
-  under both kernel backends.
+  all-zero plan produce bit-identical clocks, phase breakdowns and counters.
 * **Determinism when on** — same plan + seed, same faulted clocks, across
   ``machine.reset()`` and across fresh machines.
 * **Engine equivalence under faults** — the flat and reference engines charge
@@ -110,7 +109,7 @@ class TestSpecParsing:
 
 
 class TestFaultFreeByteIdentity:
-    @pytest.mark.parametrize("backend", ["numpy", "sharedmem:2"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("faults", [None, "", FaultPlan(),
                                         FaultPlan(seed=9)])
     def test_no_plan_equals_disabled_plan(self, backend, faults):
