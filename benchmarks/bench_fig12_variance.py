@@ -10,26 +10,18 @@ relative to the median — the same qualitative statement the paper makes for
 small and mid p.
 """
 
-from conftest import publish
+from conftest import campaign_rows, publish
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.variance import variance_rows
 
 
 REPETITIONS = 5
 
 
 def run_sweep(profile):
-    runner = ExperimentRunner()
-    return variance_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        level_counts=(1, 2),
-        repetitions=REPETITIONS,
-        node_size=profile["node_size"],
-        runner=runner,
-    )
+    return campaign_rows(
+        profile, "variance", level_counts=(1, 2), repetitions=REPETITIONS
+    )["rows"]
 
 
 def test_fig12_variance(benchmark, profile):

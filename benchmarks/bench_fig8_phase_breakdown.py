@@ -10,29 +10,22 @@ splitter selection, bucket processing, data delivery and local sorting
 * local sorting dominates when ``n/p`` is large.
 """
 
-from conftest import publish
+from conftest import campaign_rows, publish
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.weak_scaling import figure8_rows, weak_scaling_rows
 from repro.machine.counters import (
     PHASE_DATA_DELIVERY,
     PHASE_LOCAL_SORT,
     PHASE_SPLITTER_SELECTION,
 )
 
+SPLITTER_SELECTION = f"phase_{PHASE_SPLITTER_SELECTION}"
+LOCAL_SORT = f"phase_{PHASE_LOCAL_SORT}"
+DATA_DELIVERY = f"phase_{PHASE_DATA_DELIVERY}"
+
 
 def run_sweep(profile):
-    runner = ExperimentRunner()
-    rows = weak_scaling_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        level_counts=(1, 2, 3),
-        repetitions=profile["repetitions"],
-        node_size=profile["node_size"],
-        runner=runner,
-    )
-    return figure8_rows(rows)
+    return campaign_rows(profile, "weak_scaling", level_counts=(1, 2, 3))["rows"]
 
 
 def test_fig8_phase_breakdown(benchmark, profile):
@@ -52,13 +45,13 @@ def test_fig8_phase_breakdown(benchmark, profile):
     for row in rows:
         total = row["time_median_s"]
         # Splitter selection is never the dominant phase (paper, Section 7.2).
-        assert row[PHASE_SPLITTER_SELECTION] < 0.6 * total
+        assert row[SPLITTER_SELECTION] < 0.6 * total
 
     # The local-sorting share grows with n/p: compute (not communication)
     # dominates for large per-PE volumes (paper: n/p = 1e7 panels).
     def sort_share(n_per_pe, levels=1):
         matching = [r for r in rows if r["n_per_pe"] == n_per_pe and r["levels"] == levels]
-        return sum(r[PHASE_LOCAL_SORT] / r["time_median_s"] for r in matching) / len(matching)
+        return sum(r[LOCAL_SORT] / r["time_median_s"] for r in matching) / len(matching)
 
     assert sort_share(largest_n) > sort_share(smallest_n)
 
@@ -66,7 +59,7 @@ def test_fig8_phase_breakdown(benchmark, profile):
     # (the startup-bound regime the multi-level algorithms target).
     largest_p = max(row["p"] for row in rows)
     delivery = {
-        row["levels"]: row[PHASE_DATA_DELIVERY]
+        row["levels"]: row[DATA_DELIVERY]
         for row in rows
         if row["p"] == largest_p and row["n_per_pe"] == smallest_n
     }

@@ -10,7 +10,8 @@ routine itself.
 from conftest import publish
 
 from repro.core.config import level_plan
-from repro.experiments.level_table import PAPER_TABLE1, run as level_table_run
+from repro.experiments.cli import run_views
+from repro.experiments.harness import PAPER_TABLE1
 
 
 PAPER_P = (512, 2048, 8192, 32768)
@@ -31,4 +32,4 @@ def test_table1_level_plan(benchmark):
     for k in (2, 3):
         for p in PAPER_P:
             assert plans[(k, p)] == PAPER_TABLE1[k][p], (k, p)
-    publish("table1_level_config", level_table_run())
+    publish("table1_level_config", run_views(["table1"]))

@@ -2,53 +2,27 @@
 
 The paper's Table 2 reports the median wall-time of AMS-sort (best level
 choice) for ``p`` in {512..32768} and ``n/p`` in {1e5..1e7} on SuperMUC.  The
-reproduction runs the same sweep at a reduced scale on the simulated
-SuperMUC-like machine and reports the modelled times; the expected *shape* is
-that the time per element stays within a small factor as ``p`` grows (weak
-scalability), which the assertion checks.
+reproduction runs the campaign's weak-scaling experiment at a reduced scale
+on the simulated SuperMUC-like machine and reports the modelled times; the
+expected *shape* is that the time per element stays within a small factor
+as ``p`` grows (weak scalability), which the assertion checks.
 
-Standalone usage runs the sweep through the sharded campaign machinery —
-``--jobs`` fans the cells over worker processes, ``--resume`` (default)
-reuses cached cell summaries from an interrupted or earlier run::
-
-    PYTHONPATH=src python benchmarks/bench_table2_weak_scaling.py \
-        --scale quick --jobs 4 --output BENCH_table2.json
-    # the paper's machine sizes (p up to 32768, flat engine only):
-    PYTHONPATH=src python benchmarks/bench_table2_weak_scaling.py --scale paper
+The same sweep over the whole workload axis, sharded and cached, is
+``python -m repro.experiments.cli campaign --experiments weak_scaling``.
 """
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-
-from conftest import publish
+from conftest import campaign_rows, publish
 
 from repro.analysis.tables import format_table
-from repro.experiments.harness import ExperimentRunner
-from repro.experiments.weak_scaling import (
-    paper_reference_rows,
-    table2_rows,
-    weak_scaling_rows,
-)
+from repro.experiments.harness import paper_reference_rows
 
 
 def run_sweep(profile):
-    runner = ExperimentRunner()
-    rows = weak_scaling_rows(
-        p_values=profile["p_values"],
-        n_per_pe_values=profile["n_per_pe_values"],
-        level_counts=(1, 2),
-        repetitions=profile["repetitions"],
-        node_size=profile["node_size"],
-        runner=runner,
-    )
-    return rows
+    return campaign_rows(profile, "weak_scaling", level_counts=(1, 2))["best"]
 
 
 def test_table2_weak_scaling(benchmark, profile):
-    rows = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
-    best = table2_rows(rows)
+    best = benchmark.pedantic(run_sweep, args=(profile,), rounds=1, iterations=1)
 
     text = format_table(
         best,
@@ -72,57 +46,3 @@ def test_table2_weak_scaling(benchmark, profile):
     for p in profile["p_values"]:
         times = [row["time_median_s"] for row in best if row["p"] == p]
         assert times == sorted(times)
-
-
-# ----------------------------------------------------------------------
-# Standalone (sharded campaign) entry point
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    import argparse
-    import json
-
-    from repro.experiments.campaign import (
-        campaign_to_json,
-        format_campaign,
-        run_campaign,
-    )
-    from repro.experiments.harness import SCALE_PROFILES
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default="quick", choices=sorted(SCALE_PROFILES),
-                        help="scale profile; 'paper' reaches p=32768 (flat engine)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the cell fan-out")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="workload axis (default: the campaign default)")
-    parser.add_argument("--cache-dir", type=Path,
-                        default=Path(__file__).parent / "results" / "campaign-cache",
-                        help="cell summary cache (resume point)")
-    parser.add_argument("--no-resume", dest="resume", action="store_false",
-                        help="ignore previously cached cell summaries")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write the weak-scaling campaign summary JSON")
-    args = parser.parse_args(argv)
-
-    summary, stats = run_campaign(
-        profile=args.scale,
-        experiments=("weak_scaling",),
-        workloads=args.workloads,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        progress=lambda msg: print(msg, file=sys.stderr, flush=True),
-    )
-    print(format_campaign(summary))
-    print(format_table(paper_reference_rows(),
-                       title="Paper Table 2 (SuperMUC reference, seconds)"))
-    print(f"campaign stats: {json.dumps(stats)}")
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(campaign_to_json(summary))
-        print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

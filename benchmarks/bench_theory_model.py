@@ -10,7 +10,7 @@ with ``p``, which is the level of agreement the substitution (simulator for
 SuperMUC) is supposed to preserve.
 """
 
-from conftest import publish
+from conftest import campaign_rows, publish
 
 from repro.analysis.tables import format_table
 from repro.analysis.theory import (
@@ -18,30 +18,25 @@ from repro.analysis.theory import (
     rlm_sort_time_model,
     single_level_sample_sort_time_model,
 )
-from repro.experiments.harness import ExperimentRunner, RunConfig
 from repro.machine.spec import supermuc_like
 
 
 def run_comparison(profile):
-    runner = ExperimentRunner()
+    # Two-level AMS-sort next to the single-level baselines at the smallest n/p.
+    measured = campaign_rows(profile, "comparison", level_counts=(2,))["rows"]
+    time_of = {(row["p"], row["algorithm"]): row["time_s"] for row in measured}
     spec = supermuc_like()
     n_per_pe = min(profile["n_per_pe_values"])
     rows = []
     for p in profile["p_values"]:
         n = n_per_pe * p
-        measured_ams = runner.run(RunConfig(
-            algorithm="ams", p=p, n_per_pe=n_per_pe, levels=2,
-            node_size=profile["node_size"], repetitions=profile["repetitions"]))
-        measured_single = runner.run(RunConfig(
-            algorithm="samplesort", p=p, n_per_pe=n_per_pe, levels=1,
-            node_size=profile["node_size"], repetitions=profile["repetitions"]))
         rows.append({
             "p": p,
             "n_per_pe": n_per_pe,
             "model_ams_s": ams_sort_time_model(spec, n, p, levels=2)["total"],
-            "sim_ams_s": measured_ams["time_median_s"],
+            "sim_ams_s": time_of[(p, "ams")],
             "model_single_s": single_level_sample_sort_time_model(spec, n, p)["total"],
-            "sim_single_s": measured_single["time_median_s"],
+            "sim_single_s": time_of[(p, "samplesort")],
             "model_rlm_s": rlm_sort_time_model(spec, n, p, levels=2)["total"],
         })
     return rows

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.campaign import run_campaign
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -34,27 +36,33 @@ def bench_profile() -> dict:
             "n_per_pe_values": (200, 2000),
             "node_size": 4,
             "repetitions": 1,
-            "overpartition_p": 16,
-            "overpartition_n": 2000,
         },
         "medium": {
             "p_values": (64, 256),
             "n_per_pe_values": (500, 5000),
             "node_size": 8,
             "repetitions": 2,
-            "overpartition_p": 64,
-            "overpartition_n": 10000,
         },
         "large": {
             "p_values": (256, 1024, 4096),
             "n_per_pe_values": (1000, 10000),
             "node_size": 16,
             "repetitions": 3,
-            "overpartition_p": 512,
-            "overpartition_n": 100000,
         },
     }
     return profiles.get(bench_scale(), profiles["quick"])
+
+
+def campaign_rows(profile: dict, experiment: str, **overrides) -> dict:
+    """One experiment's aggregated sections from a serial, uncached campaign.
+
+    The campaign runs the uniform workload alone on ``profile`` with
+    ``overrides`` (e.g. ``level_counts``, ``repetitions``) applied.
+    """
+    summary, _ = run_campaign(
+        dict(profile, **overrides), experiments=(experiment,), workloads=("uniform",)
+    )
+    return summary["experiments"][experiment]
 
 
 def publish(name: str, text: str) -> None:

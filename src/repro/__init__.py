@@ -27,7 +27,9 @@ Subpackages
 ``repro.core``      AMS-sort, RLM-sort, baselines, configuration, runner
 ``repro.workloads`` input generators, sort-benchmark records, Morton codes
 ``repro.analysis``  theoretical cost model, metrics, table formatting
-``repro.experiments`` harness reproducing the paper's tables and figures
+``repro.experiments`` the campaign reproducing the paper's tables and figures
+                    (one definition per experiment; the CLI's figure names
+                    are views of it)
 """
 
 from repro.core.config import AMSConfig, RLMConfig, level_plan

@@ -3,8 +3,8 @@
 The paper (Section 7, Appendix E) evaluates at ``p`` in {512, 2048, 8192,
 32768} across Table 2 and Figs. 7-12.  A *campaign* expands each experiment
 (weak scaling, slowdown, overpartitioning, variance, comparison, level
-table) into a flat list of **cells** — one ``(machine, algorithm, config,
-workload, repetition)`` single run each — and then
+table, faults) into a flat list of **cells** — one ``(machine, algorithm,
+config, workload, repetition)`` single run each — and then
 
 * fans the cells across a :class:`~concurrent.futures.ProcessPoolExecutor`
   (``jobs > 1``) with a deterministic per-cell seed derived from the cell
@@ -16,6 +16,10 @@ workload, repetition)`` single run each — and then
 * aggregates the cell summaries into the per-experiment rows (medians over
   repetitions, best-level reductions, slowdown ratios) that correspond to
   the paper's tables and figures.
+
+Each experiment's ``_expand_*``/``_aggregate_*`` pair below is its only
+definition: the serial CLI names (``table2``, ``fig7``, ...) and the
+figure benchmarks print sections of these rows.
 
 Cells above ``reference_max_p`` (the per-PE reference engine's feasibility
 limit, relevant for the ``"paper"`` profile reaching ``p = 32768``) are
@@ -87,6 +91,30 @@ CAMPAIGN_WORKLOADS = (
 )
 
 _BASELINES = ("mergesort", "samplesort", "quicksort")
+
+#: Fault-spec ladder of the degradation experiment.  The empty spec is the
+#: healthy baseline every slowdown is computed against; the drop-rate rungs
+#: are spaced widely enough that recovery cost strictly increases even at
+#: tiny scale (few exchanges → few geometric draws).
+DEFAULT_FAULT_SPECS: Sequence[str] = (
+    "",
+    "droprate:0.05",
+    "droprate:0.2",
+    "droprate:0.4",
+    "stragglers:0.25",
+    "stragglers:0.25,droprate:0.2",
+)
+
+#: Trimmed ladder for secondary workloads.  The bottom rung starts higher
+#: than the primary ladder's: the trimmed grid runs the smallest machine,
+#: whose few exchange rounds draw too few uniforms for a 5% drop rate to
+#: fire at all.
+TRIMMED_FAULT_SPECS: Sequence[str] = (
+    "",
+    "droprate:0.15",
+    "droprate:0.25",
+    "droprate:0.4",
+)
 
 
 # ----------------------------------------------------------------------
@@ -489,11 +517,12 @@ def _expand_faults(profile, workload, primary) -> List[CampaignCell]:
 
     The healthy spec (``""``) is always present — it is the slowdown
     baseline — and the remaining rungs come from the profile's
-    ``fault_specs`` override (the campaign CLI's ``--faults``) or the
-    default ladders of :mod:`repro.experiments.faults`.
+    ``fault_specs`` override (the CLI's ``--faults``) or the default
+    ladders above.  The multi-level algorithms pay for faults differently:
+    AMS-sort's few large exchange rounds lose little to per-round timeouts
+    but re-send big volumes, while RLM-sort's regular grid rounds hit more,
+    cheaper retries.
     """
-    from repro.experiments.faults import DEFAULT_FAULT_SPECS, TRIMMED_FAULT_SPECS
-
     ps = tuple(profile["p_values"])
     n_per_pe = int(tuple(profile["n_per_pe_values"])[0])
     node_size = int(profile["node_size"])
@@ -942,7 +971,11 @@ def _aggregate_comparison(pairs) -> Dict[str, List[Dict[str, object]]]:
     for workload, p, algorithm in order:
         row = per_algo[(workload, p, algorithm)]
         ams = per_algo.get((workload, p, "ams"))
-        ams_time = float(ams["time_median_s"]) if ams else float("nan")
+        # None (JSON null) when the point has no AMS row, e.g. because its
+        # AMS cells were quarantined — never NaN, which is not valid JSON.
+        slowdown = (
+            float(row["time_median_s"]) / float(ams["time_median_s"]) if ams else None
+        )
         rows.append(
             {
                 "workload": workload,
@@ -950,7 +983,7 @@ def _aggregate_comparison(pairs) -> Dict[str, List[Dict[str, object]]]:
                 "algorithm": algorithm,
                 "levels": row["levels"],
                 "time_s": row["time_median_s"],
-                "slowdown_vs_ams": float(row["time_median_s"]) / ams_time,
+                "slowdown_vs_ams": slowdown,
                 "max_startups": row["max_startups"],
             }
         )
@@ -1138,6 +1171,14 @@ _SECTION_TITLES = {
 }
 
 
+def format_section(experiment: str, section: str, rows) -> str:
+    """One aggregated section of an experiment as a titled text table."""
+    title = _SECTION_TITLES[experiment]
+    if section != "rows":
+        title += f" [{section}]"
+    return format_table(rows, title=title)
+
+
 def format_campaign(summary: Mapping[str, object]) -> str:
     """Render the campaign summary as the familiar experiment text tables."""
     meta = summary["meta"]
@@ -1150,10 +1191,6 @@ def format_campaign(summary: Mapping[str, object]) -> str:
         if experiment not in experiments:
             continue
         for section, rows in experiments[experiment].items():
-            if not rows:
-                continue
-            title = _SECTION_TITLES[experiment]
-            if section not in ("rows",):
-                title += f" [{section}]"
-            text.append(format_table(rows, title=title))
+            if rows:
+                text.append(format_section(experiment, section, rows))
     return "\n\n".join(text)

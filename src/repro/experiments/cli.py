@@ -1,4 +1,4 @@
-"""Command-line entry point for the experiment harness.
+"""Command-line entry point for the experiments.
 
 Usage::
 
@@ -6,10 +6,17 @@ Usage::
     python -m repro.experiments.cli table2 --scale quick --workload zipf
     python -m repro.experiments.cli fig7 fig8 fig10 fig11 fig12 sec73
     python -m repro.experiments.cli all --scale medium
+    python -m repro.experiments.cli faults --scale tiny --faults "" droprate:0.2
 
     # Sharded campaign: expand every experiment into cells, fan them over
     # worker processes, cache cell summaries on disk, aggregate the rows.
     python -m repro.experiments.cli campaign --profile quick --jobs 4
+
+A serial name is a view of one section of the campaign: the experiments
+behind the named views run as one serial, uncached campaign on a single
+workload, so ``table2 fig8`` runs the weak-scaling sweep once.  Each
+section is printed next to the paper's reference table where the paper
+has one.
 """
 
 from __future__ import annotations
@@ -17,35 +24,104 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    campaign as campaign_mod,
-    comparison,
-    faults as faults_mod,
-    level_table,
-    overpartitioning,
-    slowdown,
-    variance,
-    weak_scaling,
+from repro.analysis.tables import format_table
+from repro.experiments import campaign as campaign_mod
+from repro.experiments.harness import (
+    PAPER_P_VALUES,
+    PAPER_TABLE1,
+    SCALE_PROFILES,
+    paper_reference_rows,
 )
-from repro.experiments.harness import SCALE_PROFILES
 from repro.workloads.generators import WORKLOADS
 
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
-    "table1": lambda scale=None, workload="uniform": level_table.run(workload=workload),
-    "table2": lambda scale=None, workload="uniform": weak_scaling.run(scale=scale, workload=workload),
-    "fig7": lambda scale=None, workload="uniform": slowdown.run(scale=scale, workload=workload),
-    "fig8": lambda scale=None, workload="uniform": weak_scaling.run(scale=scale, workload=workload),
-    "fig10": lambda scale=None, workload="uniform": overpartitioning.run(scale=scale, workload=workload),
-    "fig11": lambda scale=None, workload="uniform": overpartitioning.run(scale=scale, workload=workload),
-    "fig12": lambda scale=None, workload="uniform": variance.run(scale=scale, workload=workload),
-    "sec73": lambda scale=None, workload="uniform": comparison.run(scale=scale, workload=workload),
-    "faults": lambda scale=None, workload="uniform", **kw: faults_mod.run(
-        scale=scale, workload=workload, **kw
+class View(NamedTuple):
+    """A serial experiment name: one section of one campaign experiment."""
+
+    experiment: str
+    section: str
+
+
+#: Serial experiment names, each the campaign section it prints.
+EXPERIMENTS: Dict[str, View] = {
+    "table1": View("level_table", "rows"),
+    "table2": View("weak_scaling", "best"),
+    "fig7": View("slowdown", "rows"),
+    "fig8": View("weak_scaling", "rows"),
+    "fig10": View("overpartitioning", "fig10"),
+    "fig11": View("overpartitioning", "fig11"),
+    "fig12": View("variance", "rows"),
+    "sec73": View("comparison", "rows"),
+    "faults": View("faults", "rows"),
+}
+
+
+#: The paper's tables, printed after the view of the same name.
+_PAPER_REFERENCES: Dict[str, Tuple[str, List[Dict[str, object]]]] = {
+    "table1": (
+        "Paper Table 1 (SuperMUC, 16 PEs per node).  Its k=1 row lists the "
+        "node size;\na single-level algorithm must split into r=p groups to "
+        "finish in one level,\nwhich is what level_plan() returns for k=1.",
+        [
+            {
+                "k": k,
+                "level": level + 1,
+                **{f"p={p}": by_p[p][level] for p in PAPER_P_VALUES},
+            }
+            for k, by_p in sorted(PAPER_TABLE1.items())
+            for level in range(k)
+        ],
+    ),
+    "table2": (
+        "Paper Table 2 — AMS-sort median wall-times on SuperMUC, seconds "
+        "(for comparison of shape only)",
+        paper_reference_rows(),
     ),
 }
+
+
+def run_views(
+    names: Sequence[str],
+    scale: Optional[str] = None,
+    workload: str = "uniform",
+    fault_specs: Optional[Sequence[str]] = None,
+) -> str:
+    """Run the experiments behind the named views as one campaign; format them.
+
+    The campaign is serial and uncached and runs ``workload`` alone, so it
+    gets the profile's full grid; ``fault_specs`` is the ladder of the
+    ``faults`` view.
+    """
+    experiments = tuple(dict.fromkeys(EXPERIMENTS[name].experiment for name in names))
+    summary, stats = campaign_mod.run_campaign(
+        scale, experiments=experiments, workloads=(workload,), jobs=1,
+        cache_dir=None, fault_specs=fault_specs,
+    )
+    if stats["quarantined"]:
+        print(
+            f"warning: {stats['quarantined']} cells quarantined after "
+            "repeated failures — their rows are missing",
+            file=sys.stderr,
+        )
+    meta = summary["meta"]
+    blocks = [
+        f"profile={meta['profile']}  workload={workload}  "
+        f"cells={meta['cells']}  rng={meta['rng_version']}\n"
+    ]
+    for name in names:
+        view = EXPERIMENTS[name]
+        rows = summary["experiments"].get(view.experiment, {}).get(view.section, [])
+        block = [
+            f"=== {name} ===",
+            campaign_mod.format_section(view.experiment, view.section, rows),
+        ]
+        if name in _PAPER_REFERENCES:
+            title, reference = _PAPER_REFERENCES[name]
+            block.append(format_table(reference, title=title))
+        blocks.append("\n".join(block))
+    return "\n".join(blocks)
 
 
 def campaign_main(argv: List[str] | None = None) -> int:
@@ -232,19 +308,14 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        help=f"experiment names ({', '.join(sorted(EXPERIMENTS))}), 'all', "
+        help=f"experiment names ({', '.join(EXPERIMENTS)}), 'all', "
              "or 'campaign' (see 'campaign --help')",
     )
     parser.add_argument(
         "--scale",
         default=None,
-        # The serial figure mode ignores the campaign-only profile keys
-        # (flat-only engine, level policy, validation caps) that make the
-        # 'paper' scale feasible — reaching p=32768 requires the campaign
-        # subcommand.
-        choices=sorted(n for n in SCALE_PROFILES if n != "paper"),
-        help="scale profile (default: $REPRO_SCALE or 'quick'); "
-             "the 'paper' scale is campaign-only",
+        choices=sorted(SCALE_PROFILES),
+        help="scale profile (default: $REPRO_SCALE or 'quick')",
     )
     parser.add_argument(
         "--workload",
@@ -255,40 +326,31 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--faults", nargs="+", default=None, metavar="SPEC",
         help="fault-spec ladder for the 'faults' experiment, e.g. "
-             "'stragglers:0.1' 'droprate:0.01' (only valid when 'faults' is "
-             "the sole selected experiment)",
+             "'stragglers:0.1' 'droprate:0.01' (the healthy '' baseline is "
+             "always included)",
     )
     args = parser.parse_args(argv)
 
     names = list(args.experiments)
     if "all" in names:
-        names = sorted(EXPERIMENTS)
-    seen = set()
-    ordered = [n for n in names if not (n in seen or seen.add(n))]
-    # Every name is checked before the first experiment prints anything.
+        names = list(EXPERIMENTS)
+    ordered = list(dict.fromkeys(names))
+    # Every name is checked before the first experiment runs.
     for name in ordered:
         if name not in EXPERIMENTS:
-            parser.error(f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
+            parser.error(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
 
-    extra_kwargs: Dict[str, Dict[str, object]] = {}
     if args.faults is not None:
-        if ordered != ["faults"]:
-            parser.error("--faults is only valid with the 'faults' experiment alone")
+        if "faults" not in ordered:
+            parser.error("--faults is only valid with the 'faults' experiment")
         from repro.sim.faults import parse_fault_spec
 
         for spec in args.faults:
             parse_fault_spec(spec)  # fail fast on bad grammar
-        specs = tuple(args.faults)
-        if "" not in specs:
-            specs = ("",) + specs  # the healthy slowdown baseline
-        extra_kwargs["faults"] = {"fault_specs": specs}
 
-    for name in ordered:
-        print(f"=== {name} ===")
-        print(EXPERIMENTS[name](
-            scale=args.scale, workload=args.workload, **extra_kwargs.get(name, {})
-        ))
-        print()
+    print(run_views(
+        ordered, scale=args.scale, workload=args.workload, fault_specs=args.faults,
+    ))
     return 0
 
 

@@ -1,19 +1,17 @@
-"""Shared experiment infrastructure: configurations, repetitions, medians."""
+"""Scale profiles, the paper's reference tables and per-cell algorithm configs.
+
+A campaign (:mod:`repro.experiments.campaign`) reads its machine sizes,
+input sizes and repetitions from a scale profile here, builds each cell's
+algorithm configuration with :func:`build_algo_config`, and the serial CLI
+prints the paper's Tables 1 and 2 next to the reproduced ones.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.analysis.metrics import summarize_runs
 from repro.core.config import AMSConfig, RLMConfig
-from repro.core.runner import SortResult, run_on_machine
-from repro.machine.spec import MachineSpec, supermuc_like
-from repro.sim.machine import SimulatedMachine
-from repro.workloads.generators import per_pe_workload
 
 
 #: Scaled-down stand-ins for the paper's configurations.  The paper runs
@@ -95,9 +93,16 @@ SCALE_PROFILES: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: The configurations of the paper, for side-by-side reporting.
+#: The machine sizes of the paper, for side-by-side reporting.
 PAPER_P_VALUES = (512, 2048, 8192, 32768)
-PAPER_N_PER_PE = (10**5, 10**6, 10**7)
+
+#: Table 1 of the paper: the group count r of every level (1-indexed) of a
+#: k-level plan on SuperMUC, keyed by k and then p.
+PAPER_TABLE1: Dict[int, Dict[int, List[int]]] = {
+    1: {512: [16], 2048: [16], 8192: [16], 32768: [16]},
+    2: {512: [32, 16], 2048: [128, 16], 8192: [512, 16], 32768: [2048, 16]},
+    3: {512: [8, 4, 16], 2048: [16, 8, 16], 8192: [32, 16, 16], 32768: [64, 32, 16]},
+}
 
 #: Table 2 of the paper: median wall-times (seconds) of AMS-sort.
 PAPER_TABLE2_SECONDS: Dict[int, Dict[int, float]] = {
@@ -105,6 +110,15 @@ PAPER_TABLE2_SECONDS: Dict[int, Dict[int, float]] = {
     10**6: {512: 0.2212, 2048: 0.2589, 8192: 0.2687, 32768: 0.9171},
     10**7: {512: 2.6523, 2048: 2.9797, 8192: 4.0625, 32768: 6.0932},
 }
+
+
+def paper_reference_rows() -> List[Dict[str, object]]:
+    """The paper's Table 2 (median wall-times on SuperMUC) as printable rows."""
+    return [
+        {"n_per_pe": n_per_pe, "p": p, "paper_time_s": seconds}
+        for n_per_pe, by_p in sorted(PAPER_TABLE2_SECONDS.items())
+        for p, seconds in sorted(by_p.items())
+    ]
 
 
 def scale_profile(name: Optional[str] = None) -> Dict[str, object]:
@@ -118,36 +132,6 @@ def scale_profile(name: Optional[str] = None) -> Dict[str, object]:
     return dict(SCALE_PROFILES[name])
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment configuration (algorithm + machine + workload)."""
-
-    algorithm: str = "ams"
-    p: int = 64
-    n_per_pe: int = 1000
-    levels: int = 2
-    workload: str = "uniform"
-    node_size: int = 4
-    delivery: str = "deterministic"
-    repetitions: int = 3
-    seed: int = 0
-    spec: Optional[MachineSpec] = None
-    overpartitioning: Optional[int] = None
-    oversampling: Optional[float] = None
-    validate: bool = True
-    engine: str = "flat"
-    #: Fault-injection spec string (see :mod:`repro.sim.faults`); empty = healthy.
-    faults: str = ""
-
-    def label(self) -> str:
-        """Short human readable identifier."""
-        base = (
-            f"{self.algorithm}-k{self.levels}-p{self.p}-n{self.n_per_pe}"
-            f"-{self.workload}"
-        )
-        return f"{base}-faults[{self.faults}]" if self.faults else base
-
-
 def build_algo_config(
     algorithm: str,
     p: int,
@@ -158,7 +142,7 @@ def build_algo_config(
     overpartitioning: Optional[int] = None,
     oversampling: Optional[float] = None,
 ):
-    """Algorithm config for one run (shared by the harness and campaign cells).
+    """Algorithm config for one campaign cell.
 
     Baselines take no config (``None``); AMS-sort optionally gets explicit
     sampling parameters when the experiment sweeps them.
@@ -185,105 +169,3 @@ def build_algo_config(
     if algorithm == "rlm":
         return RLMConfig(levels=levels, node_size=node_size, delivery=delivery)
     return None
-
-
-class ExperimentRunner:
-    """Runs :class:`RunConfig` objects, repeating and aggregating results."""
-
-    def __init__(self, spec: Optional[MachineSpec] = None, verbose: bool = False):
-        self.spec = spec if spec is not None else supermuc_like()
-        self.verbose = verbose
-
-    # ------------------------------------------------------------------
-    def _build_config(self, cfg: RunConfig):
-        return build_algo_config(
-            cfg.algorithm,
-            p=cfg.p,
-            n_per_pe=cfg.n_per_pe,
-            levels=cfg.levels,
-            node_size=cfg.node_size,
-            delivery=cfg.delivery,
-            overpartitioning=cfg.overpartitioning,
-            oversampling=cfg.oversampling,
-        )
-
-    def run_once(self, cfg: RunConfig, repetition: int = 0) -> SortResult:
-        """Run one repetition of a configuration and return its result."""
-        spec = cfg.spec if cfg.spec is not None else self.spec
-        machine = SimulatedMachine(
-            cfg.p, spec=spec, seed=cfg.seed + repetition,
-            faults=cfg.faults or None,
-        )
-        local_data = per_pe_workload(
-            cfg.workload, cfg.p, cfg.n_per_pe, seed=cfg.seed + 1000 * repetition
-        )
-        algo_config = self._build_config(cfg)
-        result = run_on_machine(
-            machine,
-            local_data,
-            algorithm=cfg.algorithm,
-            config=algo_config,
-            validate=cfg.validate,
-            engine=cfg.engine,
-        )
-        result.params.update(
-            {
-                "workload": cfg.workload,
-                "repetition": repetition,
-                "levels": cfg.levels,
-            }
-        )
-        if self.verbose:  # pragma: no cover - logging only
-            print(f"  {cfg.label()} rep {repetition}: {result.total_time:.6f} s")
-        return result
-
-    def run(self, cfg: RunConfig) -> Dict[str, object]:
-        """Run all repetitions of a configuration and aggregate the outcome.
-
-        Returns a flat result row: median/min/max modelled time, per-phase
-        medians, output imbalance and traffic statistics.
-        """
-        results = [self.run_once(cfg, rep) for rep in range(max(1, cfg.repetitions))]
-        times = [r.total_time for r in results]
-        stats = summarize_runs(times)
-        median_idx = int(np.argsort(times)[len(times) // 2])
-        representative = results[median_idx]
-        row: Dict[str, object] = {
-            "algorithm": cfg.algorithm,
-            "levels": cfg.levels,
-            "p": cfg.p,
-            "n_per_pe": cfg.n_per_pe,
-            "workload": cfg.workload,
-            "time_median_s": stats["median"],
-            "time_min_s": stats["min"],
-            "time_max_s": stats["max"],
-            "imbalance": representative.imbalance,
-            "max_startups": representative.traffic["max_startups_per_pe"],
-            "max_words": representative.traffic["max_words_per_pe"],
-        }
-        for phase, value in representative.phase_times.items():
-            row[f"phase_{phase}"] = value
-        return row
-
-    def run_grid(self, configs: Sequence[RunConfig]) -> List[Dict[str, object]]:
-        """Run a list of configurations, returning one row per configuration."""
-        return [self.run(cfg) for cfg in configs]
-
-    # ------------------------------------------------------------------
-    def best_level_time(
-        self, cfg: RunConfig, level_candidates: Sequence[int]
-    ) -> Dict[str, object]:
-        """Run a configuration for several level counts and keep the fastest.
-
-        The paper's Table 2 / Figure 7 report, for every ``(p, n/p)``, the
-        best choice among 1-3 levels.
-        """
-        best_row: Optional[Dict[str, object]] = None
-        for levels in level_candidates:
-            if levels < 1:
-                continue
-            row = self.run(replace(cfg, levels=levels))
-            if best_row is None or row["time_median_s"] < best_row["time_median_s"]:
-                best_row = row
-        assert best_row is not None
-        return best_row

@@ -154,6 +154,25 @@ class TestRetryAndQuarantine:
         rows = cm.aggregate_cells(cells, summaries)
         assert rows  # the surviving cells still produce rows
 
+    def test_comparison_without_ams_rows_is_valid_json(self):
+        # A point whose AMS cells were all quarantined has no slowdown
+        # baseline: the baselines' slowdown_vs_ams is null, never NaN.
+        cells = cm.expand_campaign(
+            NANO_PROFILE, experiments=("comparison",), workloads=("uniform",)
+        )
+        summaries, _ = cm.execute_cells(cells)
+        for cell in cells:
+            if cell.algorithm == "ams":
+                del summaries[cm.cell_key(cell)]
+        rows = cm.aggregate_cells(cells, summaries)["comparison"]["rows"]
+        assert rows and all(row["algorithm"] != "ams" for row in rows)
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        doc = json.loads(cm.campaign_to_json({"rows": rows}), parse_constant=reject)
+        assert all(row["slowdown_vs_ams"] is None for row in doc["rows"])
+
     def test_strict_mode_fails_fast(self, monkeypatch):
         cells = nano_cells()
 
