@@ -17,6 +17,16 @@
   overpartitioning ``b``) and distributed sample drawing,
 * :mod:`repro.blocks.tiebreak` — implicit tie breaking via
   ``(key, PE, position)`` composite keys (Appendix D).
+
+The communicating blocks exported here (selection, grid sort, delivery)
+are the per-PE reference implementations, written against
+:class:`~repro.sim.comm.Comm`; they are the correctness oracle.  The flat
+engine has one lockstep implementation per block,
+:func:`~repro.blocks.multiselect.multisequence_select_batched` and
+:func:`~repro.blocks.delivery.deliver_to_groups_batched`, which run every
+island of a recursion level over one :class:`~repro.sim.groups.GroupBatch`
+(the single-level baselines pass a one-island batch); the grid sample
+sort's lockstep port lives in :mod:`repro.core.ams_sort`.
 """
 
 from repro.blocks.feistel import FeistelPermutation, pseudorandom_permutation
@@ -29,14 +39,11 @@ from repro.blocks.sampling import (
 )
 from repro.blocks.multiselect import (
     multisequence_select,
-    multisequence_select_flat,
     MultiselectResult,
 )
 from repro.blocks.fast_sort import (
     fast_work_inefficient_sort,
-    fast_work_inefficient_sort_flat,
     select_splitters_by_rank,
-    select_splitters_by_rank_flat,
 )
 from repro.blocks.grouping import (
     scan_buckets_with_bound,
@@ -46,9 +53,7 @@ from repro.blocks.grouping import (
 )
 from repro.blocks.delivery import (
     deliver_to_groups,
-    deliver_to_groups_flat,
     DeliveryResult,
-    FlatDeliveryResult,
 )
 from repro.blocks.tiebreak import (
     make_unique_keys,
@@ -65,20 +70,15 @@ __all__ = [
     "draw_samples_flat",
     "default_oversampling",
     "multisequence_select",
-    "multisequence_select_flat",
     "MultiselectResult",
     "fast_work_inefficient_sort",
-    "fast_work_inefficient_sort_flat",
     "select_splitters_by_rank",
-    "select_splitters_by_rank_flat",
     "scan_buckets_with_bound",
     "optimal_bucket_grouping",
     "group_sizes_from_boundaries",
     "bucket_to_group",
     "deliver_to_groups",
-    "deliver_to_groups_flat",
     "DeliveryResult",
-    "FlatDeliveryResult",
     "make_unique_keys",
     "strip_tiebreak",
     "can_encode_inline",

@@ -40,8 +40,8 @@ and in the number of messages used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.dist.flatops import (
 )
 from repro.dist.workspace import get_arena
 from repro.machine.counters import PHASE_DATA_DELIVERY
-from repro.sim.exchange import ExchangeResult, FlatExchangeResult, FlatMessages
+from repro.sim.exchange import ExchangeResult
 
 
 DELIVERY_METHODS = ("naive", "randomized", "deterministic", "advanced")
@@ -456,79 +456,17 @@ def deliver_to_groups(
 
 
 # ======================================================================
-# Flat (DistArray) delivery engine
+# Vectorised assignments of the lockstep (DistArray) engine
 # ======================================================================
 #
 # The functions below are vectorised ports of the per-PE assignment
-# algorithms above.  Pieces are given as one flat value buffer in
-# ``(PE, group)`` order plus a ``(p, r)`` size matrix; messages are built as
-# flat index arrays with :func:`repro.dist.flatops.split_intervals` instead
-# of per-piece Python loops.  Every port emits *exactly* the message stream
-# of its per-PE counterpart (same sources, destinations, payload slices and
-# per-sender ordering), which keeps costs and data byte-identical.
-
-
-@dataclass
-class FlatDeliveryResult:
-    """Outcome of a flat data-delivery step.
-
-    Attributes
-    ----------
-    received:
-        :class:`DistArray` of the data every PE holds after delivery
-        (network messages and locally kept pieces, ordered by sending PE and
-        send order — identical to the reference path's concatenation order).
-    received_msg_src / received_msg_lengths:
-        Source rank and length of every received *run* (message or kept
-        piece), in the same order as they appear inside ``received``.
-    received_msg_offsets:
-        Per-PE offsets into the run arrays (``p + 1`` entries).
-    received_sizes, group_of_rank, group_loads, group_capacity, method:
-        As in :class:`DeliveryResult`.
-    exchange:
-        The underlying :class:`FlatExchangeResult` (network statistics only;
-        locally kept pieces are excluded exactly as in the reference path).
-    """
-
-    received: DistArray
-    received_msg_src: np.ndarray
-    received_msg_lengths: np.ndarray
-    received_msg_offsets: np.ndarray
-    received_sizes: np.ndarray
-    group_of_rank: np.ndarray
-    group_loads: np.ndarray
-    group_capacity: np.ndarray
-    exchange: FlatExchangeResult
-    method: str
-
-    def received_concat(self, local_rank: int) -> np.ndarray:
-        """All data held by ``local_rank`` after delivery (a flat view)."""
-        return self.received.segment(local_rank)
-
-    def nonempty_runs_per_pe(self) -> np.ndarray:
-        """Number of non-empty received runs per PE (merge fan-in)."""
-        counts = np.zeros(self.received.p, dtype=np.int64)
-        run_pe = np.repeat(
-            np.arange(self.received.p, dtype=np.int64),
-            np.diff(self.received_msg_offsets),
-        )
-        nonempty = self.received_msg_lengths > 0
-        np.add.at(counts, run_pe[nonempty], 1)
-        return counts
-
-    def max_received_messages(self) -> int:
-        """Maximum number of network messages received by any PE."""
-        return int(self.exchange.messages_received.max(initial=0))
-
-    def max_sent_messages(self) -> int:
-        """Maximum number of network messages sent by any PE."""
-        return int(self.exchange.messages_sent.max(initial=0))
-
-
-def _piece_starts(sizes: np.ndarray) -> np.ndarray:
-    """Exclusive row-major prefix over the ``(p, r)`` piece-size matrix."""
-    flat = sizes.reshape(-1)
-    return (np.cumsum(flat) - flat).reshape(sizes.shape)
+# algorithms above, called by :func:`deliver_to_groups_batched`.  Pieces
+# are given as one flat value buffer plus a piece-size matrix per island;
+# messages are built as flat ``(src, dest, start, length)`` index arrays
+# with :func:`repro.dist.flatops.split_intervals` instead of per-piece
+# Python loops.  Every port emits *exactly* the message stream of its
+# per-PE counterpart (same sources, destinations and payload slices), which
+# keeps costs and data byte-identical.
 
 
 def _flat_assign_by_prefix(
@@ -537,17 +475,15 @@ def _flat_assign_by_prefix(
     group_starts: np.ndarray,
     group_sizes: np.ndarray,
     order_per_group: Optional[List[np.ndarray]] = None,
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+) -> List[np.ndarray]:
     """Vectorised :func:`_assign_by_prefix`: message arrays per group."""
     p, r = sizes.shape
     group_loads = sizes.sum(axis=0)
-    capacities = np.zeros(r, dtype=np.int64)
     parts: List[np.ndarray] = []
     for j in range(r):
         m_j = int(group_loads[j])
         p_g = int(group_sizes[j])
         block = int(math.ceil(m_j / p_g)) if m_j > 0 else 1
-        capacities[j] = block
         order = order_per_group[j] if order_per_group is not None \
             else np.arange(p, dtype=np.int64)
         sz = sizes[order, j]
@@ -564,73 +500,7 @@ def _flat_assign_by_prefix(
         dest = group_starts[j] + np.minimum(abs_start // block, p_g - 1)
         start = piece_starts[src, j] + off
         parts.append(np.stack([src, dest, start, lengths]))
-    return parts, group_loads, capacities
-
-
-def _flat_assign_deterministic(
-    sizes: np.ndarray,
-    piece_starts: np.ndarray,
-    group_starts: np.ndarray,
-    group_sizes: np.ndarray,
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Vectorised :func:`_assign_deterministic` (Section 4.3.1, two phases)."""
-    p, r = sizes.shape
-    total = int(sizes.sum())
-    group_loads = sizes.sum(axis=0)
-    capacities = np.zeros(r, dtype=np.int64)
-    threshold = max(1, total // (2 * p * r)) if total > 0 else 1
-    # Column-major copies: the per-group loop reads whole columns, which
-    # would otherwise be strided passes over the (p, r) matrices.
-    sizes_t = np.ascontiguousarray(sizes.T)
-    starts_t = np.ascontiguousarray(piece_starts.T)
-    parts: List[np.ndarray] = []
-    for j in range(r):
-        m_j = int(group_loads[j])
-        p_g = int(group_sizes[j])
-        group_start = int(group_starts[j])
-        if m_j == 0:
-            capacities[j] = 0
-            continue
-        cap = int(math.ceil(m_j / p_g))
-        psj = sizes_t[j]
-        small = np.flatnonzero((psj > 0) & (psj <= threshold))
-        large = np.flatnonzero(psj > threshold)
-
-        # Phase 1: small pieces whole, round-robin by enumeration index.
-        load = np.zeros(p_g, dtype=np.int64)
-        if small.size:
-            pe_small = np.minimum(
-                p_g - 1, np.arange(small.size, dtype=np.int64) // max(1, r)
-            )
-            np.add.at(load, pe_small, psj[small])
-            parts.append(np.stack([
-                small, group_start + pe_small, starts_t[j][small], psj[small],
-            ]))
-
-        # Phase 2: large pieces fill the residual capacities.
-        large_total = int(psj[large].sum())
-        residual = np.maximum(0, cap - load)
-        if residual.sum() < large_total:
-            bump = int(math.ceil((large_total - int(residual.sum())) / p_g))
-            cap += bump
-            residual = np.maximum(0, cap - load)
-        capacities[j] = int(cap)
-        if large_total > 0:
-            bounds = np.zeros(large.size + 1, dtype=np.int64)
-            np.cumsum(psj[large], out=bounds[1:])
-            res_prefix = np.zeros(p_g + 1, dtype=np.int64)
-            np.cumsum(residual, out=res_prefix[1:])
-            piece_idx, off, lengths, abs_start = split_intervals(
-                bounds, res_prefix[1:-1], large_total
-            )
-            src = large[piece_idx]
-            pe = np.minimum(
-                np.searchsorted(res_prefix, abs_start, side="right") - 1, p_g - 1
-            )
-            parts.append(np.stack([
-                src, group_start + pe, starts_t[j][src] + off, lengths,
-            ]))
-    return parts, group_loads, capacities
+    return parts
 
 
 def _flat_assign_deterministic_batched(
@@ -643,8 +513,8 @@ def _flat_assign_deterministic_batched(
     isl_off: np.ndarray,
     sub_sizes: Sequence[np.ndarray],
     colmaj: bool = False,
-) -> Optional[np.ndarray]:
-    """:func:`_flat_assign_deterministic` for many islands in one pass.
+) -> np.ndarray:
+    """Vectorised :func:`_assign_deterministic` for many islands in one pass.
 
     Runs the two-phase deterministic assignment of every ``(island, group)``
     pair of the selected islands at once: phase-1 small pieces place by a
@@ -652,19 +522,22 @@ def _flat_assign_deterministic_batched(
     residual capacities through one composed-key interval merge (the
     batched analogue of :func:`~repro.dist.flatops.split_intervals`) —
     no Python loop over islands or groups.  Emits exactly the messages of
-    the per-island reference; their order differs, which is unobservable
+    the per-PE reference; their order differs, which is unobservable
     because the deterministic assignment sends at most one message per
     ``(source, destination)`` pair.  Returns the stacked
     ``(src, dest, start, length)`` message matrix with batch-rank sources
-    and destinations, or ``None`` when the composed keys would overflow
-    (the caller then falls back to the per-island path).
+    and destinations (``(4, 0)`` when nothing is sent).
+
+    Raises :class:`OverflowError` when the composed ``(pair, position)``
+    keys do not fit in int64, which needs ``p * n >= 2**61`` for ``p`` PEs
+    and ``n`` keys.
     """
     sel = np.asarray(sel, dtype=np.int64)
     n_sel = int(sel.size)
     pcs = p_k[sel] * r_k[sel]
     total_pieces = int(pcs.sum())
     if total_pieces == 0:
-        return None
+        return np.empty((4, 0), dtype=np.int64)
     g_flat = np.concatenate([
         np.asarray(s, dtype=np.int64).reshape(-1) for s in sub_sizes
     ])
@@ -752,7 +625,8 @@ def _flat_assign_deterministic_batched(
     # produce every pair's message intervals at once.
     lp = np.flatnonzero(large_total > 0)
     if lp.size == 0:
-        return np.concatenate(parts, axis=1) if parts else None
+        return (np.concatenate(parts, axis=1) if parts
+                else np.empty((4, 0), dtype=np.int64))
     n_lp = int(lp.size)
     lp_flag = np.zeros(n_pairs, dtype=bool)
     lp_flag[lp] = True
@@ -779,7 +653,7 @@ def _flat_assign_deterministic_batched(
     vmax = max(int(large_total[lp].max()), int(rexcl.max(initial=0)))
     bits = max(1, vmax.bit_length())
     if (n_lp << bits) >= (1 << 62):
-        return None  # composed keys would overflow; per-island fallback
+        raise OverflowError("composed delivery keys would overflow int64")
     key = np.int64(1) << np.int64(bits)
     # The piece bounds are already sorted (pair-major, ascending within
     # each pair) and so are the residual cuts, so the candidate points
@@ -868,122 +742,6 @@ def _flat_chunks_for_group(
     return chunk_src, chunk_off, chunk_len, delegated
 
 
-def deliver_to_groups_flat(
-    comm,
-    groups,
-    piece_values: np.ndarray,
-    piece_sizes: np.ndarray,
-    method: str = "deterministic",
-    seed: int = 0,
-    oversplit: Optional[float] = None,
-    phase: str = PHASE_DATA_DELIVERY,
-    schedule: str = "sparse",
-) -> FlatDeliveryResult:
-    """Flat-engine port of :func:`deliver_to_groups`.
-
-    Parameters
-    ----------
-    comm, groups, method, seed, oversplit, phase, schedule:
-        As for :func:`deliver_to_groups`.
-    piece_values:
-        Flat buffer holding every PE's pieces in ``(PE, group)`` order:
-        piece ``(i, j)`` occupies ``piece_sizes[i, :j].sum()`` positions past
-        the start of PE ``i``'s block, elements in original order.
-    piece_sizes:
-        ``(p, r)`` int64 matrix of piece sizes.
-    """
-    if method not in DELIVERY_METHODS:
-        raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
-    p = comm.size
-    r = len(groups)
-    if r == 0:
-        raise ValueError("need at least one target group")
-    piece_sizes = np.asarray(piece_sizes, dtype=np.int64)
-    if piece_sizes.shape != (p, r):
-        raise ValueError(f"piece_sizes must have shape ({p}, {r})")
-    piece_values = np.asarray(piece_values)
-    if piece_values.size != int(piece_sizes.sum()):
-        raise ValueError("piece_values size does not match piece_sizes")
-    group_starts, group_sizes = _group_layout(groups)
-    if int(group_sizes.sum()) != p:
-        raise ValueError("groups must partition the parent communicator")
-    starts_matrix = _piece_starts(piece_sizes)
-
-    with comm.phase(phase):
-        # Same enumeration prefix-sum collective as the reference path.
-        comm.exscan_rows(piece_sizes)
-
-        if method == "naive":
-            parts, group_loads, capacities = _flat_assign_by_prefix(
-                piece_sizes, starts_matrix, group_starts, group_sizes, None
-            )
-        elif method == "randomized":
-            orders = []
-            for j in range(r):
-                perm = FeistelPermutation(p, seed=seed * 104729 + j)
-                orders.append(np.argsort(perm.permutation_array(), kind="stable"))
-            parts, group_loads, capacities = _flat_assign_by_prefix(
-                piece_sizes, starts_matrix, group_starts, group_sizes, orders
-            )
-        else:
-            if method == "deterministic":
-                parts, group_loads, capacities = _flat_assign_deterministic(
-                    piece_sizes, starts_matrix, group_starts, group_sizes
-                )
-            else:  # advanced
-                parts, group_loads, capacities = _flat_assign_advanced(
-                    comm, piece_sizes, starts_matrix, group_starts, group_sizes,
-                    seed, oversplit, schedule,
-                )
-
-        if parts:
-            stacked = np.concatenate(parts, axis=1)
-            src, dest, start, length = stacked
-        else:
-            src = dest = start = length = np.empty(0, dtype=np.int64)
-        msgs = FlatMessages(src, dest, start, length, piece_values)
-
-        # Locally kept (self-addressed) pieces stay off the network; they are
-        # charged one by one in send order, exactly like the reference loop.
-        kept_mask = msgs.src == msgs.dest
-        spec = comm.spec
-        for k in np.flatnonzero(kept_mask):
-            comm.charge_local(int(msgs.src[k]), spec.local_move_time(int(msgs.length[k])))
-
-        exchange = comm.exchange_flat(
-            msgs.select(~kept_mask), schedule=schedule, build_inbox=False
-        )
-
-        # Assemble the received DistArray from *all* runs (network + kept):
-        # order by (receiver, source, send order) — identical to the
-        # reference's per-PE `sort(key=source)` on inbox + kept entries.
-        order = stable_two_key_argsort(msgs.dest, msgs.src, p, p)
-        run_src = msgs.src[order]
-        run_dest = msgs.dest[order]
-        run_lengths = msgs.length[order]
-        recv_values = take_ranges(piece_values, msgs.start[order], run_lengths)
-        received_sizes = np.zeros(p, dtype=np.int64)
-        np.add.at(received_sizes, msgs.dest, msgs.length)
-        received = DistArray.from_sizes(recv_values, received_sizes)
-        run_offsets = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(np.bincount(run_dest, minlength=p), out=run_offsets[1:])
-
-        group_of_rank = np.repeat(np.arange(r, dtype=np.int64), group_sizes)
-
-    return FlatDeliveryResult(
-        received=received,
-        received_msg_src=run_src,
-        received_msg_lengths=run_lengths,
-        received_msg_offsets=run_offsets,
-        received_sizes=received_sizes,
-        group_of_rank=group_of_rank,
-        group_loads=group_loads.astype(np.int64),
-        group_capacity=capacities,
-        exchange=exchange,
-        method=method,
-    )
-
-
 def _flat_advanced_parts(
     sizes: np.ndarray,
     piece_starts: np.ndarray,
@@ -991,13 +749,14 @@ def _flat_advanced_parts(
     group_sizes: np.ndarray,
     seed: int,
     oversplit: Optional[float],
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pure (charge-free) part of the advanced randomized assignment.
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """Vectorised advanced randomized assignment (Appendix A), charge-free.
 
-    Returns the message parts plus the descriptor delegation messages
-    ``(desc_src, desc_dest)`` so that callers can execute the descriptor
-    exchange themselves — per island on the single-communicator path, or as
-    one whole-machine batch on the lockstep path.
+    Reproduces :func:`_advanced_orders` and the chunk-order prefix
+    enumeration of the reference path.  Returns the message parts plus the
+    descriptor delegation messages ``(desc_src, desc_dest)``, which
+    :func:`deliver_to_groups_batched` charges for all islands as one
+    whole-machine batch.
     """
     p, r = sizes.shape
     total = int(sizes.sum())
@@ -1038,13 +797,11 @@ def _flat_advanced_parts(
     desc_dest = np.asarray(desc_dest_list, dtype=np.int64)
 
     group_loads = sizes.sum(axis=0)
-    capacities = np.zeros(r, dtype=np.int64)
     parts: List[np.ndarray] = []
     for j, (chunk_src, chunk_off, chunk_len) in enumerate(per_group):
         m_j = int(group_loads[j])
         p_g = int(group_sizes[j])
         block = int(math.ceil(m_j / p_g)) if m_j > 0 else 1
-        capacities[j] = block
         if chunk_src.size == 0:
             continue
         bounds = np.zeros(chunk_src.size + 1, dtype=np.int64)
@@ -1055,39 +812,7 @@ def _flat_advanced_parts(
         dest = group_starts[j] + np.minimum(abs_start // block, p_g - 1)
         start = piece_starts[src, j] + chunk_off[chunk_idx] + off
         parts.append(np.stack([src, dest, start, lengths]))
-    return parts, group_loads, capacities, desc_src, desc_dest
-
-
-def _flat_assign_advanced(
-    comm,
-    sizes: np.ndarray,
-    piece_starts: np.ndarray,
-    group_starts: np.ndarray,
-    group_sizes: np.ndarray,
-    seed: int,
-    oversplit: Optional[float],
-    schedule: str,
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-    """Vectorised advanced randomized assignment (Appendix A).
-
-    Reproduces :func:`_advanced_orders` + the descriptor delegation exchange
-    + the chunk-order prefix enumeration of the reference path.
-    """
-    parts, group_loads, capacities, desc_src, desc_dest = _flat_advanced_parts(
-        sizes, piece_starts, group_starts, group_sizes, seed, oversplit
-    )
-    n_desc = int(desc_src.size)
-    if n_desc > 0:
-        desc_msgs = FlatMessages(
-            desc_src,
-            desc_dest,
-            np.zeros(n_desc, dtype=np.int64),
-            np.full(n_desc, 3, dtype=np.int64),
-            np.zeros(3, dtype=np.int64),
-        )
-        comm.exchange_flat(desc_msgs, schedule=schedule, charge_copy=False,
-                           build_inbox=False)
-    return parts, group_loads, capacities
+    return parts, desc_src, desc_dest
 
 
 # ======================================================================
@@ -1132,12 +857,14 @@ def deliver_to_groups_batched(
 ) -> BatchedDeliveryResult:
     """Run the data deliveries of all islands of one recursion level at once.
 
-    The lockstep counterpart of calling :func:`deliver_to_groups_flat` once
-    per island: per-island collectives become
-    :class:`~repro.sim.groups.GroupBatch` charges and the message streams of
-    all islands are executed as one whole-machine exchange.  Because the
-    islands are pairwise disjoint, every PE receives exactly the charge
-    sequence (and the received data) of the island-by-island execution.
+    The flat engine's only delivery: the lockstep counterpart of calling
+    :func:`deliver_to_groups` once per island.  Per-island collectives
+    become :class:`~repro.sim.groups.GroupBatch` charges and the message
+    streams of all islands are executed as one whole-machine exchange.
+    Because the islands are pairwise disjoint, every PE receives exactly
+    the charge sequence (and the received data) of the island-by-island
+    execution.  The single-level baselines call it with a one-island batch
+    over their communicator.
 
     Parameters
     ----------
@@ -1155,9 +882,10 @@ def deliver_to_groups_batched(
     piece_sizes:
         Per island, the ``(p_k, r_k)`` piece-size matrix.
     method, seed, oversplit, phase, schedule:
-        As for :func:`deliver_to_groups_flat`; the per-group pseudorandom
+        As for :func:`deliver_to_groups`; the per-group pseudorandom
         permutation seeds restart at every island exactly like the
-        per-island reference calls.
+        per-island reference calls.  An unknown ``schedule`` raises the
+        :class:`ValueError` of :func:`repro.sim.exchange.execute_exchange`.
     piece_layout:
         ``'rowmaj'`` (default): ``piece_values`` holds every batch PE's
         pieces in ``(batch PE, destination group)`` order.  ``'colmaj'``:
@@ -1185,6 +913,8 @@ def deliver_to_groups_batched(
     """
     if method not in DELIVERY_METHODS:
         raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
+    if schedule not in ("sparse", "dense"):
+        raise ValueError(f"unknown exchange schedule {schedule!r}")
     if piece_layout not in ("rowmaj", "colmaj"):
         raise ValueError("piece_layout must be 'rowmaj' or 'colmaj'")
     if piece_layout == "colmaj" and method != "deterministic":
@@ -1211,6 +941,8 @@ def deliver_to_groups_batched(
         shape = np.shape(piece_sizes[k])
         if shape != (int(p_k[k]), int(np.asarray(subgroup_sizes[k]).size)):
             raise ValueError("piece matrix does not match the island layout")
+        if shape[1] == 0:
+            raise ValueError("need at least one target group")
         r_k[k] = shape[1]
     fused = (
         elem_plane is not None
@@ -1276,18 +1008,14 @@ def deliver_to_groups_batched(
             raise ValueError("the column-major piece plane requires every "
                              "destination group to be a proper sub-group")
         if method == "deterministic" and noneligible.size:
-            det_parts = _flat_assign_deterministic_batched(
+            parts.append(_flat_assign_deterministic_batched(
                 flat_sizes, starts_flat, piece_off, p_k, r_k,
                 noneligible, isl_off,
                 [subgroup_sizes[int(k)] for k in noneligible],
                 colmaj=piece_layout == "colmaj",
-            )
-            if det_parts is not None:
-                parts.append(det_parts)
-                noneligible = noneligible[:0]
-            elif piece_layout == "colmaj" and total_words > 0:
-                raise RuntimeError("column-major piece plane requires the "
-                                   "batched deterministic assignment")
+            ))
+            noneligible = noneligible[:0]
+        # Naive, randomized and advanced delivery assign island by island.
         for k in noneligible:
             k = int(k)
             pk, rk = int(p_k[k]), int(r_k[k])
@@ -1299,7 +1027,7 @@ def deliver_to_groups_batched(
             g_starts = np.zeros(g_sizes.size, dtype=np.int64)
             np.cumsum(g_sizes[:-1], out=g_starts[1:])
             if method == "naive":
-                parts_k, _, _ = _flat_assign_by_prefix(
+                parts_k = _flat_assign_by_prefix(
                     sizes_k, starts_k, g_starts, g_sizes, None
                 )
             elif method == "randomized":
@@ -1307,15 +1035,11 @@ def deliver_to_groups_batched(
                 for j in range(rk):
                     perm = FeistelPermutation(pk, seed=seed * 104729 + j)
                     orders.append(np.argsort(perm.permutation_array(), kind="stable"))
-                parts_k, _, _ = _flat_assign_by_prefix(
+                parts_k = _flat_assign_by_prefix(
                     sizes_k, starts_k, g_starts, g_sizes, orders
                 )
-            elif method == "deterministic":
-                parts_k, _, _ = _flat_assign_deterministic(
-                    sizes_k, starts_k, g_starts, g_sizes
-                )
             else:  # advanced
-                parts_k, _, _, desc_src, desc_dest = _flat_advanced_parts(
+                parts_k, desc_src, desc_dest = _flat_advanced_parts(
                     sizes_k, starts_k, g_starts, g_sizes, seed, oversplit
                 )
                 if desc_src.size:

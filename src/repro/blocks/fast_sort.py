@@ -30,9 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.dist.array import DistArray
 from repro.machine.counters import PHASE_SPLITTER_SELECTION
-from repro.sim.exchange import FlatMessages
 
 
 @dataclass
@@ -243,106 +241,6 @@ def fast_work_inefficient_sort(
         per_pe_ranks = [rank_by_id[ids[i]] for i in range(p)]
 
     return sorted_values, sorted_ids, per_pe_values, per_pe_ranks
-
-
-def fast_work_inefficient_sort_flat(
-    comm,
-    samples: DistArray,
-    phase: str = PHASE_SPLITTER_SELECTION,
-) -> Tuple[np.ndarray, np.ndarray, DistArray]:
-    """Flat-engine port of :func:`fast_work_inefficient_sort`.
-
-    The *data* result of the grid sort is simply the global stable order of
-    the sample (the per-element ids are the global positions, so ranking by
-    the composite ``(value, id)`` key equals one stable argsort).  The grid
-    structure only matters for the modelled cost, which this port charges
-    step for step exactly like the per-PE reference: local sample sort, the
-    hand-off exchanges of the PEs outside the grid, the row/column gossip
-    all-gathers, the ranking merges, and the column-wise rank reductions.
-
-    Returns ``(sorted_values, sorted_ids, per_pe_ranks)`` where
-    ``per_pe_ranks`` is a :class:`DistArray` giving every contributed
-    element's global rank.
-    """
-    p = comm.size
-    sizes = samples.sizes()
-    total = samples.total
-
-    with comm.phase(phase):
-        comm.charge_sort(sizes)
-        shape = grid_shape(p)
-        rows, cols = shape.rows, shape.cols
-
-        order = np.argsort(samples.values, kind="stable")
-        sorted_values = samples.values[order]
-        sorted_ids = order.astype(np.int64)
-        ranks = np.empty(total, dtype=np.int64)
-        ranks[order] = np.arange(total, dtype=np.int64)
-        per_pe_ranks = DistArray(ranks, samples.offsets)
-
-        if total == 0 or p == 1:
-            return sorted_values, sorted_ids, per_pe_ranks
-
-        # PEs outside the grid hand their sample to a grid PE first; the
-        # reference ships values and ids in two separate cost-only exchanges.
-        grid_p = shape.size
-        grid_sizes = sizes[:grid_p].copy()
-        if grid_p < p:
-            outside = np.arange(grid_p, p, dtype=np.int64)
-            dests = outside % grid_p
-            handoff = FlatMessages(
-                outside, dests, samples.offsets[outside], sizes[outside],
-                samples.values,
-            )
-            comm.exchange_flat(handoff, charge_copy=False, build_inbox=False)
-            comm.exchange_flat(handoff, charge_copy=False, build_inbox=False)
-            np.add.at(grid_sizes, dests, sizes[outside])
-
-        # Row/column gossip (all-gather): cost by per-group totals.
-        row_of = np.arange(grid_p, dtype=np.int64) // cols
-        col_of = np.arange(grid_p, dtype=np.int64) % cols
-        row_totals = np.bincount(row_of, weights=grid_sizes, minlength=rows).astype(np.int64)
-        col_totals = np.bincount(col_of, weights=grid_sizes, minlength=cols).astype(np.int64)
-        for ri in range(rows):
-            member_ranks = [ri * cols + c for c in range(cols)]
-            sub = comm.machine.comm([comm.global_pe(m) for m in member_ranks])
-            sub.charge_allgather_arrays(int(row_totals[ri]))
-        for cj in range(cols):
-            member_ranks = [r_ * cols + cj for r_ in range(rows)]
-            sub = comm.machine.comm([comm.global_pe(m) for m in member_ranks])
-            sub.charge_allgather_arrays(int(col_totals[cj]))
-
-        # Local ranking of column against row elements (a two-way merge).
-        merge_sizes = (row_totals[row_of] + col_totals[col_of]).tolist()
-        comm.charge_merge(merge_sizes + [0] * (p - grid_p), 2)
-
-        # Column-wise summation of the partial ranks (vector all-reduce of
-        # length |column data| per grid column).
-        for cj in range(cols):
-            member_ranks = [r_ * cols + cj for r_ in range(rows)]
-            sub = comm.machine.comm([comm.global_pe(m) for m in member_ranks])
-            sub.charge_allreduce_vec(int(col_totals[cj]))
-
-    return sorted_values, sorted_ids, per_pe_ranks
-
-
-def select_splitters_by_rank_flat(
-    comm,
-    samples: DistArray,
-    num_splitters: int,
-    phase: str = PHASE_SPLITTER_SELECTION,
-) -> np.ndarray:
-    """Flat-engine port of :func:`select_splitters_by_rank`."""
-    sorted_values, _, _ = fast_work_inefficient_sort_flat(comm, samples, phase=phase)
-    total = int(sorted_values.size)
-    if num_splitters <= 0 or total == 0:
-        return sorted_values[:0].copy()
-    ranks = ((np.arange(1, num_splitters + 1) * total) // (num_splitters + 1))
-    ranks = np.clip(ranks, 0, total - 1)
-    splitters = sorted_values[ranks]
-    with comm.phase(phase):
-        comm.bcast(splitters, root=0, words=int(splitters.size))
-    return splitters
 
 
 def select_splitters_by_rank(

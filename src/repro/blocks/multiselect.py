@@ -236,165 +236,6 @@ def a_items(d):
     return sorted(d.items())
 
 
-def multisequence_select_flat(
-    comm,
-    local_sorted: DistArray,
-    ranks: Sequence[int],
-    charge_local: bool = True,
-    rng: Optional[np.random.Generator] = None,
-) -> MultiselectResult:
-    """Flat-engine port of :func:`multisequence_select`.
-
-    Operates on a :class:`DistArray` whose segments are individually sorted.
-    The iteration structure (pivot choices from the replicated RNG, window
-    narrowing, one vector all-reduce per round) is identical to the per-PE
-    reference, so the charged costs and the resulting split matrix match it
-    bit for bit.  The per-``(rank, PE)`` window counting has no Python loop
-    at all: one :func:`~repro.dist.flatops.segmented_searchsorted` call —
-    the *two-sided* segmented binary search, side ``right`` for PEs before
-    the pivot owner and ``left`` after it (Appendix D tie-breaking) — runs
-    every open ``(rank, PE)`` window of the iteration in lockstep, restricted
-    to the candidate windows.  On the pivot-owning PE the count comes from
-    the pivot *position*, never from its value: with duplicate keys spanning
-    PE boundaries a value-based count would include equal elements right of
-    the pivot and overshoot the requested rank.
-    """
-    p = comm.size
-    if rng is None:
-        rng = comm.rng
-    if local_sorted.p != p:
-        raise ValueError("need one sorted segment per member PE")
-    values = local_sorted.values
-    offsets = local_sorted.offsets
-    sizes = local_sorted.sizes()
-    if values.size > 1:
-        same_seg = local_sorted.segment_ids()
-        interior = same_seg[1:] == same_seg[:-1]
-        if np.any(values[1:][interior] < values[:-1][interior]):
-            raise ValueError("local segments must be individually sorted")
-    total = int(sizes.sum())
-    ranks_arr = np.asarray(ranks, dtype=np.int64)
-    num_ranks = int(ranks_arr.size)
-    if np.any(ranks_arr < 0) or np.any(ranks_arr > total):
-        raise ValueError(f"ranks must lie in 0..{total}")
-    if num_ranks > 1 and np.any(np.diff(ranks_arr) < 0):
-        raise ValueError("ranks must be non-decreasing")
-
-    lo = np.zeros((num_ranks, p), dtype=np.int64)
-    hi = np.tile(sizes, (num_ranks, 1))
-    done = np.zeros(num_ranks, dtype=bool)
-    for t, k in enumerate(ranks_arr):
-        if k == 0:
-            hi[t] = 0
-            done[t] = True
-        elif k == total:
-            lo[t] = sizes
-            hi[t] = sizes
-            done[t] = True
-
-    iterations = 0
-    max_iterations = 64 + 4 * int(np.ceil(np.log2(max(total, 2)))) * max(1, num_ranks)
-    pe_range = np.arange(p, dtype=np.int64)
-
-    while not done.all():
-        iterations += 1
-        if iterations > max_iterations + total:
-            raise RuntimeError("multisequence selection failed to converge")
-
-        # --- choose pivots: identical replicated-RNG consumption ----------
-        draw_ts: List[int] = []
-        bounds: List[int] = []
-        for t in range(num_ranks):
-            if done[t]:
-                continue
-            remaining = int((hi[t] - lo[t]).sum())
-            if remaining == 0:
-                if int(lo[t].sum()) != int(ranks_arr[t]):
-                    raise RuntimeError("multiselect window collapsed at wrong rank")
-                done[t] = True
-                continue
-            draw_ts.append(t)
-            bounds.append(remaining)
-        if not draw_ts:
-            continue
-        us = rng.integers(0, np.asarray(bounds, dtype=np.int64))
-        pivots = {}
-        for t, u in zip(draw_ts, us):
-            widths = hi[t] - lo[t]
-            u = int(u)
-            csum = np.cumsum(widths)
-            q = int(np.searchsorted(csum, u, side="right"))
-            offset = u - (int(csum[q - 1]) if q > 0 else 0)
-            pos = int(lo[t, q] + offset)
-            pivots[t] = (values[offsets[q] + pos], q, pos)
-
-        active = np.asarray(sorted(pivots), dtype=np.int64)
-        pvs = np.asarray([pivots[int(t)][0] for t in active])
-        qs = np.asarray([pivots[int(t)][1] for t in active], dtype=np.int64)
-        poss = np.asarray([pivots[int(t)][2] for t in active], dtype=np.int64)
-        n_act = int(active.size)
-
-        # --- segmented two-sided window counting (no per-PE loop) ---------
-        lo_a = lo[active]
-        hi_a = hi[active]
-        open_w = hi_a > lo_a
-        cnt = np.zeros((n_act, p), dtype=np.int64)
-        flat_open = np.flatnonzero(open_w.ravel())
-        if flat_open.size:
-            pair_t = flat_open // p
-            pair_pe = flat_open % p
-            pos_in_seg = segmented_searchsorted(
-                values,
-                offsets,
-                pvs[pair_t],
-                pair_pe,
-                side=pair_pe < qs[pair_t],
-                lo=lo_a.ravel()[flat_open],
-                hi=hi_a.ravel()[flat_open],
-            )
-            cnt.ravel()[flat_open] = pos_in_seg - lo_a.ravel()[flat_open]
-        # The pivot owner counts by *position* (implicit (value, PE, pos)
-        # key), which keeps duplicate runs spanning PE boundaries exact.
-        own = pe_range[None, :] == qs[:, None]
-        cnt = np.where(own, poss[:, None] - lo_a + 1, cnt)
-        cnt = np.where(open_w, cnt, 0)
-        counts = np.zeros((num_ranks, p), dtype=np.int64)
-        counts[active] = cnt
-        search_ops = open_w.sum(axis=0)
-        if charge_local:
-            comm.charge_local_many(
-                [
-                    comm.spec.comparison_ns
-                    * 1e-9
-                    * float(ops)
-                    * max(1.0, np.log2(max(int(s), 2)))
-                    for ops, s in zip(search_ops, sizes)
-                ]
-            )
-
-        # --- one vector-valued all-reduce over all active ranks -----------
-        totals = comm.allreduce_rows(counts.T)
-
-        # --- narrow the candidate windows ---------------------------------
-        for t, (pv, q, pos) in a_items(pivots):
-            target = int(ranks_arr[t] - lo[t].sum())
-            got = int(totals[t])
-            if got <= target:
-                lo[t] += counts[t]
-                if got == target:
-                    hi[t] = lo[t]
-                    done[t] = True
-            else:
-                hi[t] = lo[t] + counts[t]
-                hi[t, q] -= 1
-
-    splits = lo
-    sums = splits.sum(axis=1)
-    if not np.array_equal(sums, ranks_arr):
-        raise RuntimeError("multisequence selection produced wrong rank sums")
-    return MultiselectResult(splits=splits, iterations=iterations)
-
-
 def multisequence_select_batched(
     islands,
     local_sorted: DistArray,
@@ -409,7 +250,9 @@ def multisequence_select_batched(
     is individually sorted.  Island ``k`` selects the target ranks
     ``ranks_per_island[k]`` within its own data using its own replicated
     pivot stream ``rngs[k]`` (one vectorised draw per iteration, exactly as
-    :func:`multisequence_select_flat` does on a single communicator).
+    :func:`multisequence_select` does on a single communicator).  This is
+    the flat engine's only multisequence selection; single-level mergesort
+    calls it with a one-island batch.
 
     Every pivot round advances *all* still-active islands at once: the
     window counting is one segmented two-sided binary search over every open
@@ -419,7 +262,7 @@ def multisequence_select_batched(
     islands are disjoint and each consumes only its own RNG stream, every PE
     receives exactly the charge sequence of the island-by-island execution,
     so clocks, breakdowns and split matrices are byte-identical to running
-    :func:`multisequence_select_flat` per island.
+    :func:`multisequence_select` per island.
     """
     machine = islands.machine
     spec = machine.spec

@@ -408,7 +408,7 @@ def _batched_grid_splitters(
 ) -> tuple:
     """Fast work-inefficient sample sort + splitter pick for a level batch.
 
-    Lockstep port of :func:`repro.blocks.fast_sort.select_splitters_by_rank_flat`
+    Lockstep port of :func:`repro.blocks.fast_sort.select_splitters_by_rank`
     applied to every island at once: the sample-sort *data* result of island
     ``k`` is its samples' global stable order (one segmented argsort over the
     whole batch), while the modelled grid costs — local sample sorts, the

@@ -19,12 +19,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_flat
-from repro.blocks.multiselect import multisequence_select, multisequence_select_flat
+from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_batched
+from repro.blocks.multiselect import multisequence_select, multisequence_select_batched
 from repro.blocks.sampling import draw_samples_flat, splitter_ranks
 from repro.dist.array import DistArray
 from repro.dist.flatops import (
@@ -41,6 +41,7 @@ from repro.machine.counters import (
 )
 from repro.seq.merge import merge_runs_numpy
 from repro.seq.partition import bucket_indices
+from repro.sim.groups import GroupBatch
 
 
 def single_level_sample_sort_reference(
@@ -167,7 +168,6 @@ def parallel_quicksort_reference(
     comm,
     local_data: Sequence[np.ndarray],
     oversampling: int = 16,
-    _presorted: bool = False,
     seed_offset: int = 0,
 ) -> List[np.ndarray]:
     """Per-PE reference implementation of recursive parallel quicksort."""
@@ -227,6 +227,18 @@ def parallel_quicksort_reference(
 # ======================================================================
 # Flat (DistArray) engine ports
 # ======================================================================
+#
+# Each baseline runs its delivery (and mergesort its splitting) through the
+# flat engine's lockstep building blocks on a one-island batch: the same
+# code path AMS-sort and RLM-sort run for every island of a level.
+
+
+def _one_island(comm) -> GroupBatch:
+    """``comm`` as a one-island :class:`~repro.sim.groups.GroupBatch`."""
+    return GroupBatch(
+        comm.machine, comm.members, np.array([0, comm.size], dtype=np.int64)
+    )
+
 
 def _single_level_sample_sort_flat(
     comm,
@@ -274,11 +286,11 @@ def _single_level_sample_sort_flat(
         )
         comm.charge_partition(sizes, p)
 
-    # --- direct all-to-all exchange ------------------------------------
-    groups = comm.split(p)  # every PE is its own group
-    delivery = deliver_to_groups_flat(
-        comm, groups, piece_values, piece_sizes, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+    # --- direct all-to-all exchange (every PE is its own group) --------
+    delivery = deliver_to_groups_batched(
+        _one_island(comm), [np.ones(p, dtype=np.int64)], piece_values,
+        [piece_sizes], method="naive", phase=PHASE_DATA_DELIVERY,
+        schedule=schedule,
     )
 
     # --- final local sort ------------------------------------------------
@@ -306,20 +318,23 @@ def _single_level_mergesort_flat(
 
     n_total = local_sorted.total
     sizes = local_sorted.sizes()
+    island = _one_island(comm)
 
     with comm.phase(PHASE_SPLITTER_SELECTION):
         ranks = [(g * n_total) // p for g in range(1, p)]
-        selection = multisequence_select_flat(comm, local_sorted, ranks)
+        selection = multisequence_select_batched(
+            island, local_sorted, [ranks], [comm.rng]
+        )[0]
 
     bounds = np.vstack([
         np.zeros((1, p), dtype=np.int64), selection.splits, sizes[None, :],
     ])
     piece_sizes = np.diff(bounds, axis=0).T.astype(np.int64)
 
-    groups = comm.split(p)
-    delivery = deliver_to_groups_flat(
-        comm, groups, local_sorted.values, piece_sizes, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+    delivery = deliver_to_groups_batched(
+        island, [np.ones(p, dtype=np.int64)], local_sorted.values,
+        [piece_sizes], method="naive", phase=PHASE_DATA_DELIVERY,
+        schedule=schedule,
     )
 
     with comm.phase(PHASE_BUCKET_PROCESSING):
@@ -328,7 +343,7 @@ def _single_level_mergesort_flat(
         # between merging (MP-sort merges) and re-sorting from scratch.
         output = delivery.received.sort_segments()
         if merge_received:
-            ways = np.maximum(2, delivery.nonempty_runs_per_pe())
+            ways = np.maximum(2, delivery.nonempty_runs)
             comm.charge_merge(delivery.received_sizes, ways)
         else:
             comm.charge_sort(delivery.received_sizes)
@@ -378,8 +393,9 @@ def _parallel_quicksort_flat(
         comm.charge_partition(sizes, 2)
 
     groups = comm.split(2)
-    delivery = deliver_to_groups_flat(
-        comm, groups, piece_values, piece_sizes, method="naive",
+    delivery = deliver_to_groups_batched(
+        _one_island(comm), [np.array([g.size for g in groups], dtype=np.int64)],
+        piece_values, [piece_sizes], method="naive",
         phase=PHASE_DATA_DELIVERY, seed=seed_offset,
     )
 
@@ -459,7 +475,6 @@ def parallel_quicksort(
     comm,
     local_data: "Union[DistArray, Sequence[np.ndarray]]",
     oversampling: int = 16,
-    _presorted: bool = False,
     seed_offset: int = 0,
 ) -> "Union[DistArray, List[np.ndarray]]":
     """Recursive parallel quicksort: split the PEs in two around a pivot.

@@ -12,6 +12,10 @@ PEs.  This package provides a deterministic simulator for such programs:
   ``Exch(P, h, r)`` exchange used by the sorting algorithms,
 * :mod:`~repro.sim.exchange` — message-exchange schedules (direct sparse
   delivery and dense all-to-allv) with startup/volume accounting,
+* :class:`~repro.sim.groups.GroupBatch` — lockstep charging of a batch of
+  disjoint PE groups: the flat engine's building blocks (multisequence
+  selection, data delivery) charge through it, one batch per recursion
+  level (a one-group batch for the single-level baselines),
 * :mod:`~repro.sim.collectives` — reference algorithms for the collectives
   (hypercube all-gather with merging, binomial trees) used for cost
   derivations and tests.
@@ -24,23 +28,13 @@ modelled communication cost.
 
 from repro.sim.machine import SimulatedMachine
 from repro.sim.comm import Comm
-from repro.sim.exchange import (
-    ExchangeResult,
-    FlatExchangeResult,
-    FlatMessages,
-    execute_exchange_flat,
-    one_factor_schedule,
-    direct_schedule,
-)
+from repro.sim.exchange import ExchangeResult, one_factor_schedule, direct_schedule
 from repro.sim.groups import GroupBatch
 
 __all__ = [
     "SimulatedMachine",
     "Comm",
     "ExchangeResult",
-    "FlatExchangeResult",
-    "FlatMessages",
-    "execute_exchange_flat",
     "GroupBatch",
     "one_factor_schedule",
     "direct_schedule",

@@ -7,17 +7,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dist.array import DistArray
 from repro.dist.flatops import map_by_unique, map_by_unique2
 from repro.machine.counters import PhaseTimer
-from repro.sim.exchange import (
-    ExchangeResult,
-    FlatExchangeResult,
-    FlatMessages,
-    Message,
-    execute_exchange,
-    execute_exchange_flat,
-)
+from repro.sim.exchange import ExchangeResult, Message, execute_exchange
 
 
 class Comm:
@@ -148,10 +140,10 @@ class Comm:
     def _charge_collective(self, words: int, rounds_factor: float = 1.0) -> None:
         # Fault semantics (see :mod:`repro.sim.faults`): collective and
         # local charges pick up straggler/hiccup scaling inside
-        # ``advance_many``; only the irregular exchanges (``exchange`` /
-        # ``exchange_flat``) additionally run the timeout + retransmit
-        # retry protocol.  Barrier waits are never fault-scaled — idle
-        # time is idle regardless of the PE's speed.
+        # ``advance_many``; only the irregular exchanges (``exchange`` and
+        # ``GroupBatch.charge_exchange``) additionally run the timeout +
+        # retransmit retry protocol.  Barrier waits are never fault-scaled —
+        # idle time is idle regardless of the PE's speed.
         self.machine.synchronize(self.members)
         t = self.machine.cost.collective_time(
             self.size, words=max(int(words), 0), level=self.level,
@@ -211,7 +203,8 @@ class Comm:
             raise ValueError("need one array per member PE")
         arrays = [np.asarray(a) for a in arrays]
         total = int(sum(a.size for a in arrays))
-        self.charge_allgather_arrays(total)
+        mean_words = total / max(self.size, 1)
+        self._charge_collective(max(1, int(math.ceil(mean_words))), rounds_factor=self.size)
         if total == 0:
             dtype = arrays[0].dtype if arrays else np.float64
             return np.empty(0, dtype=dtype)
@@ -222,15 +215,6 @@ class Comm:
             self.machine.advance_many(self.members, merge_t)
             result = np.sort(result, kind="stable")
         return result
-
-    def charge_allgather_arrays(self, total_words: int) -> None:
-        """Charge the cost of :meth:`allgather_arrays` without moving data.
-
-        Used by the flat engine, which computes the gathered data globally
-        but must charge exactly what the per-PE path charges.
-        """
-        mean_words = total_words / max(self.size, 1)
-        self._charge_collective(max(1, int(math.ceil(mean_words))), rounds_factor=self.size)
 
     def allreduce_scalar(self, values: Sequence[float], op: Callable = np.sum) -> float:
         """All-reduce one scalar per member with reduction ``op``."""
@@ -260,45 +244,6 @@ class Comm:
         for a in arrays[1:]:
             result = op(result, a)
         return result
-
-    def allreduce_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Element-wise sum all-reduce over a ``(size, L)`` contribution matrix.
-
-        Flat-engine equivalent of :meth:`allreduce_vec` with ``op=np.add``:
-        row ``i`` is member ``i``'s vector, the result is the column sum.
-        Integer matrices reduce exactly, so the result is identical to the
-        sequential per-PE reduction of the reference path.
-        """
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != self.size:
-            raise ValueError("need one contribution row per member PE")
-        self._charge_collective(int(matrix.shape[1]))
-        return matrix.sum(axis=0)
-
-    def charge_allreduce_vec(self, length: int) -> None:
-        """Charge an all-reduce of ``length``-word vectors without moving data.
-
-        Used by the flat engine when it computes the reduction globally
-        (e.g. one ``bincount`` instead of per-PE count vectors); the charge
-        is exactly that of :meth:`allreduce_vec` / :meth:`allreduce_rows`.
-        """
-        self._charge_collective(int(length))
-
-    def exscan_rows(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vector-valued exclusive prefix sum over a ``(size, L)`` matrix.
-
-        Flat-engine equivalent of :meth:`exscan_vec`; returns the
-        ``(size, L)`` prefix matrix (row ``i`` = sum of rows ``0 .. i-1``)
-        and the total row.
-        """
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[0] != self.size:
-            raise ValueError("need one contribution row per member PE")
-        self._charge_collective(int(matrix.shape[1]))
-        csum = np.cumsum(matrix, axis=0)
-        prefixes = np.zeros_like(matrix)
-        prefixes[1:] = csum[:-1]
-        return prefixes, csum[-1].copy()
 
     def exscan_vec(self, arrays: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
         """Vector-valued exclusive prefix sum over member ranks.
@@ -348,53 +293,6 @@ class Comm:
         See :func:`repro.sim.exchange.execute_exchange`.
         """
         return execute_exchange(self, outboxes, schedule=schedule, charge_copy=charge_copy)
-
-    def exchange_flat(
-        self,
-        msgs: FlatMessages,
-        schedule: str = "sparse",
-        charge_copy: bool = True,
-        build_inbox: bool = True,
-    ) -> FlatExchangeResult:
-        """Flat-engine irregular exchange (``Exch(P, h, r)`` over a message batch).
-
-        See :func:`repro.sim.exchange.execute_exchange_flat`.  Charges and
-        counter updates are identical to :meth:`exchange` on the equivalent
-        per-PE outboxes.
-        """
-        return execute_exchange_flat(
-            self, msgs, schedule=schedule, charge_copy=charge_copy,
-            build_inbox=build_inbox,
-        )
-
-    def alltoallv_flat(
-        self,
-        send: DistArray,
-        counts: np.ndarray,
-        schedule: str = "sparse",
-    ) -> Tuple[DistArray, FlatExchangeResult]:
-        """All-to-allv over a :class:`DistArray` in destination-major layout.
-
-        ``send.segment(i)`` holds rank ``i``'s outgoing data ordered by
-        destination rank; ``counts[i, j]`` is how many of those elements go
-        to rank ``j``.  Returns the received :class:`DistArray` (segment
-        ``j`` = concatenation of the payloads from ranks ``0 .. size-1`` in
-        source order) plus the exchange statistics.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        if send.p != self.size or counts.shape != (self.size, self.size):
-            raise ValueError("need one send segment and one count row per member PE")
-        if np.any(counts.sum(axis=1) != send.sizes()):
-            raise ValueError("per-destination counts must sum to the segment sizes")
-        p = self.size
-        src = np.repeat(np.arange(p, dtype=np.int64), p)
-        dest = np.tile(np.arange(p, dtype=np.int64), p)
-        length = counts.reshape(-1)
-        start = np.cumsum(length) - length
-        msgs = FlatMessages(src, dest, start, length, send.values)
-        result = self.exchange_flat(msgs, schedule=schedule)
-        recv = DistArray(result.recv_values, result.recv_offsets)
-        return recv, result
 
     def alltoallv(self, send_lists: Sequence[Sequence[np.ndarray]],
                   schedule: str = "sparse") -> List[List[np.ndarray]]:

@@ -27,12 +27,10 @@ estimate the number of communication rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.dist.flatops import concat_ranges, stable_two_key_argsort, take_ranges
 
 
 Message = Tuple[int, np.ndarray]
@@ -275,172 +273,4 @@ def execute_exchange(
         r_messages=int(r_per_pe.max(initial=0)),
         time=float(times.max(initial=0.0)),
         rounds=rounds,
-    )
-
-
-# ----------------------------------------------------------------------
-# Flat (vectorised) exchange for the DistArray engine
-# ----------------------------------------------------------------------
-@dataclass
-class FlatMessages:
-    """A batch of messages in flat form (the ``DistArray`` engine's outbox).
-
-    Message ``k`` goes from local rank ``src[k]`` to local rank ``dest[k]``
-    and its payload is ``payload[start[k]:start[k] + length[k]]``.  Messages
-    are ordered by *send sequence*: for every sender, the sub-sequence of its
-    messages appears in the order it would have appended them to a per-PE
-    outbox, which is what keeps inbox ordering (and therefore the data
-    semantics) identical to the per-PE reference path.
-    """
-
-    src: np.ndarray
-    dest: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-    payload: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dest = np.asarray(self.dest, dtype=np.int64)
-        self.start = np.asarray(self.start, dtype=np.int64)
-        self.length = np.asarray(self.length, dtype=np.int64)
-        n = self.src.size
-        if not (self.dest.size == self.start.size == self.length.size == n):
-            raise ValueError("message field arrays must have equal length")
-
-    @property
-    def count(self) -> int:
-        """Number of messages in the batch."""
-        return int(self.src.size)
-
-    def select(self, mask: np.ndarray) -> "FlatMessages":
-        """Sub-batch of the messages selected by a boolean mask."""
-        return FlatMessages(
-            self.src[mask], self.dest[mask], self.start[mask],
-            self.length[mask], self.payload,
-        )
-
-
-@dataclass
-class FlatExchangeResult:
-    """Outcome of one flat irregular exchange.
-
-    Mirrors :class:`ExchangeResult` but keeps the received data flat:
-    ``recv_values`` holds every PE's received elements back to back
-    (``recv_offsets`` delimits the per-PE segments) and
-    ``recv_src`` / ``recv_lengths`` describe the received message boundaries
-    in the same order (by source rank, then send order — identical to the
-    per-PE inbox ordering).  ``recv_values`` is ``None`` when the caller
-    asked for cost accounting only.
-    """
-
-    words_sent: np.ndarray
-    words_received: np.ndarray
-    messages_sent: np.ndarray
-    messages_received: np.ndarray
-    h_words: int
-    r_messages: int
-    time: float
-    rounds: int
-    recv_values: Optional[np.ndarray]
-    recv_offsets: Optional[np.ndarray]
-    recv_src: Optional[np.ndarray]
-    recv_lengths: Optional[np.ndarray]
-
-
-def execute_exchange_flat(
-    comm,
-    msgs: FlatMessages,
-    schedule: str = "sparse",
-    charge_copy: bool = True,
-    build_inbox: bool = True,
-) -> FlatExchangeResult:
-    """Run an irregular exchange described by a flat message batch.
-
-    Charges exactly the same modelled time, counters and synchronisation as
-    :func:`execute_exchange` would for the equivalent per-PE outboxes; the
-    received data is assembled with one stable ``lexsort`` plus one gather
-    instead of per-message Python work.
-
-    Parameters mirror :func:`execute_exchange`; ``build_inbox=False`` skips
-    assembling the received values (cost accounting only), which callers use
-    when they combine network messages with locally kept pieces themselves.
-    """
-    machine = comm.machine
-    p = comm.size
-    if schedule not in ("sparse", "dense"):
-        raise ValueError(f"unknown exchange schedule {schedule!r}")
-    if msgs.count and (
-        msgs.dest.min(initial=0) < 0 or msgs.dest.max(initial=0) >= p
-        or msgs.src.min(initial=0) < 0 or msgs.src.max(initial=0) >= p
-    ):
-        raise IndexError("flat message addressed to invalid local rank")
-
-    words_sent = np.zeros(p, dtype=np.int64)
-    words_received = np.zeros(p, dtype=np.int64)
-    np.add.at(words_sent, msgs.src, msgs.length)
-    np.add.at(words_received, msgs.dest, msgs.length)
-    non_empty = msgs.length > 0
-    messages_sent = np.bincount(msgs.src[non_empty], minlength=p).astype(np.int64)
-    messages_received = np.bincount(msgs.dest[non_empty], minlength=p).astype(np.int64)
-    if np.any(non_empty):
-        machine.counters.record_messages(
-            comm.members[msgs.src[non_empty]],
-            comm.members[msgs.dest[non_empty]],
-            msgs.length[non_empty],
-        )
-    if schedule == "dense":
-        messages_sent[:] = p - 1
-        messages_received[:] = p - 1
-
-    machine.synchronize(comm.members)
-    level = comm.level
-    alpha = machine.spec.alpha
-    beta = machine.spec.beta_for_level(level)
-    h_per_pe = np.maximum(words_sent, words_received)
-    r_per_pe = np.maximum(messages_sent, messages_received)
-    times = alpha * r_per_pe + beta * h_per_pe
-    if charge_copy:
-        times = times + machine.spec.move_ns * 1e-9 * (words_sent + words_received)
-    # Same drop/degrade draws as execute_exchange: the per-PE exchange
-    # counter key makes the flat batch byte-identical to the per-PE path.
-    faults = machine.faults
-    if faults is not None:
-        times = times + faults.exchange_extra(
-            comm.members, machine.counters.exchange_ops[comm.members],
-            h_per_pe, r_per_pe, alpha, beta,
-        )
-    machine.advance_many(comm.members, times)
-    machine.synchronize(comm.members)
-    machine.counters.record_exchange(comm.members)
-
-    rounds = 1
-    if schedule == "sparse" and p > 1:
-        rounds = p - 1 if p % 2 == 0 else p
-
-    recv_values = recv_offsets = recv_src = recv_lengths = None
-    if build_inbox:
-        # Stable by (dest, src, send order): the stable sort breaks the
-        # remaining ties by the implicit message order, exactly like the
-        # per-PE inbox sort by source rank.
-        order = stable_two_key_argsort(msgs.dest, msgs.src, p, p)
-        recv_src = msgs.src[order]
-        recv_lengths = msgs.length[order]
-        recv_values = take_ranges(msgs.payload, msgs.start[order], recv_lengths)
-        recv_offsets = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(words_received, out=recv_offsets[1:])
-
-    return FlatExchangeResult(
-        words_sent=words_sent,
-        words_received=words_received,
-        messages_sent=messages_sent,
-        messages_received=messages_received,
-        h_words=int(h_per_pe.max(initial=0)),
-        r_messages=int(r_per_pe.max(initial=0)),
-        time=float(times.max(initial=0.0)),
-        rounds=rounds,
-        recv_values=recv_values,
-        recv_offsets=recv_offsets,
-        recv_src=recv_src,
-        recv_lengths=recv_lengths,
     )

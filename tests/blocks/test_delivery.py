@@ -6,9 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blocks.delivery import DELIVERY_METHODS, deliver_to_groups
+from repro.blocks.delivery import (
+    DELIVERY_METHODS,
+    _flat_assign_deterministic_batched,
+    deliver_to_groups,
+    deliver_to_groups_batched,
+)
 from repro.machine.spec import laptop_like
+from repro.sim.groups import GroupBatch
 from repro.sim.machine import SimulatedMachine
+
+COUNTER_FIELDS = (
+    "messages_sent",
+    "messages_received",
+    "words_sent",
+    "words_received",
+    "collective_ops",
+    "exchange_ops",
+)
+
+FAULT_SPEC = (
+    "seed:5,stragglers:0.25,spread:0.3,windows:0.2,droprate:0.2,"
+    "degrade:0.1,hiccups:2000"
+)
 
 
 def make_comm(p):
@@ -26,6 +46,30 @@ def random_pieces(p, r, seed=0, max_piece=30):
             row.append(rng.integers(j * 1000, (j + 1) * 1000, size=size, dtype=np.int64))
         pieces.append(row)
     return pieces
+
+
+def skewed_pieces(p, r, seed, skew):
+    """Random pieces in group key ranges.
+
+    With ``skew``, most pieces are tiny (0-2 elements) among a few large
+    ones: the adversarial shape for the message bounds of Section 4.3.
+    """
+    rng = np.random.default_rng(seed)
+    if skew:
+        sizes = np.where(
+            rng.random((p, r)) < 0.8,
+            rng.integers(0, 3, size=(p, r)),
+            rng.integers(20, 120, size=(p, r)),
+        )
+    else:
+        sizes = rng.integers(0, 30, size=(p, r))
+    return [
+        [
+            rng.integers(j * 1000, (j + 1) * 1000, size=int(sizes[i, j]))
+            for j in range(r)
+        ]
+        for i in range(p)
+    ]
 
 
 def total_of_group(pieces, j):
@@ -120,6 +164,30 @@ class TestDeliveryValidation:
         with pytest.raises(ValueError):
             deliver_to_groups(comm, [], [[] for _ in range(4)])
 
+    @pytest.mark.parametrize("method", DELIVERY_METHODS)
+    def test_batched_zero_groups(self, method):
+        machine = SimulatedMachine(2, spec=laptop_like())
+        island = GroupBatch(machine, np.arange(2), np.array([0, 2]))
+        with pytest.raises(ValueError, match="at least one target group"):
+            deliver_to_groups_batched(
+                island, [np.empty(0, dtype=np.int64)], np.empty(0),
+                [np.zeros((2, 0), dtype=np.int64)], method=method,
+            )
+
+    def test_batched_deterministic_key_overflow_raises(self):
+        """Composed (pair, position) keys past int64 raise, never fall back.
+
+        Only piece sizes enter the assignment, so one 2**61-element piece
+        (no data behind it) reaches the bound without allocating anything.
+        """
+        sizes = np.array([2**61, 0, 1, 1, 0, 1], dtype=np.int64)  # (3, 2)
+        with pytest.raises(OverflowError):
+            _flat_assign_deterministic_batched(
+                sizes, np.cumsum(sizes) - sizes, np.array([0, 6]),
+                np.array([3]), np.array([2]), np.array([0]),
+                np.array([0, 3]), [np.array([2, 1])],
+            )
+
 
 class TestMessageBounds:
     def test_sender_message_bound(self):
@@ -162,6 +230,33 @@ class TestMessageBounds:
         assert det.max_received_messages() < naive.max_received_messages()
         assert det.max_received_messages() <= 2 * r + 2
 
+    @pytest.mark.parametrize("method", ["naive", "randomized", "deterministic"])
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.integers(0, 10_000),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_message_per_source_destination_pair(
+        self, method, p, r, seed, skew
+    ):
+        """No receiver gets two non-empty messages from one source.
+
+        The flat engine relies on this for its vectorised kept-piece charge
+        and for the column-major piece plane.  ``advanced`` is excluded: its
+        chunking sends several messages per pair by design.
+        """
+        r = min(r, p)
+        comm = make_comm(p)
+        pieces = skewed_pieces(p, r, seed, skew)
+        result = deliver_to_groups(
+            comm, comm.split(r), pieces, method=method, seed=seed
+        )
+        for rank, inbox in enumerate(result.exchange.inboxes):
+            sources = [src for src, payload in inbox if payload.size > 0]
+            assert len(sources) == len(set(sources)), rank
+
     def test_advanced_bounds_received_messages(self):
         p, r = 16, 4
         comm = make_comm(p)
@@ -197,3 +292,56 @@ class TestDeliveryProperties:
             ).tolist()
         ) if result.received_sizes.sum() else []
         assert sent == received
+
+
+class TestBatchedDeliveryEquivalence:
+    """A one-island ``deliver_to_groups_batched`` is the per-PE reference."""
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 10_000),
+        st.sampled_from(list(DELIVERY_METHODS)),
+        st.sampled_from(["sparse", "dense"]),
+        st.sampled_from([None, 1.0, 2.5]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_one_island_matches_reference(
+        self, p, r, seed, method, schedule, oversplit, skew, faulty
+    ):
+        r = min(r, p)  # comm.split(r) is uneven whenever r does not divide p
+        pieces = skewed_pieces(p, r, seed, skew)
+        faults = FAULT_SPEC if faulty else None
+        kwargs = dict(method=method, seed=seed, oversplit=oversplit,
+                      schedule=schedule)
+
+        m_ref = SimulatedMachine(p, spec=laptop_like(), seed=9, faults=faults)
+        world = m_ref.world()
+        ref = deliver_to_groups(world, world.split(r), pieces, **kwargs)
+
+        m_flat = SimulatedMachine(p, spec=laptop_like(), seed=9, faults=faults)
+        island = GroupBatch(m_flat, np.arange(p), np.array([0, p]))
+        sizes = np.array([[piece.size for piece in row] for row in pieces])
+        values = np.concatenate([piece for row in pieces for piece in row])
+        group_sizes = np.array([g.size for g in m_flat.world().split(r)])
+        res = deliver_to_groups_batched(
+            island, [group_sizes], values, [sizes], **kwargs
+        )
+
+        for rank in range(p):
+            assert np.array_equal(
+                res.received.segment(rank), ref.received_concat(rank)
+            ), rank
+        assert np.array_equal(res.received_sizes, ref.received_sizes)
+        assert np.array_equal(m_flat.clock, m_ref.clock)
+        assert sorted(m_flat.breakdown.phases()) == sorted(m_ref.breakdown.phases())
+        for phase in m_ref.breakdown.phases():
+            assert np.array_equal(
+                m_flat.breakdown.per_pe(phase), m_ref.breakdown.per_pe(phase)
+            ), phase
+        for name in COUNTER_FIELDS:
+            assert np.array_equal(
+                getattr(m_flat.counters, name), getattr(m_ref.counters, name)
+            ), name

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.blocks.multiselect import (
     multisequence_select,
     multisequence_select_batched,
-    multisequence_select_flat,
 )
 from repro.dist.array import DistArray
 from repro.machine.spec import laptop_like
@@ -129,11 +128,9 @@ class TestMultisequenceSelect:
         for t, k in enumerate(ranks):
             assert int(result.splits[t].sum()) == k
             assert split_positions_are_consistent(data, result.splits[t])
-        # The segmented flat engine must match the reference bit for bit.
-        comm2 = make_comm(p)
-        flat = multisequence_select_flat(
-            comm2, DistArray.from_list([d.copy() for d in data]), ranks
-        )
+        # The flat engine (a one-island lockstep batch) must match the
+        # reference bit for bit.
+        flat, _ = _splits_and_machine(data, ranks, "batched")
         assert np.array_equal(flat.splits, result.splits)
         assert flat.iterations == result.iterations
 
@@ -144,10 +141,6 @@ def _splits_and_machine(data, ranks, via):
     if via == "reference":
         res = multisequence_select(
             machine.world(), [d.copy() for d in data], ranks
-        )
-    elif via == "flat":
-        res = multisequence_select_flat(
-            machine.world(), DistArray.from_list([d.copy() for d in data]), ranks
         )
     else:
         islands = GroupBatch(
@@ -175,7 +168,7 @@ class TestMultiselectDuplicateBoundaries:
     variant that drops the owner-position override.
     """
 
-    @pytest.mark.parametrize("via", ["reference", "flat", "batched"])
+    @pytest.mark.parametrize("via", ["reference", "batched"])
     def test_all_equal_across_pes(self, via):
         data = [np.full(10, 7) for _ in range(4)]
         ranks = [5, 13, 25, 33]  # every split falls strictly inside a PE run
@@ -189,7 +182,7 @@ class TestMultiselectDuplicateBoundaries:
             expect = np.clip(k - np.arange(4) * 10, 0, 10)
             assert np.array_equal(res.splits[t], expect)
 
-    @pytest.mark.parametrize("via", ["reference", "flat", "batched"])
+    @pytest.mark.parametrize("via", ["reference", "batched"])
     def test_near_all_equal_run_spans_boundary(self, via):
         # One run of 7s spans the boundary between PE 1 and PE 2.
         data = [
@@ -219,13 +212,12 @@ class TestMultiselectDuplicateBoundaries:
                 int(x) for x in rng.integers(0, total + 1, size=3)
             )
             ref, m_ref = _splits_and_machine(data, ranks, "reference")
-            for via in ("flat", "batched"):
-                got, m = _splits_and_machine(data, ranks, via)
-                assert np.array_equal(got.splits, ref.splits), (trial, via)
-                assert got.iterations == ref.iterations, (trial, via)
-                assert np.array_equal(m.clock, m_ref.clock), (trial, via)
+            got, m = _splits_and_machine(data, ranks, "batched")
+            assert np.array_equal(got.splits, ref.splits), trial
+            assert got.iterations == ref.iterations, trial
+            assert np.array_equal(m.clock, m_ref.clock), trial
 
-    @pytest.mark.parametrize("via", ["flat", "batched"])
+    @pytest.mark.parametrize("via", ["batched"])
     def test_piece_sizes_from_duplicate_splits_are_valid(self, via):
         """Consecutive splits delimit non-negative piece sizes (RLM pieces)."""
         data = [np.full(8, 1) for _ in range(5)]

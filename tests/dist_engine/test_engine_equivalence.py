@@ -285,42 +285,23 @@ class TestBaselineEquivalence:
             parallel_quicksort, parallel_quicksort_reference, 8, data, 2,
         )
 
-
-class TestFlatCollectives:
-    @given(st.integers(1, 8), st.integers(0, 5), st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_alltoallv_flat_matches_alltoallv(self, p, max_len, seed):
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(0, max_len + 1, size=(p, p))
-        send_lists = [
-            [rng.integers(0, 100, size=counts[i, j]) for j in range(p)]
-            for i in range(p)
-        ]
-        m_ref = SimulatedMachine(p, spec=laptop_like(), seed=seed)
-        recv_ref = m_ref.world().alltoallv(send_lists)
-
-        m_flat = SimulatedMachine(p, spec=laptop_like(), seed=seed)
-        flat_values = np.concatenate(
-            [a for row in send_lists for a in row if a.size]
-        ) if counts.sum() else np.empty(0, dtype=np.int64)
-        send = DistArray.from_sizes(flat_values, counts.sum(axis=1))
-        recv, result = m_flat.world().alltoallv_flat(send, counts)
-
-        for j in range(p):
-            expect = [a for a in (recv_ref[j][i] for i in range(p)) if a.size]
-            expect_cat = np.concatenate(expect) if expect else np.empty(0)
-            assert np.array_equal(recv.segment(j), expect_cat)
-        assert np.array_equal(m_ref.clock, m_flat.clock)
-        for field in COUNTER_FIELDS:
-            assert np.array_equal(
-                getattr(m_ref.counters, field), getattr(m_flat.counters, field)
-            )
-
-    def test_alltoallv_flat_rejects_bad_counts(self):
-        machine = SimulatedMachine(2, spec=laptop_like())
-        send = DistArray.from_sizes(np.arange(3), [2, 1])
-        with pytest.raises(ValueError):
-            machine.world().alltoallv_flat(send, np.array([[1, 2], [0, 1]]))
+    @pytest.mark.parametrize("p", [3, 7, 12])
+    @pytest.mark.parametrize("name", ["samplesort", "mergesort", "quicksort"])
+    def test_uneven_p_sparse_schedule(self, name, p):
+        """Non-power-of-two ``p`` (uneven quicksort halves), sparse exchanges."""
+        flat_fn, ref_fn, kwargs = {
+            "samplesort": (
+                single_level_sample_sort, single_level_sample_sort_reference,
+                {"schedule": "sparse"},
+            ),
+            "mergesort": (
+                single_level_mergesort, single_level_mergesort_reference,
+                {"schedule": "sparse"},
+            ),
+            "quicksort": (parallel_quicksort, parallel_quicksort_reference, {}),
+        }[name]
+        data = random_data(p, 120, 40 + p)
+        assert_engines_identical(flat_fn, ref_fn, p, data, 40 + p, **kwargs)
 
 
 class TestRunnerEngines:
@@ -345,6 +326,14 @@ class TestRunnerEngines:
         with pytest.raises(ValueError):
             run_on_machine(machine, [np.arange(3), np.arange(3)],
                            algorithm="ams", engine="warp")
+
+    @pytest.mark.parametrize("engine", ["flat", "reference"])
+    @pytest.mark.parametrize("algorithm", ["samplesort", "mergesort"])
+    def test_unknown_schedule_rejected(self, algorithm, engine):
+        machine = SimulatedMachine(4, spec=laptop_like(), seed=1)
+        with pytest.raises(ValueError, match="unknown exchange schedule 'bogus'"):
+            run_on_machine(machine, random_data(4, 30, 1), algorithm=algorithm,
+                           engine=engine, schedule="bogus")
 
     def test_dist_array_input_accepted(self):
         data = random_data(8, 100, 4)

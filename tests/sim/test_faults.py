@@ -172,7 +172,9 @@ class TestDeterminism:
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("algorithm", ["ams", "rlm"])
+    @pytest.mark.parametrize(
+        "algorithm", ["ams", "rlm", "samplesort", "mergesort", "quicksort"]
+    )
     def test_flat_equals_reference_under_faults(self, algorithm):
         flat = SimulatedMachine(16, seed=2, faults=ACTIVE_SPEC)
         _run(flat, p=16, algorithm=algorithm, engine="flat")
