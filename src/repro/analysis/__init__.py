@@ -1,4 +1,11 @@
-"""Analysis utilities: theoretical cost model, metrics and table formatting."""
+"""Analysis utilities: the paper's closed-form cost models, run metrics and tables.
+
+* :mod:`~repro.analysis.theory` — time models, isoefficiency functions and
+  startup bounds of the paper's analysis,
+* :mod:`~repro.analysis.metrics` — slowdown and repeated-run summaries for
+  the campaign,
+* :mod:`~repro.analysis.tables` — aligned plain-text tables.
+"""
 
 from repro.analysis.theory import (
     ams_sort_time_model,
@@ -10,29 +17,13 @@ from repro.analysis.theory import (
     isoefficiency_single_level,
     startup_bound_multilevel,
 )
-from repro.analysis.calibration import (
-    CalibrationResult,
-    calibrate_spec,
-    measure_local_costs,
-)
 from repro.analysis.metrics import (
     slowdown,
-    speedup,
-    efficiency,
-    weak_scaling_efficiency,
-    median,
     summarize_runs,
 )
-from repro.analysis.tables import (
-    format_table,
-    format_series,
-    rows_to_csv,
-)
+from repro.analysis.tables import format_table
 
 __all__ = [
-    "CalibrationResult",
-    "calibrate_spec",
-    "measure_local_costs",
     "ams_sort_time_model",
     "rlm_sort_time_model",
     "single_level_sample_sort_time_model",
@@ -42,12 +33,6 @@ __all__ = [
     "isoefficiency_single_level",
     "startup_bound_multilevel",
     "slowdown",
-    "speedup",
-    "efficiency",
-    "weak_scaling_efficiency",
-    "median",
     "summarize_runs",
     "format_table",
-    "format_series",
-    "rows_to_csv",
 ]

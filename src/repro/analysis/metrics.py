@@ -1,8 +1,8 @@
-"""Scalar metrics used by the experiment harness (slowdown, efficiency, ...)."""
+"""Scalar metrics used by the experiment campaign (slowdown, run summaries)."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -12,42 +12,6 @@ def slowdown(time: float, reference_time: float) -> float:
     if reference_time <= 0:
         raise ValueError("reference time must be positive")
     return float(time / reference_time)
-
-
-def speedup(sequential_time: float, parallel_time: float) -> float:
-    """Classic speedup ``T_seq / T_par``."""
-    if parallel_time <= 0:
-        raise ValueError("parallel time must be positive")
-    return float(sequential_time / parallel_time)
-
-
-def efficiency(sequential_time: float, parallel_time: float, p: int) -> float:
-    """Parallel efficiency ``speedup / p``."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return speedup(sequential_time, parallel_time) / p
-
-
-def weak_scaling_efficiency(times: Sequence[float]) -> List[float]:
-    """Weak-scaling efficiency relative to the smallest configuration.
-
-    For a weak-scaling series (constant work per PE) the ideal is constant
-    time; the efficiency of entry ``i`` is ``times[0] / times[i]``.
-    """
-    times = [float(t) for t in times]
-    if not times:
-        return []
-    if times[0] <= 0:
-        raise ValueError("first measurement must be positive")
-    return [times[0] / t if t > 0 else float("inf") for t in times]
-
-
-def median(values: Iterable[float]) -> float:
-    """Median of a sequence (the paper reports medians of five repetitions)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("median of empty sequence")
-    return float(np.median(arr))
 
 
 def summarize_runs(times: Sequence[float]) -> Dict[str, float]:

@@ -1,15 +1,14 @@
-"""Plain-text table and series formatting for experiment output.
+"""Plain-text table formatting for experiment output.
 
-The benchmark harness prints the same rows/series the paper reports
-(Table 2, Figures 7-12).  No plotting dependencies are used; the formatters
-produce aligned text tables and simple ASCII series that are easy to diff
-and to paste into EXPERIMENTS.md.
+The experiments CLI and the figure benchmarks print the same rows the paper
+reports (Table 2, Figures 7-12).  No plotting dependencies are used; the
+formatter produces aligned text tables that are easy to diff.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def _fmt(value: object, precision: int) -> str:
@@ -49,39 +48,4 @@ def format_table(
     out.write("  ".join("-" * w for w in widths) + "\n")
     for line in body:
         out.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
-    return out.getvalue()
-
-
-def format_series(
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    x_label: str = "x",
-    title: Optional[str] = None,
-    precision: int = 4,
-) -> str:
-    """Format several y-series over common x-values as a text table."""
-    rows: List[Dict[str, object]] = []
-    for i, x in enumerate(x_values):
-        row: Dict[str, object] = {x_label: x}
-        for name, values in series.items():
-            row[name] = values[i] if i < len(values) else ""
-        rows.append(row)
-    return format_table(rows, columns=[x_label] + list(series.keys()),
-                        title=title, precision=precision)
-
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]],
-                columns: Optional[Sequence[str]] = None) -> str:
-    """Serialise row dictionaries to CSV text (for archiving results)."""
-    rows = list(rows)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-    out = io.StringIO()
-    out.write(",".join(str(c) for c in columns) + "\n")
-    for row in rows:
-        out.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
     return out.getvalue()

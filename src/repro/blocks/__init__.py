@@ -29,10 +29,9 @@ island of a recursion level over one :class:`~repro.sim.groups.GroupBatch`
 sort's lockstep port lives in :mod:`repro.core.ams_sort`.
 """
 
-from repro.blocks.feistel import FeistelPermutation, pseudorandom_permutation
+from repro.blocks.feistel import FeistelPermutation
 from repro.blocks.sampling import (
     SamplingParams,
-    draw_local_sample,
     draw_samples,
     draw_samples_flat,
     default_oversampling,
@@ -49,7 +48,6 @@ from repro.blocks.grouping import (
     scan_buckets_with_bound,
     optimal_bucket_grouping,
     group_sizes_from_boundaries,
-    bucket_to_group,
 )
 from repro.blocks.delivery import (
     deliver_to_groups,
@@ -63,9 +61,7 @@ from repro.blocks.tiebreak import (
 
 __all__ = [
     "FeistelPermutation",
-    "pseudorandom_permutation",
     "SamplingParams",
-    "draw_local_sample",
     "draw_samples",
     "draw_samples_flat",
     "default_oversampling",
@@ -76,7 +72,6 @@ __all__ = [
     "scan_buckets_with_bound",
     "optimal_bucket_grouping",
     "group_sizes_from_boundaries",
-    "bucket_to_group",
     "deliver_to_groups",
     "DeliveryResult",
     "make_unique_keys",

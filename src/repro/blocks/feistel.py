@@ -108,13 +108,3 @@ class FeistelPermutation:
     def permutation_array(self) -> np.ndarray:
         """The full permutation as an array ``perm[i] = pi(i)`` (for tests / small n)."""
         return np.asarray(self.apply(np.arange(self.n, dtype=np.int64)))
-
-    def __call__(self, values):
-        return self.apply(values)
-
-
-def pseudorandom_permutation(n: int, seed: int = 0) -> np.ndarray:
-    """Convenience helper returning the image array of a Feistel permutation."""
-    if n <= 0:
-        return np.empty(0, dtype=np.int64)
-    return FeistelPermutation(n, seed=seed).permutation_array()

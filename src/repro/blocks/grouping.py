@@ -492,28 +492,6 @@ def optimal_bucket_grouping_batched(
     )
 
 
-def bucket_to_group(boundaries: np.ndarray, bucket_idx: np.ndarray) -> np.ndarray:
-    """Vectorised bucket-index → group-index mapping for a grouping result.
-
-    ``boundaries`` is the :class:`GroupingResult` boundary vector
-    (``num_groups + 1`` entries); ``bucket_idx`` may be any shape.  Used by
-    the flat engine to route all elements of the machine in one call.
-    """
-    boundaries = np.asarray(boundaries, dtype=np.int64)
-    bucket_idx = np.asarray(bucket_idx, dtype=np.int64)
-    if boundaries.size <= 2:
-        return np.zeros(bucket_idx.shape, dtype=np.int64)
-    # A direct bucket -> group lookup table beats a binary search per
-    # element (the number of buckets is small, the element count is not).
-    # The table covers buckets 0 .. boundaries[-1] - 1 because boundaries
-    # are non-decreasing and start at 0 (GroupingResult invariant).
-    num_groups = int(boundaries.size) - 1
-    lut = np.repeat(
-        np.arange(num_groups, dtype=np.int64), np.diff(boundaries)
-    )
-    return lut[bucket_idx]
-
-
 def optimal_max_load_dp(bucket_sizes: Sequence[int], num_groups: int) -> int:
     """Exact optimal maximum group load via dynamic programming.
 

@@ -19,9 +19,7 @@ Since PR 3 the sample positions come from the machine's counter-based RNG
 recursion level ``l`` is ``philox(seed, l, i, j) mod local_size`` — drawn
 with replacement, one vectorised call for the whole machine per level, and
 byte-identical between the flat engine and the per-PE reference because the
-draw depends only on its coordinates.  :func:`draw_local_sample` remains as
-the legacy ``np.random.Generator`` utility for callers outside the engine
-hot path.
+draw depends only on its coordinates.
 """
 
 from __future__ import annotations
@@ -115,26 +113,6 @@ class SamplingParams:
         ab = max(float(b), math.log(max(r, 2)) * 2.0)
         a = max(1.0, ab / b)
         return SamplingParams(oversampling=a, overpartitioning=b, per_pe=False)
-
-
-def draw_local_sample(
-    values: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``count`` random sample elements from one PE's local data.
-
-    Sampling is with replacement when ``count`` exceeds the local size (this
-    can only happen for tiny inputs) and without replacement otherwise, which
-    matches the behaviour of drawing random positions in the local array.
-    An empty local array contributes an empty sample.
-    """
-    values = np.asarray(values)
-    if count <= 0 or values.size == 0:
-        return values[:0].copy()
-    if count >= values.size:
-        idx = rng.integers(0, values.size, size=count)
-    else:
-        idx = rng.choice(values.size, size=count, replace=False)
-    return values[idx].copy()
 
 
 def draw_samples_flat(

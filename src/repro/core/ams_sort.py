@@ -54,7 +54,6 @@ from repro.blocks.sampling import (
     SamplingParams,
     draw_samples,
     draw_samples_flat,
-    splitter_ranks,
 )
 from repro.core.config import AMSConfig
 from repro.dist.array import DistArray
@@ -80,34 +79,6 @@ from repro.machine.counters import (
 )
 from repro.seq.partition import bucket_indices
 from repro.sim.groups import GroupBatch
-
-
-def _centralized_splitters(comm, samples: List[np.ndarray], num_splitters: int) -> np.ndarray:
-    """Centralized splitter selection (gather + sort + broadcast).
-
-    This is the scheme of the earlier multi-level sample sort of
-    Gerbessiotis and Valiant which AMS-sort replaces with the fast parallel
-    sample sort; kept as an option for comparison experiments.
-
-    The modelled gather cost is driven by the *largest* per-PE contribution:
-    the gather's bottleneck is the PE that injects the most sample words,
-    not the average one (with unequal local sizes the mean underestimates
-    the critical path).
-    """
-    with comm.phase(PHASE_SPLITTER_SELECTION):
-        words_each = max(1, max((int(np.asarray(s).size) for s in samples), default=1))
-        gathered = comm.gather(samples, root=0, words_each=words_each)
-        sample = np.concatenate([np.asarray(s) for s in gathered if np.asarray(s).size > 0]) \
-            if any(np.asarray(s).size for s in gathered) else np.empty(0)
-        sample = np.sort(sample, kind="stable")
-        comm.charge_local(0, comm.spec.local_sort_time(int(sample.size)))
-        if num_splitters <= 0 or sample.size == 0:
-            splitters = sample[:0]
-        else:
-            ranks = splitter_ranks(int(sample.size), num_splitters)
-            splitters = sample[ranks]
-        comm.bcast(splitters, root=0, words=int(splitters.size))
-    return splitters
 
 
 def _partition_into_group_pieces(
@@ -200,12 +171,9 @@ def ams_sort_reference(
             local_data, sampling, p, r,
             comm.machine.sample_rng, level, comm.members,
         )
-    if config.use_fast_sample_sort:
-        splitters = select_splitters_by_rank(
-            comm, samples, num_splitters, phase=PHASE_SPLITTER_SELECTION
-        )
-    else:
-        splitters = _centralized_splitters(comm, samples, num_splitters)
+    splitters = select_splitters_by_rank(
+        comm, samples, num_splitters, phase=PHASE_SPLITTER_SELECTION
+    )
 
     # ------------------------------------------------------------------
     # 2. Bucket processing: partition, global bucket sizes, bucket grouping
@@ -370,11 +338,11 @@ def _segmented_sample_splitters(
     """Sort the batch sample per island and pick equidistant splitters.
 
     One segmented (per-island) value sort over the whole batch, then one
-    vectorised :func:`splitter_ranks` pick for every island at once; islands
-    with no sample or no splitters get an empty slice.  Returns the
+    vectorised :func:`~repro.blocks.sampling.splitter_ranks` pick for
+    every island at once; islands with no sample or no splitters get an
+    empty slice.  Returns the
     concatenated splitters ``(spl_values, spl_off)``.  Charge-free — the
-    grid and centralized splitter paths share this data plane and differ
-    only in what they charge.
+    caller charges the grid sample sort's collectives.
     """
     n_act = int(isl_sample_tot.size)
     sample_off = np.zeros(n_act + 1, dtype=np.int64)
@@ -552,43 +520,6 @@ def _batched_grid_splitters(
     return spl_values, spl_off
 
 
-def _batched_centralized_splitters(
-    comm,
-    islands: GroupBatch,
-    samples_b: DistArray,
-    r_act: np.ndarray,
-    sampling: SamplingParams,
-) -> tuple:
-    """Lockstep port of :func:`_centralized_splitters` for a level batch.
-
-    Gather (bottlenecked by the largest per-PE contribution), root-local
-    sort, equidistant splitter pick and broadcast — each charged per island
-    through the :class:`GroupBatch`.
-    """
-    machine = islands.machine
-    spec = machine.spec
-    act_off = islands.offsets
-    s_sizes = samples_b.sizes()
-    with comm.phase(PHASE_SPLITTER_SELECTION):
-        words_each = np.maximum(
-            1, np.maximum.reduceat(s_sizes, act_off[:-1])
-        )
-        islands.charge_collective(words_each, rounds_factors=islands.sizes)
-
-        isl_tot = np.add.reduceat(s_sizes, act_off[:-1])
-        machine.advance_many(
-            islands.members[act_off[:-1]],
-            map_by_unique(isl_tot, lambda t: spec.local_sort_time(int(t))),
-        )
-        spl_values, spl_off = _segmented_sample_splitters(
-            samples_b, isl_tot, r_act, sampling
-        )
-        # The centralized scheme broadcasts from every island's root, even
-        # an empty splitter set (words = 0 still costs the latency term).
-        islands.charge_collective(np.diff(spl_off))
-    return spl_values, spl_off
-
-
 def _ams_level_batched(
     comm,
     dist: DistArray,
@@ -655,14 +586,9 @@ def _ams_level_batched(
         samples_b = draw_samples_flat(
             dist_b, per_pe_counts, machine.sample_rng, level, batch_members
         )
-    if config.use_fast_sample_sort:
-        spl_values, spl_off = _batched_grid_splitters(
-            comm, islands, samples_b, act_sizes, r_act, sampling
-        )
-    else:
-        spl_values, spl_off = _batched_centralized_splitters(
-            comm, islands, samples_b, r_act, sampling
-        )
+    spl_values, spl_off = _batched_grid_splitters(
+        comm, islands, samples_b, act_sizes, r_act, sampling
+    )
 
     # ------------------------------------------------------------------
     # 2. Bucket processing: one segmented search per element, per-island
@@ -677,9 +603,9 @@ def _ams_level_batched(
         )
         nb_off = np.zeros(n_act + 1, dtype=np.int64)
         np.cumsum(nb_per_isl, out=nb_off[1:])
-        # Global bucket sizes per island: the per-(group, PE) reduction.
-        # The bucket indices come straight out of the bounded searchsorted,
-        # so the ragged reduction can skip its range validation passes.
+        # Global bucket sizes per island: one bincount over island-offset
+        # bucket keys.  The bucket indices come straight out of the bounded
+        # searchsorted, so they need no range check.
         ws = get_arena()
         if n_act == 1:
             isl_bucket_key = bucket_of

@@ -92,10 +92,6 @@ class AMSConfig:
     ----------
     levels:
         Number of recursion levels ``k``.
-    epsilon:
-        Accepted output imbalance (the output guarantee is
-        ``(1 + epsilon) * n / p`` elements per PE w.h.p.).  Only used when
-        ``sampling`` is not given explicitly (theoretical parameterisation).
     sampling:
         Explicit :class:`SamplingParams` (oversampling ``a``,
         overpartitioning ``b``).  ``None`` selects the paper's experimental
@@ -110,27 +106,18 @@ class AMSConfig:
     group_plan:
         Optional explicit list of group counts per level, overriding
         :func:`level_plan`.
-    use_fast_sample_sort:
-        Sort the sample with the fast work-inefficient grid sort of
-        Section 4.2 (True, default) or with a centralized
-        gather-sort-broadcast (False; this is the Gerbessiotis/Valiant
-        variant AMS-sort improves upon and is kept for comparison).
     """
 
     levels: int = 2
-    epsilon: float = 0.1
     sampling: Optional[SamplingParams] = None
     delivery: str = "deterministic"
     exchange_schedule: str = "sparse"
     node_size: int = 16
     group_plan: Optional[Sequence[int]] = None
-    use_fast_sample_sort: bool = True
 
     def __post_init__(self) -> None:
         if self.levels < 1:
             raise ValueError("AMS-sort needs at least one level")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.delivery not in DELIVERY_METHODS:
             raise ValueError(f"unknown delivery method {self.delivery!r}")
         if self.exchange_schedule not in ("sparse", "dense"):

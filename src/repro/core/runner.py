@@ -24,7 +24,6 @@ from repro.core.config import AMSConfig, RLMConfig
 from repro.core.rlm_sort import rlm_sort, rlm_sort_reference
 from repro.core.validation import output_imbalance, validate_output
 from repro.dist.array import DistArray
-from repro.machine.counters import PAPER_PHASES
 from repro.machine.spec import MachineSpec
 from repro.sim.machine import SimulatedMachine
 
@@ -80,31 +79,11 @@ class SortResult:
     params: Dict[str, object] = field(default_factory=dict)
     faults: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def elements_per_pe(self) -> float:
-        """Average input size per PE."""
-        return self.n_total / max(self.p, 1)
-
     def phase_fraction(self, phase: str) -> float:
         """Fraction of the total time spent in ``phase``."""
         if self.total_time <= 0:
             return 0.0
         return self.phase_times.get(phase, 0.0) / self.total_time
-
-    def summary_row(self) -> Dict[str, object]:
-        """Flat dictionary for table output."""
-        row: Dict[str, object] = {
-            "algorithm": self.algorithm,
-            "p": self.p,
-            "n_per_pe": int(round(self.elements_per_pe)),
-            "time_s": self.total_time,
-            "imbalance": self.imbalance,
-            "max_startups": self.traffic.get("max_startups_per_pe", 0),
-        }
-        for phase in PAPER_PHASES:
-            row[phase] = self.phase_times.get(phase, 0.0)
-        row.update(self.params)
-        return row
 
     def summary_dict(self) -> Dict[str, object]:
         """JSON-serializable summary of the run (no output arrays).

@@ -60,15 +60,6 @@ def output_imbalance(output: Sequence[np.ndarray]) -> float:
     return float(sizes.max() / mean - 1.0)
 
 
-def group_imbalance(group_loads: Sequence[int]) -> float:
-    """Relative imbalance of per-group loads (used by overpartitioning experiments)."""
-    loads = np.asarray(list(group_loads), dtype=np.float64)
-    if loads.size == 0 or loads.sum() == 0:
-        return 0.0
-    mean = loads.sum() / loads.size
-    return float(loads.max() / mean - 1.0)
-
-
 def validate_output(
     input_data: Sequence[np.ndarray],
     output: Sequence[np.ndarray],

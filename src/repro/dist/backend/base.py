@@ -2,7 +2,7 @@
 
 The flat execution engine issues a handful of *element-scale* kernels per
 recursion level (segmented sorts, segmented/blockwise binary searches,
-ragged histograms, stable radix argsorts and the gather passes that apply
+histograms, stable radix argsorts and the gather passes that apply
 them).  Everything else the engine does — cost accounting, island
 bookkeeping, message descriptor assembly — is tiny by comparison.  This
 module names exactly that hot kernel set as a small ABC.
@@ -77,16 +77,6 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------
     # Histograms
     # ------------------------------------------------------------------
-    @abstractmethod
-    def ragged_bincount(
-        self,
-        seg: np.ndarray,
-        key: np.ndarray,
-        key_offsets: np.ndarray,
-        validate: bool = True,
-    ) -> np.ndarray:
-        """Per-segment histograms with per-segment bin counts, back to back."""
-
     @abstractmethod
     def bincount(
         self,

@@ -51,15 +51,6 @@ class NumpyBackend(KernelBackend):
             values, offsets, queries, query_offsets, side=side
         )
 
-    def ragged_bincount(
-        self,
-        seg: np.ndarray,
-        key: np.ndarray,
-        key_offsets: np.ndarray,
-        validate: bool = True,
-    ) -> np.ndarray:
-        return flatops.ragged_bincount_numpy(seg, key, key_offsets, validate=validate)
-
     def bincount(
         self,
         key: np.ndarray,

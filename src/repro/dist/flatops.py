@@ -226,25 +226,15 @@ def stable_two_key_argsort_numpy(
 ) -> np.ndarray:
     """Reference implementation of :func:`stable_two_key_argsort`.
 
-    When the combined key range fits 16 bits a single radix argsort is used;
-    otherwise an LSD two-pass radix (stable sort by minor, then by major)
-    keeps both passes in the fast 16-bit path.  Identical to a stable
-    argsort of ``major * minor_bound + minor``.
+    When the combined key range exceeds 16 bits but each key fits 16 bits,
+    an LSD two-pass radix (stable sort by minor, then by major) keeps both
+    passes in the fast 16-bit path; otherwise a single radix argsort of the
+    composed key is used.  Identical to a stable argsort of
+    ``major * minor_bound + minor``.
     """
     ws = get_arena()
-    if 0 <= major_bound * minor_bound <= 2 ** 16:
-        # Composed key is a pure scratch; build it in the workspace.  Widen
-        # into the int64 buffer *first* so the arithmetic runs in int64 —
-        # a ufunc with narrow inputs and an int64 ``out`` would compute in
-        # the narrow loop and cast after, which is not the same thing.
-        key = ws.empty(np.asarray(major).size, np.int64)
-        np.copyto(key, major, casting="unsafe")
-        key *= minor_bound
-        key += minor
-        order = stable_key_argsort_numpy(key, major_bound * minor_bound)
-        ws.recycle(key)
-        return order
-    if major_bound <= 2 ** 16 and minor_bound <= 2 ** 16:
+    if major_bound * minor_bound > 2 ** 16 and \
+            major_bound <= 2 ** 16 and minor_bound <= 2 ** 16:
         minor16 = ws.empty(np.asarray(minor).size, np.uint16)
         np.copyto(minor16, minor, casting="unsafe")
         order = np.argsort(minor16, kind="stable")
@@ -256,9 +246,9 @@ def stable_two_key_argsort_numpy(
         order2 = np.argsort(permuted, kind="stable")
         ws.recycle(major16, permuted)
         return order[order2]
-    # Composed int64 keys: widen explicitly — narrow ids (int32 segment
-    # ids) times a python-int bound would stay int32 under NEP 50 and
-    # overflow for bounds this branch exists for.
+    # The composed key is a pure scratch from the workspace.  Widen into
+    # the int64 buffer *first*: narrow ids (int32 segment ids) would
+    # otherwise be multiplied in their own width (NEP 50) and overflow.
     key = ws.empty(np.asarray(major).size, np.int64)
     np.copyto(key, major, casting="unsafe")
     key *= minor_bound
@@ -765,40 +755,6 @@ def _bucketize_with_table(
     return res
 
 
-def ragged_bincount_numpy(
-    seg: np.ndarray, key: np.ndarray, key_offsets: np.ndarray,
-    validate: bool = True,
-) -> np.ndarray:
-    """Reference implementation of :func:`ragged_bincount`.
-
-    Item ``k`` belongs to segment ``seg[k]`` and falls into that segment's
-    bin ``key[k]``; segment ``s`` owns ``key_offsets[s+1] - key_offsets[s]``
-    bins.  Returns a flat int64 array of ``key_offsets[-1]`` counts — the
-    concatenation of every segment's ``np.bincount``.  This is the
-    per-``(group, PE)`` reduction of the batched lockstep engine: global
-    bucket sizes per island, or piece sizes per ``(PE, destination group)``
-    when the group count varies across islands.
-
-    ``validate=False`` skips the per-element bin-range check (two extra
-    whole-array passes); engine-internal callers whose keys come straight
-    out of a ``searchsorted`` against the segment's own boundaries use it.
-    """
-    # Narrow ids (int32 segment expansions, int32 bucket indices) are kept
-    # as-is: indexing and the mixed-width add below promote exactly, so
-    # forcing int64 here would only add element-scale copies.
-    seg = np.asarray(seg)
-    key = np.asarray(key)
-    key_offsets = np.asarray(key_offsets, dtype=np.int64)
-    if seg.shape != key.shape:
-        raise ValueError("seg and key must have the same shape")
-    if validate and seg.size:
-        widths = np.diff(key_offsets)
-        if key.min(initial=0) < 0 or np.any(key >= widths[seg]):
-            raise IndexError("bin index out of range for its segment")
-    counts = np.bincount(key_offsets[seg] + key, minlength=int(key_offsets[-1]))
-    return counts.astype(np.int64, copy=False)
-
-
 def bincount_numpy(
     key: np.ndarray, minlength: int = 0, weights: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -892,18 +848,6 @@ def blockwise_searchsorted(
     return _active_backend().blockwise_searchsorted(
         values, offsets, queries, query_offsets, side=side
     )
-
-
-def ragged_bincount(
-    seg: np.ndarray, key: np.ndarray, key_offsets: np.ndarray,
-    validate: bool = True,
-) -> np.ndarray:
-    """Per-segment histograms with a per-segment number of bins, back to back.
-
-    Dispatches to the active backend; byte-identical to
-    :func:`ragged_bincount_numpy` (the full contract) on every backend.
-    """
-    return _active_backend().ragged_bincount(seg, key, key_offsets, validate=validate)
 
 
 def bincount(

@@ -27,17 +27,10 @@ from repro.machine.spec import (
 )
 from repro.machine.topology import (
     Topology,
-    FlatTopology,
     HierarchicalTopology,
-    TorusTopology,
     topology_for,
 )
-from repro.machine.cost import (
-    CostModel,
-    CollectiveCost,
-    ExchangeCost,
-    LocalWorkModel,
-)
+from repro.machine.cost import CostModel
 from repro.machine.counters import (
     PhaseTimer,
     TrafficCounters,
@@ -58,14 +51,9 @@ __all__ = [
     "generic_cluster",
     "laptop_like",
     "Topology",
-    "FlatTopology",
     "HierarchicalTopology",
-    "TorusTopology",
     "topology_for",
     "CostModel",
-    "CollectiveCost",
-    "ExchangeCost",
-    "LocalWorkModel",
     "PhaseTimer",
     "TrafficCounters",
     "PhaseBreakdown",

@@ -1,77 +1,29 @@
-"""Communication and local-work cost model.
+"""Communication cost model for collectives.
 
-This module turns counts (words, messages, comparisons) into modelled time.
-It implements the cost expressions used throughout the paper:
+The simulator charges three kinds of cost, following Section 2.1 of the
+paper:
 
-* point to point message of ``l`` words: ``alpha + l * beta``  (Section 2.1),
 * collectives over vectors of length ``l`` on ``P`` PEs:
-  ``O(l * beta + alpha * log P)`` (broadcast, reduction, prefix sums, [2, 30]),
+  ``O(l * beta + alpha * log P)`` (broadcast, reduction, prefix sums, [2, 30])
+  — priced here by :meth:`CostModel.collective_time`,
 * the data exchange primitive ``Exch(P, h, r)``: no PE sends or receives more
-  than ``h`` words in total and at most ``r`` messages; a single-ported lower
-  bound (and the cost we charge) is ``h * beta + r * alpha``,
+  than ``h`` words in total and at most ``r`` messages; the single-ported
+  lower bound ``h * beta + r * alpha`` is what
+  :func:`repro.sim.exchange.exchange_times` charges,
 * local work: charged through :class:`~repro.machine.spec.MachineSpec`'s
   calibrated per-element constants.
-
-The cost model is deliberately separate from the simulator so that the same
-counting infrastructure can be re-priced for a different machine without
-re-running an experiment (see :meth:`ExchangeCost.time`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 
 
-@dataclass(frozen=True)
-class CollectiveCost:
-    """Cost of one collective operation on ``P`` PEs with vectors of ``l`` words."""
-
-    participants: int
-    words: int
-    level: int
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.participants <= 0:
-            raise ValueError("collective needs at least one participant")
-        if self.words < 0:
-            raise ValueError("negative word count")
-
-
-@dataclass(frozen=True)
-class ExchangeCost:
-    """Cost of one irregular data exchange ``Exch(P, h, r)``.
-
-    Attributes
-    ----------
-    participants:
-        Number of PEs involved (``P``).
-    h_words:
-        Bottleneck communication volume: maximum over PEs of
-        ``max(words sent, words received)``.
-    r_messages:
-        Bottleneck startup count: maximum over PEs of
-        ``max(messages sent, messages received)``.
-    level:
-        Topology level crossed by the exchange (prices ``beta``).
-    time:
-        Modelled time in seconds.
-    """
-
-    participants: int
-    h_words: int
-    r_messages: int
-    level: int
-    time: float
-
-
 class CostModel:
-    """Prices communication and local work on a given machine.
+    """Prices collectives on a given machine.
 
     Parameters
     ----------
@@ -85,15 +37,6 @@ class CostModel:
     def __init__(self, spec: MachineSpec, topology: Topology):
         self.spec = spec
         self.topology = topology
-
-    # ------------------------------------------------------------------
-    # Point-to-point and collectives
-    # ------------------------------------------------------------------
-    def message_time(self, words: int, level: int = 0) -> float:
-        """Time for one point-to-point message of ``words`` machine words."""
-        if words < 0:
-            raise ValueError("negative message size")
-        return self.spec.alpha + words * self.spec.beta_for_level(level)
 
     def collective_time(
         self,
@@ -118,88 +61,3 @@ class CostModel:
         beta = self.spec.beta_for_level(level)
         word_cost = self.spec.collective_word_ns * 1e-9 + beta
         return self.spec.alpha * log_p + word_cost * words * rounds_factor
-
-    def collective(self, participants: int, words: int = 1, level: int = 0,
-                   rounds_factor: float = 1.0) -> CollectiveCost:
-        """Like :meth:`collective_time` but returning a :class:`CollectiveCost` record."""
-        t = self.collective_time(participants, words, level, rounds_factor)
-        return CollectiveCost(participants=participants, words=words, level=level, time=t)
-
-    # ------------------------------------------------------------------
-    # Irregular exchange: Exch(P, h, r)
-    # ------------------------------------------------------------------
-    def exchange_time(self, participants: int, h_words: int, r_messages: int,
-                      level: int = 0) -> float:
-        """Time of ``Exch(P, h, r)`` under direct single-ported delivery."""
-        if h_words < 0 or r_messages < 0:
-            raise ValueError("negative exchange size")
-        beta = self.spec.beta_for_level(level)
-        return h_words * beta + r_messages * self.spec.alpha
-
-    def exchange(self, participants: int, h_words: int, r_messages: int,
-                 level: int = 0) -> ExchangeCost:
-        """Like :meth:`exchange_time` but returning an :class:`ExchangeCost` record."""
-        t = self.exchange_time(participants, h_words, r_messages, level)
-        return ExchangeCost(
-            participants=participants,
-            h_words=h_words,
-            r_messages=r_messages,
-            level=level,
-            time=t,
-        )
-
-    def exchange_level(self, pes: Sequence[int]) -> int:
-        """Topology level crossed by an exchange among ``pes``."""
-        return self.topology.max_distance_level(pes)
-
-    # ------------------------------------------------------------------
-    # Local work
-    # ------------------------------------------------------------------
-    def local_sort(self, m: int) -> float:
-        """Modelled time to sort ``m`` elements on one PE."""
-        return self.spec.local_sort_time(m)
-
-    def local_merge(self, m: int, ways: int) -> float:
-        """Modelled time to ``ways``-way merge ``m`` elements on one PE."""
-        return self.spec.local_merge_time(m, ways)
-
-    def local_partition(self, m: int, buckets: int) -> float:
-        """Modelled time to partition ``m`` elements into ``buckets`` buckets."""
-        return self.spec.local_partition_time(m, buckets)
-
-    def local_move(self, m: int) -> float:
-        """Modelled time to copy ``m`` elements on one PE."""
-        return self.spec.local_move_time(m)
-
-    def local_search(self, m: int, iterations: int = 1) -> float:
-        """Modelled time for ``iterations`` binary searches over ``m`` elements."""
-        if m <= 1 or iterations <= 0:
-            return 0.0
-        return self.spec.comparison_ns * 1e-9 * iterations * max(1.0, math.log2(m))
-
-
-class LocalWorkModel:
-    """Convenience facade charging only local work (no communication).
-
-    Useful for sequential baselines and for unit tests that want to verify
-    the analytic charges independent of any simulator state.
-    """
-
-    def __init__(self, spec: Optional[MachineSpec] = None):
-        self.spec = spec if spec is not None else MachineSpec()
-
-    def sort(self, m: int) -> float:
-        """Time to sort ``m`` elements."""
-        return self.spec.local_sort_time(m)
-
-    def merge(self, m: int, ways: int) -> float:
-        """Time to ``ways``-way merge ``m`` elements."""
-        return self.spec.local_merge_time(m, ways)
-
-    def partition(self, m: int, buckets: int) -> float:
-        """Time to partition ``m`` elements into ``buckets`` buckets."""
-        return self.spec.local_partition_time(m, buckets)
-
-    def move(self, m: int) -> float:
-        """Time to copy ``m`` elements."""
-        return self.spec.local_move_time(m)

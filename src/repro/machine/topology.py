@@ -7,17 +7,14 @@ topology classes here provide exactly that information:
 
 * a mapping from PE index to a coordinate in the hierarchy,
 * the *distance level* between two PEs (0 = same node, 1 = same island,
-  2 = different islands, ...), which the cost model translates into a
-  bandwidth penalty,
-* natural group sizes which :func:`repro.core.config.level_plan` uses to pick
-  the number of groups per recursion level (Table 1 of the paper).
+  2 = different islands), which the cost model translates into a bandwidth
+  penalty.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -71,14 +68,6 @@ class Topology:
             dtype=np.int64,
         )
 
-    def natural_group_sizes(self) -> List[int]:
-        """Sizes of the natural hierarchy units, innermost first.
-
-        Example: a SuperMUC-like machine returns ``[16, 8192]`` (PEs per
-        node, PEs per island) for PEs within a larger machine.
-        """
-        raise NotImplementedError
-
     def describe(self) -> str:
         """One-line human readable description."""
         return f"{type(self).__name__}(p={self.p})"
@@ -90,24 +79,6 @@ class Topology:
         """Raise :class:`IndexError` when ``pe`` is out of range."""
         if not 0 <= pe < self.p:
             raise IndexError(f"PE index {pe} out of range 0..{self.p - 1}")
-
-
-class FlatTopology(Topology):
-    """All PEs are equidistant (a single crossbar / fat tree stage)."""
-
-    def distance_level(self, a: int, b: int) -> int:
-        self.validate_pe(a)
-        self.validate_pe(b)
-        return 0
-
-    def distance_levels(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.zeros(np.asarray(a).shape, dtype=np.int64)
-
-    def natural_group_sizes(self) -> List[int]:
-        return []
-
-    def describe(self) -> str:
-        return f"FlatTopology(p={self.p})"
 
 
 @dataclass(frozen=True)
@@ -163,14 +134,6 @@ class HierarchicalTopology(Topology):
         same_node = (a // self.cores_per_node) == (b // self.cores_per_node)
         return np.where(same_island, np.where(same_node, 0, 1), 2).astype(np.int64)
 
-    def natural_group_sizes(self) -> List[int]:
-        sizes: List[int] = []
-        if self.p > self.cores_per_node:
-            sizes.append(self.cores_per_node)
-        if self.p > self.cores_per_island:
-            sizes.append(self.cores_per_island)
-        return sizes
-
     def islands_used(self) -> int:
         """Number of islands the ``p`` PEs span."""
         return (self.p + self.cores_per_island - 1) // self.cores_per_island
@@ -186,80 +149,7 @@ class HierarchicalTopology(Topology):
         )
 
 
-class TorusTopology(Topology):
-    """A d-dimensional torus (mesh with wraparound), e.g. Cray XT/XE networks.
-
-    The distance level is the hop distance bucketed into three classes so
-    that the same cost interface as the hierarchical topology can be used:
-    level 0 for neighbours, level 1 for "nearby" PEs (within a quarter of the
-    machine diameter) and level 2 otherwise.
-    """
-
-    def __init__(self, p: int, dims: Tuple[int, ...] | None = None):
-        super().__init__(p)
-        if dims is None:
-            dims = self._default_dims(p)
-        if math.prod(dims) < p:
-            raise ValueError(f"torus dims {dims} hold {math.prod(dims)} < p={p} PEs")
-        self.dims = tuple(int(d) for d in dims)
-
-    @staticmethod
-    def _default_dims(p: int) -> Tuple[int, ...]:
-        """Pick an approximately cubic 3-D shape holding ``p`` PEs."""
-        side = max(1, round(p ** (1.0 / 3.0)))
-        while side * side * side < p:
-            side += 1
-        return (side, side, side)
-
-    def coordinate(self, pe: int) -> Tuple[int, ...]:
-        """Return the torus coordinate of ``pe`` (row-major numbering)."""
-        self.validate_pe(pe)
-        coords = []
-        rem = pe
-        for d in reversed(self.dims):
-            coords.append(rem % d)
-            rem //= d
-        return tuple(reversed(coords))
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Manhattan distance with wraparound between two PEs."""
-        ca = self.coordinate(a)
-        cb = self.coordinate(b)
-        dist = 0
-        for x, y, d in zip(ca, cb, self.dims):
-            delta = abs(x - y)
-            dist += min(delta, d - delta)
-        return dist
-
-    def diameter(self) -> int:
-        """Maximum hop distance of the torus."""
-        return sum(d // 2 for d in self.dims)
-
-    def distance_level(self, a: int, b: int) -> int:
-        self.validate_pe(a)
-        self.validate_pe(b)
-        if a == b:
-            return 0
-        hops = self.hop_distance(a, b)
-        diam = max(1, self.diameter())
-        if hops <= 1:
-            return 0
-        if hops <= max(1, diam // 4):
-            return 1
-        return 2
-
-    def natural_group_sizes(self) -> List[int]:
-        # A natural sub-unit of a torus is a near-cubic sub-torus holding
-        # roughly p^(1/2) PEs; we expose that single hint.
-        if self.p < 4:
-            return []
-        return [max(2, int(round(math.sqrt(self.p))))]
-
-    def describe(self) -> str:
-        return f"TorusTopology(p={self.p}, dims={self.dims})"
-
-
-def topology_for(p: int, spec=None, kind: str = "hierarchical") -> Topology:
+def topology_for(p: int, spec=None) -> Topology:
     """Build a topology of ``p`` PEs matching a :class:`~repro.machine.spec.MachineSpec`.
 
     Parameters
@@ -269,18 +159,8 @@ def topology_for(p: int, spec=None, kind: str = "hierarchical") -> Topology:
     spec:
         Optional :class:`MachineSpec`; its ``cores_per_node`` and
         ``nodes_per_island`` determine the hierarchy.  When omitted a
-        flat topology is returned for ``kind='flat'`` and a generic
-        16-cores/node hierarchy otherwise.
-    kind:
-        ``'hierarchical'``, ``'flat'`` or ``'torus'``.
+        generic 16-cores/node hierarchy is returned.
     """
-    kind = kind.lower()
-    if kind == "flat":
-        return FlatTopology(p)
-    if kind == "torus":
-        return TorusTopology(p)
-    if kind != "hierarchical":
-        raise ValueError(f"unknown topology kind {kind!r}")
     if spec is None:
         return HierarchicalTopology(p, cores_per_node=16, nodes_per_island=512)
     return HierarchicalTopology(

@@ -1,12 +1,13 @@
 """Sequential (single-PE) algorithmic toolbox.
 
 The distributed algorithms of the paper lean on a small set of sequential
-primitives (Section 2.2): ``r``-way merging of sorted runs, partitioning by
-``r - 1`` splitters in the style of super scalar sample sort [32], selection
-with specified ranks from a union of sorted runs, and plain local sorting.
-This subpackage provides clean, NumPy-backed implementations of these
-primitives, used both as the per-PE "local work" inside the simulator and as
-directly unit-testable library functions.
+primitives (Section 2.2): ``r``-way merging of sorted runs and partitioning
+by ``r - 1`` splitters in the style of super scalar sample sort [32], with
+equality buckets for elements equal to a splitter (Appendix D).  This
+subpackage provides NumPy-backed implementations of these primitives and,
+in :mod:`repro.seq.select`, the sequential multisequence selection with its
+order-consistency check, which the tests of the distributed selection
+compare against.
 """
 
 from repro.seq.merge import (
@@ -15,26 +16,10 @@ from repro.seq.merge import (
     merge_two,
     merge_runs_numpy,
 )
-from repro.seq.partition import (
-    partition_by_splitters,
-    bucket_sizes,
-    partition_with_equality_buckets,
-)
+from repro.seq.partition import partition_with_equality_buckets
 from repro.seq.select import (
     select_from_sorted_runs,
     split_sorted_runs_at_ranks,
-    quickselect,
-)
-from repro.seq.sorting import (
-    local_sort,
-    insertion_sort,
-    is_sorted,
-    sortedness_violations,
-)
-from repro.seq.sequences import (
-    SortedRuns,
-    runs_total_size,
-    check_runs_sorted,
 )
 
 __all__ = [
@@ -42,17 +27,7 @@ __all__ = [
     "multiway_merge",
     "merge_two",
     "merge_runs_numpy",
-    "partition_by_splitters",
-    "bucket_sizes",
     "partition_with_equality_buckets",
     "select_from_sorted_runs",
     "split_sorted_runs_at_ranks",
-    "quickselect",
-    "local_sort",
-    "insertion_sort",
-    "is_sorted",
-    "sortedness_violations",
-    "SortedRuns",
-    "runs_total_size",
-    "check_runs_sorted",
 ]

@@ -8,9 +8,10 @@ partitioner of super scalar sample sort [32]; in NumPy the equivalent
 vectorised operation is ``np.searchsorted`` on the splitter array, which we
 use here.
 
-Two variants are provided:
+Two functions are provided:
 
-* :func:`partition_by_splitters` — the plain ``k``-way partition,
+* :func:`bucket_indices` — the bucket of every element, which the sorting
+  algorithms use to route elements,
 * :func:`partition_with_equality_buckets` — additionally produces *equality
   buckets* for elements equal to a splitter (Appendix D): this is the hook
   used by the implicit tie-breaking scheme, because elements that compare
@@ -21,7 +22,7 @@ Two variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -47,38 +48,6 @@ def bucket_indices(values: np.ndarray, splitters: np.ndarray) -> np.ndarray:
     if splitters.size == 0:
         return np.zeros(values.shape, dtype=np.int64)
     return np.searchsorted(splitters, values, side="right").astype(np.int64)
-
-
-def bucket_sizes(values: np.ndarray, splitters: np.ndarray) -> np.ndarray:
-    """Sizes of the ``len(splitters) + 1`` buckets of ``values``."""
-    splitters = _validate_splitters(splitters)
-    idx = bucket_indices(values, splitters)
-    return np.bincount(idx, minlength=splitters.size + 1).astype(np.int64)
-
-
-def partition_by_splitters(
-    values: np.ndarray, splitters: np.ndarray, stable: bool = True
-) -> List[np.ndarray]:
-    """Partition ``values`` into ``len(splitters) + 1`` buckets.
-
-    The relative order of elements within a bucket is preserved when
-    ``stable=True`` (default), mirroring the behaviour of a distribution
-    pass that appends elements to per-bucket output buffers.
-    """
-    values = np.asarray(values)
-    splitters = _validate_splitters(splitters)
-    k = splitters.size + 1
-    if values.size == 0:
-        return [values[:0].copy() for _ in range(k)]
-    idx = bucket_indices(values, splitters)
-    if stable:
-        order = np.argsort(idx, kind="stable")
-    else:
-        order = np.argsort(idx)
-    sorted_idx = idx[order]
-    boundaries = np.searchsorted(sorted_idx, np.arange(k + 1))
-    permuted = values[order]
-    return [permuted[boundaries[b]:boundaries[b + 1]].copy() for b in range(k)]
 
 
 @dataclass
@@ -152,19 +121,3 @@ def partition_with_equality_buckets(
     for s in range(splitters.size):
         equality_buckets.append(values[eq_positions[eq_idx == s]].copy())
     return EqualityPartition(buckets=buckets, equality_buckets=equality_buckets)
-
-
-def splitters_from_sorted(sample: np.ndarray, count: int) -> np.ndarray:
-    """Pick ``count`` equidistant splitters from a sorted sample.
-
-    Used by sample sort: from a sorted sample of size ``s`` the splitters are
-    the elements with ranks ``floor((i+1) * s / (count+1))`` for
-    ``i = 0..count-1`` (clamped to the valid range).  Returns an empty array
-    when the sample is too small to provide any splitters.
-    """
-    sample = np.asarray(sample)
-    if count <= 0 or sample.size == 0:
-        return sample[:0].copy()
-    ranks = ((np.arange(1, count + 1) * sample.size) // (count + 1)).astype(np.int64)
-    ranks = np.clip(ranks, 0, sample.size - 1)
-    return sample[ranks].copy()

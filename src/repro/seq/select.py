@@ -6,7 +6,8 @@ sorted sequences ``d_1, ..., d_m`` and a rank ``k``, find split positions
 splits and no element left of a split exceeds any element right of a split.
 The distributed version in :mod:`repro.blocks.multiselect` performs the same
 search with collectives; the functions here are the exact sequential
-reference used for local work and for testing.
+reference its tests compare it with, and
+:func:`split_positions_are_consistent` checks the second condition.
 
 Duplicate keys are handled without explicit tie breaking: when several runs
 hold elements equal to the splitting value, the surplus is distributed over
@@ -16,21 +17,9 @@ the ``(x, PE, position)`` scheme of Appendix D).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-
-def quickselect(values: np.ndarray, k: int) -> float:
-    """Return the element of rank ``k`` (0-based) of ``values``.
-
-    A thin wrapper around :func:`numpy.partition`, provided so the algorithm
-    modules can express "select rank k" without caring about the mechanics.
-    """
-    values = np.asarray(values)
-    if not 0 <= k < values.size:
-        raise IndexError(f"rank {k} out of range for {values.size} elements")
-    return values[np.argpartition(values, k)[k]]
 
 
 def split_sorted_runs_at_ranks(
@@ -133,7 +122,7 @@ def split_positions_are_consistent(
     """Check that a split of sorted runs is order-consistent.
 
     Every element in a left part must be ``<=`` every element in a right
-    part.  Used by tests and by the distributed multiselect's debug mode.
+    part.  The multisequence selection tests check every split with it.
     """
     runs = [np.asarray(r) for r in runs]
     splits = [int(s) for s in splits]

@@ -131,7 +131,7 @@ def binomial_rounds(p: int) -> int:
 def tree_reduce(comm, values: Sequence[np.ndarray], op: Callable = np.add) -> np.ndarray:
     """Round-based binomial-tree reduction of per-PE vectors to rank 0.
 
-    Functionally equivalent to :meth:`Comm.reduce_vec` but moves real
+    Computes the rank-0 result of :meth:`Comm.allreduce_vec` but moves real
     messages so that tests can compare the charged closed-form collective
     cost against an explicit execution.
     """

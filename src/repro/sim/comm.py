@@ -68,10 +68,6 @@ class Comm:
             raise ValueError(f"PE {global_pe} is not a member of this communicator")
         return int(idx)
 
-    def ranks(self) -> range:
-        """Iterator over local ranks."""
-        return range(self.size)
-
     @property
     def spec(self):
         """The machine's :class:`~repro.machine.spec.MachineSpec`."""
@@ -81,10 +77,6 @@ class Comm:
     def rng(self) -> np.random.Generator:
         """Replicated random generator (same stream on every member)."""
         return self.machine.rng
-
-    def pe_rng(self, local_rank: int) -> np.random.Generator:
-        """Per-PE random generator for PE-local random decisions."""
-        return self.machine.pe_rng(self.global_pe(local_rank))
 
     def phase(self, name: str) -> PhaseTimer:
         """Attribute subsequent costs to phase ``name`` (context manager)."""
@@ -129,10 +121,6 @@ class Comm:
                 lambda m: self.spec.local_partition_time(int(m), int(buckets)),
             )
         )
-
-    def barrier(self) -> float:
-        """Synchronise all member clocks; returns the synchronised time."""
-        return self.machine.synchronize(self.members)
 
     # ------------------------------------------------------------------
     # Internal collective cost charging
@@ -181,13 +169,6 @@ class Comm:
         self._charge_collective(words_each, rounds_factor=self.size)
         return list(values)
 
-    def allgather(self, values: Sequence, words_each: int = 1) -> list:
-        """All-gather one value per member; every PE gets the full list."""
-        if len(values) != self.size:
-            raise ValueError("need one value per member PE")
-        self._charge_collective(words_each, rounds_factor=self.size)
-        return list(values)
-
     def allgather_arrays(
         self,
         arrays: Sequence[np.ndarray],
@@ -222,13 +203,6 @@ class Comm:
             raise ValueError("need one value per member PE")
         self._charge_collective(1)
         return float(op(np.asarray(values, dtype=np.float64)))
-
-    def allreduce_int(self, values: Sequence[int], op: Callable = np.sum) -> int:
-        """All-reduce one integer per member with reduction ``op``."""
-        if len(values) != self.size:
-            raise ValueError("need one value per member PE")
-        self._charge_collective(1)
-        return int(op(np.asarray(values, dtype=np.int64)))
 
     def allreduce_vec(self, arrays: Sequence[np.ndarray], op: Callable = np.add) -> np.ndarray:
         """Element-wise all-reduce of equal-length vectors (one per member)."""
@@ -267,18 +241,6 @@ class Comm:
         total = csum[-1].copy()
         return prefixes, total
 
-    def exscan_scalar(self, values: Sequence[int]) -> Tuple[List[int], int]:
-        """Scalar exclusive prefix sum; returns (per-rank prefixes, total)."""
-        prefixes, total = self.exscan_vec([np.asarray([v], dtype=np.int64) for v in values])
-        return [int(p[0]) for p in prefixes], int(total[0])
-
-    def reduce_vec(self, arrays: Sequence[np.ndarray], root: int = 0,
-                   op: Callable = np.add) -> np.ndarray:
-        """Vector reduction to ``root``; returns the reduced vector."""
-        if not 0 <= root < self.size:
-            raise IndexError("reduce root out of range")
-        return self.allreduce_vec(arrays, op=op)
-
     # ------------------------------------------------------------------
     # Irregular exchange
     # ------------------------------------------------------------------
@@ -293,28 +255,6 @@ class Comm:
         See :func:`repro.sim.exchange.execute_exchange`.
         """
         return execute_exchange(self, outboxes, schedule=schedule, charge_copy=charge_copy)
-
-    def alltoallv(self, send_lists: Sequence[Sequence[np.ndarray]],
-                  schedule: str = "sparse") -> List[List[np.ndarray]]:
-        """Dense-style all-to-allv: ``send_lists[i][j]`` goes from rank i to rank j.
-
-        Returns ``recv[j][i]`` = payload received by rank ``j`` from rank ``i``.
-        """
-        if len(send_lists) != self.size:
-            raise ValueError("need one send list per member PE")
-        outboxes: List[List[Message]] = []
-        for i, row in enumerate(send_lists):
-            if len(row) != self.size:
-                raise ValueError("each send list must have one entry per member PE")
-            outboxes.append([(j, np.asarray(row[j])) for j in range(self.size)])
-        result = self.exchange(outboxes, schedule=schedule)
-        recv: List[List[np.ndarray]] = []
-        for j in range(self.size):
-            row: List[np.ndarray] = [np.empty(0) for _ in range(self.size)]
-            for src, payload in result.inboxes[j]:
-                row[src] = payload
-            recv.append(row)
-        return recv
 
     # ------------------------------------------------------------------
     # Splitting into groups
@@ -339,28 +279,6 @@ class Comm:
             groups.append(Comm(self.machine, self.members[start:start + length]))
             start += length
         return groups
-
-    def split_sizes(self, sizes: Sequence[int]) -> List["Comm"]:
-        """Split into contiguous groups with explicitly given sizes."""
-        sizes = [int(s) for s in sizes]
-        if any(s <= 0 for s in sizes):
-            raise ValueError("group sizes must be positive")
-        if sum(sizes) != self.size:
-            raise ValueError("group sizes must sum to the communicator size")
-        groups: List[Comm] = []
-        start = 0
-        for s in sizes:
-            groups.append(Comm(self.machine, self.members[start:start + s]))
-            start += s
-        return groups
-
-    def group_of_rank(self, groups: Sequence["Comm"], local_rank: int) -> int:
-        """Index of the group (from :meth:`split`) containing ``local_rank``."""
-        pe = self.global_pe(local_rank)
-        for gi, g in enumerate(groups):
-            if g.members[0] <= pe <= g.members[-1]:
-                return gi
-        raise ValueError(f"rank {local_rank} not contained in any group")
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

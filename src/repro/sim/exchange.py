@@ -19,10 +19,16 @@ schedules discussed in Section 7.1:
 * **dense all-to-allv** — every pair of PEs exchanges a (possibly empty)
   message, as a plain ``MPI_Alltoallv`` would (``P - 1`` startups per PE).
 
-The :func:`one_factor_schedule` function is a faithful stand-alone
-implementation of the 1-factorisation of the complete graph used to order
-the point-to-point transfers; it is exercised by the test-suite and used to
-estimate the number of communication rounds.
+:func:`exchange_times` prices one exchange per PE; both the per-communicator
+:func:`execute_exchange` and the lockstep
+:meth:`~repro.sim.groups.GroupBatch.charge_exchange` charge through it.
+
+:func:`one_factor_schedule` is a stand-alone implementation of the
+1-factorisation of the complete graph that orders the point-to-point
+transfers of a sparse exchange.  The exchange charges ``Exch(P, h, r)``
+rather than round by round and reports the schedule's length (``P - 1`` or
+``P`` rounds) in closed form; the tests check that count against the
+schedule.
 """
 
 from __future__ import annotations
@@ -78,15 +84,6 @@ class ExchangeResult:
         """Payload arrays received by ``local_rank`` (sources stripped)."""
         return [payload for _, payload in self.inboxes[local_rank]]
 
-    def max_messages(self) -> int:
-        """Maximum number of messages any PE sent or received."""
-        return int(
-            max(
-                self.messages_sent.max(initial=0),
-                self.messages_received.max(initial=0),
-            )
-        )
-
 
 def one_factor_schedule(p: int) -> List[List[Tuple[int, int]]]:
     """Return the rounds of the 1-factor algorithm for ``p`` PEs.
@@ -107,8 +104,7 @@ def one_factor_schedule(p: int) -> List[List[Tuple[int, int]]]:
         # Classic circle method: fix PE p-1, rotate the others.
         n = p - 1
         for r in range(n):
-            pairs = [(r, p - 1) if r < p - 1 else (0, p - 1)]
-            pairs = [(min(r, p - 1), max(r, p - 1))]
+            pairs = [(r, p - 1)]
             for k in range(1, (n + 1) // 2):
                 a = (r + k) % n
                 b = (r - k) % n
@@ -134,9 +130,9 @@ def one_factor_schedule(p: int) -> List[List[Tuple[int, int]]]:
 def direct_schedule(p: int) -> List[List[Tuple[int, int]]]:
     """A single-round 'schedule' in which all pairs communicate at once.
 
-    This is not a feasible single-ported schedule; it is used to describe
-    direct delivery where the cost is charged through the
-    ``Exch(P, h, r)`` bound instead of round-by-round.
+    This is not a feasible single-ported schedule; it describes direct
+    delivery (the dense exchange), whose cost is charged through the
+    ``Exch(P, h, r)`` bound instead of round by round.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -148,7 +144,7 @@ def verify_one_factor(rounds: Sequence[Sequence[Tuple[int, int]]], p: int) -> bo
     """Check that ``rounds`` is a valid 1-factorisation of the complete graph.
 
     Every unordered pair must appear exactly once and no PE may appear twice
-    within a round.  Used by the test-suite.
+    within a round.
     """
     seen: Dict[Tuple[int, int], int] = {}
     for rnd in rounds:
@@ -165,6 +161,43 @@ def verify_one_factor(rounds: Sequence[Sequence[Tuple[int, int]]], p: int) -> bo
     if len(seen) != expected:
         return False
     return all(count == 1 for count in seen.values())
+
+
+def exchange_times(
+    machine,
+    members: np.ndarray,
+    beta: float | np.ndarray,
+    words_sent: np.ndarray,
+    words_received: np.ndarray,
+    messages_sent: np.ndarray,
+    messages_received: np.ndarray,
+    charge_copy: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-PE price of ``Exch(P, h, r)``: ``alpha * r + beta * h``.
+
+    The count vectors are indexed like ``members``; ``beta`` is the
+    per-word time of the topology level the exchange crosses, a scalar or
+    one value per PE.  ``charge_copy`` adds the local cost of packing and
+    unpacking the moved words.  An active fault plan adds the cost of
+    dropped and degraded rounds, keyed by each member's exchange counter
+    *before* this exchange is recorded, so an exchange draws the same
+    faults whether it is charged per communicator or in a lockstep batch.
+
+    Returns the per-PE ``(h, r, times)``; charges nothing.
+    """
+    alpha = machine.spec.alpha
+    h_per_pe = np.maximum(words_sent, words_received)
+    r_per_pe = np.maximum(messages_sent, messages_received)
+    times = alpha * r_per_pe + beta * h_per_pe
+    if charge_copy:
+        times = times + machine.spec.move_ns * 1e-9 * (words_sent + words_received)
+    faults = machine.faults
+    if faults is not None:
+        times = times + faults.exchange_extra(
+            members, machine.counters.exchange_ops[members],
+            h_per_pe, r_per_pe, alpha, beta,
+        )
+    return h_per_pe, r_per_pe, times
 
 
 def execute_exchange(
@@ -239,22 +272,11 @@ def execute_exchange(
     # Synchronise the group, then charge each PE its own cost; the group is
     # synchronised again afterwards because the step is bulk synchronous.
     machine.synchronize(comm.members)
-    level = comm.level
-    alpha = machine.spec.alpha
-    beta = machine.spec.beta_for_level(level)
-    h_per_pe = np.maximum(words_sent, words_received)
-    r_per_pe = np.maximum(messages_sent, messages_received)
-    times = alpha * r_per_pe + beta * h_per_pe
-    if charge_copy:
-        times = times + machine.spec.move_ns * 1e-9 * (words_sent + words_received)
-    # Dropped / degraded rounds: keyed by each member's exchange counter
-    # *before* this exchange is recorded, so both engines draw identically.
-    faults = machine.faults
-    if faults is not None:
-        times = times + faults.exchange_extra(
-            comm.members, machine.counters.exchange_ops[comm.members],
-            h_per_pe, r_per_pe, alpha, beta,
-        )
+    h_per_pe, r_per_pe, times = exchange_times(
+        machine, comm.members, machine.spec.beta_for_level(comm.level),
+        words_sent, words_received, messages_sent, messages_received,
+        charge_copy,
+    )
     machine.advance_many(comm.members, times)
     machine.synchronize(comm.members)
     machine.counters.record_exchange(comm.members)

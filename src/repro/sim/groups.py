@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.dist.flatops import concat_ranges
+from repro.sim.exchange import exchange_times
 
 
 class GroupBatch:
@@ -168,14 +169,13 @@ class GroupBatch:
         """Per-group equivalent of the exchange charge in ``execute_exchange``.
 
         The four count vectors are indexed like ``members`` (one entry per
-        batch PE).  Synchronises every group, charges the per-PE exchange
-        times (``alpha r + beta h`` with each group's own ``beta`` level),
-        synchronises again and records one exchange op per member PE.
-        Returns the charged per-PE times.
+        batch PE).  Synchronises every group, charges the per-PE
+        :func:`~repro.sim.exchange.exchange_times` with each group's own
+        ``beta`` level, synchronises again and records one exchange op per
+        member PE.  Returns the charged per-PE times.
         """
         machine = self.machine
         self.synchronize()
-        alpha = machine.spec.alpha
         beta = np.repeat(
             np.array(
                 [machine.spec.beta_for_level(int(lv)) for lv in self.levels()],
@@ -183,20 +183,10 @@ class GroupBatch:
             ),
             self.sizes,
         )
-        h_per_pe = np.maximum(words_sent, words_received)
-        r_per_pe = np.maximum(messages_sent, messages_received)
-        times = alpha * r_per_pe + beta * h_per_pe
-        if charge_copy:
-            times = times + machine.spec.move_ns * 1e-9 * (words_sent + words_received)
-        # Drop/degrade draws keyed by the pre-record exchange counters —
-        # identical to the execute_exchange hook, so a batched all-levels
-        # exchange draws the same faults as its group-by-group reference.
-        faults = machine.faults
-        if faults is not None:
-            times = times + faults.exchange_extra(
-                self.members, machine.counters.exchange_ops[self.members],
-                h_per_pe, r_per_pe, alpha, beta,
-            )
+        _, _, times = exchange_times(
+            machine, self.members, beta, words_sent, words_received,
+            messages_sent, messages_received, charge_copy,
+        )
         machine.advance_many(self.members, times)
         self.synchronize()
         machine.counters.record_exchange(self.members)

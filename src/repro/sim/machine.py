@@ -99,7 +99,7 @@ class SimulatedMachine:
 
             spec = supermuc_like()
         if topology is None:
-            topology = topology_for(p, spec=spec, kind="hierarchical")
+            topology = topology_for(p, spec=spec)
         if topology.p < p:
             raise ValueError(
                 f"topology holds only {topology.p} PEs but machine needs {p}"
@@ -114,7 +114,6 @@ class SimulatedMachine:
         self.current_phase: str = PHASE_OTHER
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
-        self._pe_rngs: dict[int, np.random.Generator] = {}
         self._sample_rng = CounterRNG(self.seed)
         self.wall_profile: Optional[dict] = None
         self._wall_mark: Optional[float] = None
@@ -156,23 +155,11 @@ class SimulatedMachine:
         every draw is a pure function of ``(seed, level, pe, index)``, so one
         vectorised call produces the whole machine's sample positions for a
         recursion level while the per-PE reference path obtains *identical*
-        values from the same helper.  This supersedes :meth:`pe_rng` on the
-        sampled paths (AMS splitter sampling and the sampling baselines);
-        ``pe_rng`` remains for PE-local decisions that have no whole-machine
-        batch formulation.  Being stateless, the streams are unaffected by
-        :meth:`reset` — same seed, same draws, in any batching.
+        values from the same helper.  Being stateless, the streams are
+        unaffected by :meth:`reset` — same seed, same draws, in any
+        batching.
         """
         return self._sample_rng
-
-    def pe_rng(self, pe: int) -> np.random.Generator:
-        """Deterministic per-PE random generator (for PE-local decisions)."""
-        if not 0 <= pe < self.p:
-            raise IndexError(f"PE index {pe} out of range")
-        gen = self._pe_rngs.get(pe)
-        if gen is None:
-            gen = np.random.default_rng((self.seed + 1) * 1_000_003 + pe)
-            self._pe_rngs[pe] = gen
-        return gen
 
     def group_rng(self, level: int, root_pe: int) -> np.random.Generator:
         """Deterministic random stream replicated within one PE group.
@@ -275,7 +262,6 @@ class SimulatedMachine:
         self.breakdown.reset()
         self.current_phase = PHASE_OTHER
         self.rng = np.random.default_rng(self.seed)
-        self._pe_rngs.clear()
         if self.faults is not None:
             self.faults.reset()
         if self.wall_profile is not None:

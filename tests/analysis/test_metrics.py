@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    efficiency,
-    median,
-    slowdown,
-    speedup,
-    summarize_runs,
-    weak_scaling_efficiency,
-)
+from repro.analysis.metrics import slowdown, summarize_runs
 
 
 class TestRatios:
@@ -18,26 +11,8 @@ class TestRatios:
         with pytest.raises(ValueError):
             slowdown(1.0, 0.0)
 
-    def test_speedup_and_efficiency(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert efficiency(10.0, 2.0, 5) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            efficiency(1.0, 1.0, 0)
-
-    def test_weak_scaling_efficiency(self):
-        eff = weak_scaling_efficiency([1.0, 1.25, 2.0])
-        assert eff == [1.0, 0.8, 0.5]
-        assert weak_scaling_efficiency([]) == []
-        with pytest.raises(ValueError):
-            weak_scaling_efficiency([0.0, 1.0])
-
 
 class TestAggregation:
-    def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        with pytest.raises(ValueError):
-            median([])
-
     def test_summarize_runs(self):
         stats = summarize_runs([1.0, 2.0, 4.0])
         assert stats["median"] == 2.0

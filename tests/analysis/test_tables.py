@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.analysis.tables`."""
 
-from repro.analysis.tables import format_series, format_table, rows_to_csv
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:
@@ -24,30 +24,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         assert format_table([]) .strip() != None is not True  # no crash
         assert isinstance(format_table([]), str)
-
-
-class TestFormatSeries:
-    def test_series_layout(self):
-        text = format_series([1, 2, 4], {"ams": [0.1, 0.2, 0.3], "rlm": [0.2, 0.4, 0.9]},
-                             x_label="p", title="scaling")
-        assert "scaling" in text
-        assert "ams" in text and "rlm" in text
-        assert text.count("\n") >= 5
-
-    def test_short_series_padded(self):
-        text = format_series([1, 2], {"only_one": [0.5]})
-        assert isinstance(text, str)
-
-
-class TestCSV:
-    def test_round_trippable_structure(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        csv = rows_to_csv(rows)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-        assert lines[2] == "2,y"
-
-    def test_explicit_columns(self):
-        csv = rows_to_csv([{"a": 1, "b": 2}], columns=["b"])
-        assert csv.strip().splitlines()[0] == "b"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blocks.feistel import FeistelPermutation, pseudorandom_permutation
+from repro.blocks.feistel import FeistelPermutation
 
 
 class TestFeistelPermutation:
@@ -43,10 +43,6 @@ class TestFeistelPermutation:
         with pytest.raises(ValueError):
             FeistelPermutation(4, rounds=0)
 
-    def test_callable_interface(self):
-        perm = FeistelPermutation(8, seed=3)
-        assert perm(np.arange(8)).shape == (8,)
-
     def test_not_identity_for_reasonable_sizes(self):
         # A pseudorandom permutation of 256 elements is essentially never the identity.
         perm = FeistelPermutation(256, seed=7).permutation_array()
@@ -62,11 +58,6 @@ class TestFeistelPermutation:
     @given(st.integers(1, 400), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_property_bijection(self, n, seed):
-        perm = pseudorandom_permutation(n, seed=seed)
+        perm = FeistelPermutation(n, seed=seed).permutation_array()
         assert np.unique(perm).size == n
         assert perm.min() == 0 and perm.max() == n - 1
-
-
-class TestHelper:
-    def test_zero_size(self):
-        assert pseudorandom_permutation(0).size == 0

@@ -10,7 +10,10 @@ from repro.blocks.multiselect import (
 )
 from repro.dist.array import DistArray
 from repro.machine.spec import laptop_like
-from repro.seq.select import split_positions_are_consistent
+from repro.seq.select import (
+    split_positions_are_consistent,
+    split_sorted_runs_at_ranks,
+)
 from repro.sim.groups import GroupBatch
 from repro.sim.machine import SimulatedMachine
 
@@ -96,6 +99,23 @@ class TestMultisequenceSelect:
         result = multisequence_select(comm, data, ranks)
         diffs = np.diff(result.splits, axis=0)
         assert np.all(diffs >= 0)
+
+    @pytest.mark.parametrize("key_range", [3, 17, 1000])
+    def test_matches_sequential_reference(self, key_range):
+        # The split for a rank is unique once ties go to the lower PE
+        # index, which is how both selections break them.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(2, 7))
+            data = sorted_local_data(
+                p, rng.integers(0, 30, p), seed=seed, high=key_range
+            )
+            total = sum(d.size for d in data)
+            ranks = sorted(int(k) for k in rng.integers(0, total + 1, 3))
+            result = multisequence_select(make_comm(p), data, ranks)
+            assert np.array_equal(
+                result.splits, split_sorted_runs_at_ranks(data, ranks)
+            )
 
     def test_pieces_for_pe(self):
         comm = make_comm(2)

@@ -6,7 +6,6 @@ import pytest
 from repro.blocks.sampling import (
     SamplingParams,
     default_oversampling,
-    draw_local_sample,
     draw_samples,
     splitter_ranks,
 )
@@ -58,26 +57,6 @@ class TestSamplingParams:
 
 
 class TestDrawSamples:
-    def test_draw_local_sample_size(self):
-        rng = np.random.default_rng(0)
-        data = np.arange(100)
-        sample = draw_local_sample(data, 10, rng)
-        assert sample.size == 10
-        assert np.all(np.isin(sample, data))
-
-    def test_draw_from_empty(self):
-        rng = np.random.default_rng(0)
-        assert draw_local_sample(np.empty(0), 5, rng).size == 0
-
-    def test_draw_more_than_available(self):
-        rng = np.random.default_rng(0)
-        sample = draw_local_sample(np.arange(3), 10, rng)
-        assert sample.size == 10
-
-    def test_zero_count(self):
-        rng = np.random.default_rng(0)
-        assert draw_local_sample(np.arange(5), 0, rng).size == 0
-
     def test_draw_samples_per_pe(self):
         params = SamplingParams(oversampling=2, overpartitioning=2, per_pe=True)
         data = [np.arange(50) for _ in range(4)]

@@ -82,12 +82,6 @@ class TestAMSCorrectness:
         assert check_globally_sorted(output)
         assert check_permutation(data, output)
 
-    def test_centralized_sample_sort_variant(self):
-        machine, data, output = run_ams(8, 200, levels=2, node_size=4,
-                                        use_fast_sample_sort=False)
-        assert check_globally_sorted(output)
-        assert check_permutation(data, output)
-
     def test_explicit_group_plan(self):
         machine, data, output = run_ams(16, 100, group_plan=[4, 4], node_size=4)
         assert check_globally_sorted(output)

@@ -60,8 +60,6 @@ class TestAMSConfig:
         with pytest.raises(ValueError):
             AMSConfig(levels=0)
         with pytest.raises(ValueError):
-            AMSConfig(epsilon=0)
-        with pytest.raises(ValueError):
             AMSConfig(delivery="warp")
         with pytest.raises(ValueError):
             AMSConfig(exchange_schedule="bogus")

@@ -143,13 +143,3 @@ class TestSortResult:
         result = self._result()
         total_fraction = sum(result.phase_fraction(ph) for ph in result.phase_times)
         assert 0.9 < total_fraction < 1.5  # phases overlap only via rounding
-
-    def test_summary_row_fields(self):
-        row = self._result().summary_row()
-        assert row["algorithm"] == "ams"
-        assert row["p"] == 8
-        assert "time_s" in row and "imbalance" in row
-
-    def test_elements_per_pe(self):
-        result = self._result()
-        assert result.elements_per_pe == pytest.approx(250.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.validation import (
     check_globally_sorted,
     check_permutation,
-    group_imbalance,
     output_imbalance,
     validate_output,
 )
@@ -54,11 +53,6 @@ class TestImbalance:
 
     def test_empty(self):
         assert output_imbalance([np.empty(0), np.empty(0)]) == 0.0
-
-    def test_group_imbalance(self):
-        assert group_imbalance([10, 10, 10]) == pytest.approx(0.0)
-        assert group_imbalance([20, 10, 0]) == pytest.approx(1.0)
-        assert group_imbalance([]) == 0.0
 
 
 class TestValidateOutput:

@@ -39,7 +39,7 @@ COUNTER_FIELDS = (
     "exchange_ops",
 )
 
-#: The nine abstract kernels of the interface.
+#: The eight abstract kernels of the interface.
 KERNELS = sorted(KernelBackend.__abstractmethods__)
 
 
@@ -181,21 +181,6 @@ class TestKernelOracles:
         )
         assert_identical(expect, got, "blockwise_searchsorted")
 
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_ragged_bincount(self, recording, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-        n_seg = data.draw(st.integers(1, 8))
-        nbins = rng.integers(0, 6, size=n_seg)
-        key_offsets = np.concatenate([[0], np.cumsum(nbins)])
-        n = data.draw(st.integers(0, 60))
-        seg = rng.integers(0, n_seg, size=n)
-        seg = seg[nbins[seg] > 0]
-        key = (rng.random(seg.size) * nbins[seg]).astype(np.int64)
-        expect = REFERENCE.ragged_bincount(seg, key, key_offsets)
-        got = dispatched(recording, "ragged_bincount", seg, key, key_offsets)
-        assert_identical(expect, got, "ragged_bincount")
-
     @given(st.integers(0, 2**31 - 1), st.integers(0, 80), st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
     def test_bincount(self, recording, seed, n, high):
@@ -289,12 +274,6 @@ class TestValidationParity:
         with pytest.raises(IndexError):
             REFERENCE.segmented_searchsorted(
                 np.arange(4), np.array([0, 4]), np.array([1]), np.array([3])
-            )
-
-    def test_ragged_bincount_key_out_of_range(self):
-        with pytest.raises((IndexError, ValueError)):
-            REFERENCE.ragged_bincount(
-                np.array([0]), np.array([5]), np.array([0, 2])
             )
 
     def test_blockwise_bad_offsets(self):
@@ -392,11 +371,10 @@ class TestBackendSelection:
         data = per_pe_workload("duplicates", 8, 40, seed=5)
         run_with(backend, "ams", AMSConfig(levels=2, node_size=2), 8, data, seed=5)
         run_with(backend, "rlm", RLMConfig(levels=2, node_size=2), 8, data, seed=5)
-        # Every kernel the engine calls reaches the installed backend.  No
-        # engine path calls ragged_bincount; TestKernelOracles covers its
-        # dispatch.
-        assert len(KERNELS) == 9
-        assert sorted(backend.calls) == [k for k in KERNELS if k != "ragged_bincount"]
+        # The engine calls every kernel of the interface, and each call
+        # reaches the installed backend.
+        assert len(KERNELS) == 8
+        assert sorted(backend.calls) == KERNELS
 
     def test_machine_default_backend(self, recording):
         data = per_pe_workload("uniform", 8, 40, seed=5)

@@ -90,13 +90,6 @@ class TestAMSEquivalence:
             ams_sort, ams_sort_reference, 16, data, 42, config=config
         )
 
-    def test_centralized_splitters(self):
-        data = random_data(12, 150, 7)
-        config = AMSConfig(levels=2, node_size=4, use_fast_sample_sort=False)
-        assert_engines_identical(
-            ams_sort, ams_sort_reference, 12, data, 7, config=config
-        )
-
     def test_dense_schedule(self):
         data = random_data(8, 120, 5)
         config = AMSConfig(levels=2, node_size=4, exchange_schedule="dense")
@@ -146,13 +139,6 @@ class TestAMSMultiLevelEquivalence:
         config = AMSConfig(levels=3, node_size=2, delivery=delivery)
         assert_engines_identical(
             ams_sort, ams_sort_reference, 18, data, 21, config=config
-        )
-
-    def test_centralized_splitters_three_levels(self):
-        data = random_data(16, 100, 5)
-        config = AMSConfig(levels=3, node_size=2, use_fast_sample_sort=False)
-        assert_engines_identical(
-            ams_sort, ams_sort_reference, 16, data, 5, config=config
         )
 
     def test_dense_schedule_three_levels(self):

@@ -15,7 +15,6 @@ from repro.dist.flatops import (
     blockwise_searchsorted,
     concat_ranges,
     map_by_unique,
-    ragged_bincount,
     segment_ids,
     segmented_searchsorted,
     segmented_sort_values,
@@ -187,26 +186,6 @@ class TestBlockwiseSearchsorted:
             got = blockwise_searchsorted(values, offsets, queries, q_offsets, side=side)
             expected = segmented_searchsorted(values, offsets, queries, seg_of, side=side)
             assert np.array_equal(got, expected)
-
-
-class TestRaggedBincount:
-    @given(segment_sizes, st.lists(st.integers(1, 5), min_size=1, max_size=8),
-           st.integers(0, 1000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_per_segment_bincount(self, item_counts, widths, seed):
-        widths = (widths * len(item_counts))[:len(item_counts)]
-        rng = np.random.default_rng(seed)
-        key_offsets = _layout(widths)
-        seg = np.repeat(np.arange(len(item_counts), dtype=np.int64), item_counts)
-        key = np.asarray(
-            [rng.integers(0, widths[s]) for s in seg], dtype=np.int64
-        )
-        got = ragged_bincount(seg, key, key_offsets)
-        expected = np.concatenate([
-            np.bincount(key[seg == s], minlength=widths[s])
-            for s in range(len(item_counts))
-        ])
-        assert np.array_equal(got, expected)
 
 
 class TestMapByUnique:

@@ -4,32 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.spec import supermuc_like
-from repro.machine.topology import (
-    FlatTopology,
-    HierarchicalTopology,
-    TorusTopology,
-    topology_for,
-)
-
-
-class TestFlatTopology:
-    def test_all_distances_zero(self):
-        topo = FlatTopology(8)
-        for a in range(8):
-            for b in range(8):
-                assert topo.distance_level(a, b) == 0
-
-    def test_out_of_range_raises(self):
-        topo = FlatTopology(4)
-        with pytest.raises(IndexError):
-            topo.distance_level(0, 4)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            FlatTopology(0)
-
-    def test_no_natural_groups(self):
-        assert FlatTopology(16).natural_group_sizes() == []
+from repro.machine.topology import HierarchicalTopology, topology_for
 
 
 class TestHierarchicalTopology:
@@ -48,19 +23,20 @@ class TestHierarchicalTopology:
         assert topo.distance_level(0, 16) == 2
         assert topo.distance_level(0, 63) == 2
 
+    def test_out_of_range_raises(self):
+        topo = HierarchicalTopology(4, cores_per_node=2, nodes_per_island=2)
+        with pytest.raises(IndexError):
+            topo.distance_level(0, 4)
+
+    def test_invalid_size(self):
+        with pytest.raises(ValueError):
+            HierarchicalTopology(0)
+
     def test_coordinates_roundtrip(self):
         topo = HierarchicalTopology(64, cores_per_node=4, nodes_per_island=4)
         coord = topo.coordinate(23)
         pe = coord.island * 16 + coord.node * 4 + coord.core
         assert pe == 23
-
-    def test_natural_group_sizes(self):
-        topo = HierarchicalTopology(64, cores_per_node=4, nodes_per_island=4)
-        assert topo.natural_group_sizes() == [4, 16]
-
-    def test_natural_groups_small_machine(self):
-        topo = HierarchicalTopology(4, cores_per_node=16, nodes_per_island=512)
-        assert topo.natural_group_sizes() == []
 
     def test_islands_and_nodes_used(self):
         topo = HierarchicalTopology(40, cores_per_node=4, nodes_per_island=4)
@@ -82,53 +58,9 @@ class TestHierarchicalTopology:
         assert topo.distance_level(a, b) == topo.distance_level(b, a)
 
 
-class TestTorusTopology:
-    def test_default_dims_cover_p(self):
-        topo = TorusTopology(100)
-        assert topo.dims[0] * topo.dims[1] * topo.dims[2] >= 100
-
-    def test_explicit_dims_too_small(self):
-        with pytest.raises(ValueError):
-            TorusTopology(100, dims=(4, 4, 4))
-
-    def test_neighbour_distance(self):
-        topo = TorusTopology(27, dims=(3, 3, 3))
-        assert topo.hop_distance(0, 1) == 1
-        assert topo.distance_level(0, 1) == 0
-
-    def test_wraparound(self):
-        topo = TorusTopology(27, dims=(3, 3, 3))
-        # coordinate 0 and coordinate 2 along the last dim are neighbours via wraparound
-        assert topo.hop_distance(0, 2) == 1
-
-    def test_self_distance(self):
-        topo = TorusTopology(27, dims=(3, 3, 3))
-        assert topo.distance_level(5, 5) == 0
-
-    def test_diameter_positive(self):
-        topo = TorusTopology(64, dims=(4, 4, 4))
-        assert topo.diameter() == 6
-
-    def test_far_nodes_more_expensive(self):
-        topo = TorusTopology(1000, dims=(10, 10, 10))
-        near = topo.distance_level(0, 1)
-        far = topo.distance_level(0, 555)
-        assert far >= near
-
-
 class TestTopologyFor:
     def test_hierarchical_from_spec(self):
         spec = supermuc_like()
         topo = topology_for(64, spec=spec)
         assert isinstance(topo, HierarchicalTopology)
         assert topo.cores_per_node == spec.cores_per_node
-
-    def test_flat(self):
-        assert isinstance(topology_for(8, kind="flat"), FlatTopology)
-
-    def test_torus(self):
-        assert isinstance(topology_for(8, kind="torus"), TorusTopology)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            topology_for(8, kind="ring")

@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.seq.partition import (
     bucket_indices,
-    bucket_sizes,
-    partition_by_splitters,
     partition_with_equality_buckets,
-    splitters_from_sorted,
 )
 
 
@@ -30,49 +27,6 @@ class TestBucketIndices:
         # value == splitter s_i lands in bucket i+1 (buckets are [s_{i-1}, s_i))
         idx = bucket_indices(np.array([5]), np.array([5]))
         assert idx.tolist() == [1]
-
-    def test_bucket_sizes(self):
-        sizes = bucket_sizes(np.array([1, 5, 10, 15, 3]), np.array([5, 10]))
-        assert sizes.tolist() == [2, 1, 2]
-        assert sizes.sum() == 5
-
-
-class TestPartitionBySplitters:
-    def test_partition_covers_input(self):
-        values = np.array([9, 1, 7, 3, 5])
-        parts = partition_by_splitters(values, np.array([4, 8]))
-        assert sorted(np.concatenate(parts).tolist()) == sorted(values.tolist())
-        assert [p.tolist() for p in parts] == [[1, 3], [7, 5], [9]]
-
-    def test_empty_input(self):
-        parts = partition_by_splitters(np.empty(0, dtype=np.int64), np.array([1, 2]))
-        assert len(parts) == 3
-        assert all(p.size == 0 for p in parts)
-
-    def test_order_within_bucket_preserved(self):
-        values = np.array([3, 1, 2, 1, 3])
-        parts = partition_by_splitters(values, np.array([2]))
-        assert parts[0].tolist() == [1, 1]
-        assert parts[1].tolist() == [3, 2, 3]
-
-    @given(
-        st.lists(st.integers(0, 100), min_size=0, max_size=60),
-        st.lists(st.integers(0, 100), min_size=0, max_size=8).map(sorted),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_bucket_ranges(self, values, splitters):
-        values = np.asarray(values, dtype=np.int64)
-        splitters = np.asarray(splitters, dtype=np.int64)
-        parts = partition_by_splitters(values, splitters)
-        assert len(parts) == splitters.size + 1
-        assert sum(p.size for p in parts) == values.size
-        for b, part in enumerate(parts):
-            if part.size == 0:
-                continue
-            if b > 0:
-                assert part.min() >= splitters[b - 1]
-            if b < splitters.size:
-                assert part.max() < splitters[b]
 
 
 class TestEqualityBuckets:
@@ -118,21 +72,3 @@ class TestEqualityBuckets:
         assert sorted(np.concatenate(merged).tolist() if merged else []) == sorted(values.tolist())
         for i, eq in enumerate(result.equality_buckets):
             assert np.all(eq == splitters[i])
-
-
-class TestSplittersFromSorted:
-    def test_equidistant(self):
-        sample = np.arange(100)
-        splitters = splitters_from_sorted(sample, 3)
-        assert splitters.tolist() == [25, 50, 75]
-
-    def test_count_zero(self):
-        assert splitters_from_sorted(np.arange(10), 0).size == 0
-
-    def test_empty_sample(self):
-        assert splitters_from_sorted(np.empty(0), 5).size == 0
-
-    def test_more_splitters_than_sample(self):
-        splitters = splitters_from_sorted(np.array([1, 2]), 5)
-        assert splitters.size == 5
-        assert np.all(np.diff(splitters) >= 0)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.seq.select import (
-    quickselect,
     select_from_sorted_runs,
     split_positions_are_consistent,
     split_sorted_runs_at_ranks,
@@ -13,18 +12,6 @@ from repro.seq.select import (
 
 
 sorted_run = st.lists(st.integers(0, 50), min_size=0, max_size=25).map(sorted)
-
-
-class TestQuickselect:
-    def test_matches_sort(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 100, 37)
-        for k in (0, 5, 18, 36):
-            assert quickselect(values, k) == np.sort(values)[k]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            quickselect(np.array([1, 2, 3]), 3)
 
 
 class TestSplitAtRanks:

@@ -32,6 +32,16 @@ class TestRoundCounts:
     def test_binomial_rounds_alias(self):
         assert binomial_rounds(16) == 4
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 8, 13])
+    def test_closed_form_charge_matches_binomial_tree(self, p):
+        # Comm charges collectives in closed form; their startup term must
+        # be one alpha per round of the explicit binomial tree.
+        comm = make_comm(p)
+        rounds = 1 + max(r for r, _, _ in binomial_bcast_order(p))
+        assert rounds == binomial_rounds(p)
+        charged = comm.machine.cost.collective_time(p, words=0)
+        assert charged == pytest.approx(comm.spec.alpha * rounds)
+
 
 class TestMergeSortedArrays:
     def test_merges(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.machine.counters import PHASE_LOCAL_SORT
 from repro.machine.spec import laptop_like
-from repro.machine.topology import FlatTopology
+from repro.machine.topology import HierarchicalTopology
 from repro.sim.machine import SimulatedMachine
 
 
@@ -21,7 +21,7 @@ class TestConstruction:
 
     def test_topology_too_small(self):
         with pytest.raises(ValueError):
-            SimulatedMachine(8, topology=FlatTopology(4))
+            SimulatedMachine(8, topology=HierarchicalTopology(4))
 
     def test_default_spec_is_supermuc(self):
         m = SimulatedMachine(2)
@@ -95,23 +95,6 @@ class TestPhasesAndRandom:
         with m.phase(PHASE_LOCAL_SORT):
             m.synchronize([0, 1])
         assert m.breakdown.max_time(PHASE_LOCAL_SORT) == pytest.approx(4.0)
-
-    def test_pe_rng_deterministic(self):
-        m1 = SimulatedMachine(4, spec=laptop_like(), seed=3)
-        m2 = SimulatedMachine(4, spec=laptop_like(), seed=3)
-        assert m1.pe_rng(2).integers(0, 100, 5).tolist() == \
-               m2.pe_rng(2).integers(0, 100, 5).tolist()
-
-    def test_pe_rng_differs_between_pes(self):
-        m = SimulatedMachine(4, spec=laptop_like(), seed=3)
-        a = m.pe_rng(0).integers(0, 1000, 10)
-        b = m.pe_rng(1).integers(0, 1000, 10)
-        assert not np.array_equal(a, b)
-
-    def test_pe_rng_out_of_range(self):
-        m = SimulatedMachine(2, spec=laptop_like())
-        with pytest.raises(IndexError):
-            m.pe_rng(5)
 
     def test_world_and_custom_comm(self):
         m = SimulatedMachine(6, spec=laptop_like())
