@@ -760,14 +760,7 @@ def _ams_level_batched(
     )
 
 
-def _ams_sort_flat(
-    comm,
-    dist: DistArray,
-    config: AMSConfig,
-    level: int = 0,
-    _plan: Optional[List[int]] = None,
-    _n_total: Optional[int] = None,
-) -> DistArray:
+def _ams_sort_flat(comm, dist: DistArray, config: AMSConfig) -> DistArray:
     """AMS-sort on the flat engine: the whole recursion in lockstep.
 
     Every recursion level executes the *entire* batch of sibling sub-groups
@@ -789,18 +782,15 @@ def _ams_sort_flat(
             comm.charge_sort([out.size])
         return DistArray(out, dist.offsets - dist.offsets[0])
 
-    if _plan is None:
-        _plan = config.plan_for(p)
-    if _n_total is None:
-        _n_total = dist.total
-
+    plan = config.plan_for(p)
+    n_total = dist.total
     isl_offsets = np.array([0, p], dtype=np.int64)
-    cur_level = level
+    level = 0
     while int(np.diff(isl_offsets).max(initial=0)) > 1:
         dist, isl_offsets = _ams_level_batched(
-            comm, dist, isl_offsets, config, cur_level, _plan, _n_total
+            comm, dist, isl_offsets, config, level, plan, n_total
         )
-        cur_level += 1
+        level += 1
 
     # All islands are singletons: the recursive base cases collapse into
     # one segmented sort charged with every PE's own local-sort time.
@@ -814,9 +804,6 @@ def ams_sort(
     comm,
     local_data: Union[DistArray, Sequence[np.ndarray]],
     config: Optional[AMSConfig] = None,
-    level: int = 0,
-    _plan: Optional[List[int]] = None,
-    _n_total: Optional[int] = None,
 ) -> Union[DistArray, List[np.ndarray]]:
     """Sort a distributed array with AMS-sort (flat engine).
 
@@ -832,8 +819,6 @@ def ams_sort(
     config:
         :class:`AMSConfig`; defaults to two levels with the paper's sampling
         parameters.
-    level:
-        Internal recursion level (leave at 0).
 
     Returns
     -------
@@ -845,13 +830,8 @@ def ams_sort(
     if isinstance(local_data, DistArray):
         if local_data.p != comm.size:
             raise ValueError("need one local segment per member PE")
-        return _ams_sort_flat(
-            comm, local_data, config, level=level, _plan=_plan, _n_total=_n_total
-        )
+        return _ams_sort_flat(comm, local_data, config)
     if len(local_data) != comm.size:
         raise ValueError("need one local array per member PE")
     dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    out = _ams_sort_flat(
-        comm, dist, config, level=level, _plan=_plan, _n_total=_n_total
-    )
-    return out.to_list()
+    return _ams_sort_flat(comm, dist, config).to_list()

@@ -298,14 +298,7 @@ def _rlm_level_batched(
     )
 
 
-def _rlm_sort_flat(
-    comm,
-    dist: DistArray,
-    config: RLMConfig,
-    level: int = 0,
-    _plan=None,
-    _presorted: bool = False,
-) -> DistArray:
+def _rlm_sort_flat(comm, dist: DistArray, config: RLMConfig) -> DistArray:
     """RLM-sort on the flat engine: the whole recursion in lockstep.
 
     The first-level local sort and every post-delivery multiway merge are
@@ -320,37 +313,27 @@ def _rlm_sort_flat(
     # ------------------------------------------------------------------
     # Local sorting (first level only)
     # ------------------------------------------------------------------
-    if not _presorted:
-        with comm.phase(PHASE_LOCAL_SORT):
-            local_sorted = dist.sort_segments()
-            comm.charge_sort(dist.sizes())
-    else:
-        local_sorted = dist
-
+    with comm.phase(PHASE_LOCAL_SORT):
+        dist = dist.sort_segments()
+        comm.charge_sort(dist.sizes())
     if p == 1:
-        return local_sorted.copy() if _presorted else local_sorted
+        return dist
 
-    if _plan is None:
-        _plan = config.plan_for(p)
-
-    out = local_sorted
+    plan = config.plan_for(p)
     isl_offsets = np.array([0, p], dtype=np.int64)
-    cur_level = level
+    level = 0
     while int(np.diff(isl_offsets).max(initial=0)) > 1:
-        out, isl_offsets = _rlm_level_batched(
-            comm, out, isl_offsets, config, cur_level, _plan
+        dist, isl_offsets = _rlm_level_batched(
+            comm, dist, isl_offsets, config, level, plan
         )
-        cur_level += 1
-    return out
+        level += 1
+    return dist
 
 
 def rlm_sort(
     comm,
     local_data: Union[DistArray, Sequence[np.ndarray]],
     config: Optional[RLMConfig] = None,
-    level: int = 0,
-    _plan: Optional[List[int]] = None,
-    _presorted: bool = False,
 ) -> Union[DistArray, List[np.ndarray]]:
     """Sort a distributed array with RLM-sort (flat engine).
 
@@ -363,10 +346,6 @@ def rlm_sort(
         classic per-PE list (converted at this boundary).
     config:
         :class:`RLMConfig`; defaults to two levels.
-    level:
-        Internal recursion level (leave at 0).
-    _presorted:
-        Internal flag: the local segments are already sorted.
 
     Returns
     -------
@@ -380,13 +359,8 @@ def rlm_sort(
     if isinstance(local_data, DistArray):
         if local_data.p != comm.size:
             raise ValueError("need one local segment per member PE")
-        return _rlm_sort_flat(
-            comm, local_data, config, level=level, _plan=_plan, _presorted=_presorted
-        )
+        return _rlm_sort_flat(comm, local_data, config)
     if len(local_data) != comm.size:
         raise ValueError("need one local array per member PE")
     dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    out = _rlm_sort_flat(
-        comm, dist, config, level=level, _plan=_plan, _presorted=_presorted
-    )
-    return out.to_list()
+    return _rlm_sort_flat(comm, dist, config).to_list()

@@ -659,7 +659,6 @@ def execute_cells(
     resume: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     retries: int = 2,
-    strict: bool = False,
     cell_timeout_s: Optional[float] = None,
 ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, object]]:
     """Run every cell (or fetch it from the cache); returns summaries + stats.
@@ -673,16 +672,15 @@ def execute_cells(
     **Fault tolerance.**  A failing cell is retried up to ``retries`` times
     with exponential backoff; a cell that keeps failing is *quarantined* —
     skipped, reported in ``stats['quarantined_cells']`` — instead of
-    aborting the campaign (``strict=True`` restores fail-fast on the first
-    error).  A crash of a pool worker process (``BrokenProcessPool``)
-    rebuilds the pool and charges one attempt to every cell that had not
-    finished in that round, which bounds the damage a deterministically
-    crashing cell can do: it exhausts its own budget within ``retries + 1``
-    rebuilds and is quarantined.  ``cell_timeout_s`` puts a wall-clock
-    ceiling on each cell (for beyond-tier rows), enforced via SIGALRM in
-    the executing process.  Corrupt cache entries (checksum mismatch,
-    truncation) are counted in ``stats['cache_corrupt']``, warned about
-    once with the offending path, and recomputed.
+    aborting the campaign.  A crash of a pool worker process
+    (``BrokenProcessPool``) rebuilds the pool and charges one attempt to
+    every cell that had not finished in that round, which bounds the damage
+    a deterministically crashing cell can do: it exhausts its own budget
+    within ``retries + 1`` rebuilds and is quarantined.  ``cell_timeout_s``
+    puts a wall-clock ceiling on each cell (for beyond-tier rows), enforced
+    via SIGALRM in the executing process.  Corrupt cache entries (checksum
+    mismatch, truncation) are counted in ``stats['cache_corrupt']``, warned
+    about once with the offending path, and recomputed.
     """
     stats: Dict[str, object] = {
         "cells": len(cells),
@@ -718,19 +716,11 @@ def execute_cells(
             pending.append((key, cell))
             pending_keys.add(key)
 
-    from repro.chaos import get_chaos
-
     def _finish(key: str, cell: CampaignCell, summary: Dict[str, object]) -> None:
         summaries[key] = summary
         stats["executed"] += 1
         if cache is not None:
             cache.put(key, cell, summary)
-            chaos = get_chaos()
-            if chaos is not None:
-                # Deterministic chaos: attack the just-written bytes.  The
-                # in-memory summary is already recorded, so this campaign
-                # is unaffected; the *next* resume must detect the damage.
-                chaos.maybe_corrupt_cache(cache.path(key))
         if progress is not None:
             done = stats["executed"] + stats["cache_hits"]
             progress(
@@ -773,8 +763,6 @@ def execute_cells(
                 try:
                     summary = _run_cell_guarded(cell, cell_timeout_s)
                 except Exception as exc:
-                    if strict:
-                        raise
                     _charge_failure(key, cell, repr(exc), retry_round)
                 else:
                     _finish(key, cell, summary)
@@ -796,8 +784,6 @@ def execute_cells(
                         # each one attempt — bounded, because the true
                         # crasher exhausts its own budget within
                         # ``retries + 1`` rebuilds.
-                        if strict:
-                            raise
                         stats["pool_rebuilds"] += 1
                         for okey, ocell in unfinished.values():
                             _charge_failure(
@@ -807,8 +793,6 @@ def execute_cells(
                             )
                         break
                     except Exception as exc:
-                        if strict:
-                            raise
                         unfinished.pop(future, None)
                         _charge_failure(key, cell, repr(exc), retry_round)
                     else:
@@ -1044,8 +1028,6 @@ def _aggregate_faults(pairs) -> Dict[str, List[Dict[str, object]]]:
                 "imbalance": max(float(s["imbalance"]) for _, s in members),
                 "dropped_rounds": int(fault_totals.get("dropped_rounds", 0)),
                 "resent_words": int(fault_totals.get("resent_words", 0)),
-                "degraded_rounds": int(fault_totals.get("degraded_rounds", 0)),
-                "hiccup_events": int(fault_totals.get("hiccup_events", 0)),
                 "timeout_wait_s": float(fault_totals.get("timeout_wait_s", 0.0)),
                 "recovery_s": float(fault_totals.get("recovery_s", 0.0)),
                 "straggle_s": float(fault_totals.get("straggle_s", 0.0)),
@@ -1110,7 +1092,6 @@ def run_campaign(
     progress: Optional[Callable[[str], None]] = None,
     fault_specs: Optional[Sequence[str]] = None,
     retries: int = 2,
-    strict: bool = False,
     cell_timeout_s: Optional[float] = None,
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
     """Expand, execute (sharded if ``jobs > 1``) and aggregate a campaign.
@@ -1137,7 +1118,7 @@ def run_campaign(
     cache = CellCache(cache_dir) if cache_dir is not None else None
     summaries, stats = execute_cells(
         cells, jobs=jobs, cache=cache, resume=resume, progress=progress,
-        retries=retries, strict=strict, cell_timeout_s=cell_timeout_s,
+        retries=retries, cell_timeout_s=cell_timeout_s,
     )
     used_experiments = tuple(dict.fromkeys(c.experiment for c in cells))
     used_workloads = tuple(dict.fromkeys(c.workload for c in cells))

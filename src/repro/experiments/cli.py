@@ -124,6 +124,17 @@ def run_views(
     return "\n".join(blocks)
 
 
+def _check_fault_specs(parser: argparse.ArgumentParser, specs: Sequence[str]) -> None:
+    """Fail fast on a bad ``--faults`` spec with a usage error (exit code 2)."""
+    from repro.sim.faults import parse_fault_spec
+
+    for spec in specs:
+        try:
+            parse_fault_spec(spec)
+        except ValueError as exc:
+            parser.error(f"--faults {spec!r}: {exc}")
+
+
 def campaign_main(argv: List[str] | None = None) -> int:
     """Run a sharded experiment campaign (``cli campaign ...``)."""
     parser = argparse.ArgumentParser(
@@ -184,19 +195,9 @@ def campaign_main(argv: List[str] | None = None) -> int:
         help="per-cell retry budget before quarantine (default: 2)",
     )
     parser.add_argument(
-        "--strict", action="store_true",
-        help="fail fast on the first cell error instead of retry/quarantine",
-    )
-    parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per cell (default: the profile's "
              "cell_timeout_s, set for the 'beyond' tier)",
-    )
-    parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="deterministic chaos injection for the execution layer, e.g. "
-             "'seed:7,corrupt:0.2,trunc:0.1' (exported as REPRO_CHAOS; see "
-             "repro.chaos for the grammar — results stay byte-identical)",
     )
     parser.add_argument(
         "--stats-output", type=Path, default=None,
@@ -208,18 +209,7 @@ def campaign_main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.faults is not None:
-        from repro.sim.faults import parse_fault_spec
-
-        for spec in args.faults:
-            parse_fault_spec(spec)  # fail fast on bad grammar
-
-    if args.chaos is not None:
-        import os
-
-        from repro.chaos import parse_chaos_spec
-
-        parse_chaos_spec(args.chaos)  # fail fast on bad grammar
-        os.environ["REPRO_CHAOS"] = args.chaos  # worker processes inherit
+        _check_fault_specs(parser, args.faults)
 
     if args.require_cached and (args.no_cache or args.no_resume):
         parser.error(
@@ -247,17 +237,8 @@ def campaign_main(argv: List[str] | None = None) -> int:
         progress=progress,
         fault_specs=args.faults,
         retries=args.retries,
-        strict=args.strict,
         cell_timeout_s=args.cell_timeout,
     )
-
-    # Fold this process's chaos injections into the stats artifact so a
-    # chaos run shows what was attacked next to what was recovered.
-    from repro.chaos import get_chaos
-
-    chaos = get_chaos()
-    if chaos is not None:
-        stats["chaos"] = dict(chaos.counters)
 
     print(campaign_mod.format_campaign(summary))
     print(
@@ -343,10 +324,7 @@ def main(argv: List[str] | None = None) -> int:
     if args.faults is not None:
         if "faults" not in ordered:
             parser.error("--faults is only valid with the 'faults' experiment")
-        from repro.sim.faults import parse_fault_spec
-
-        for spec in args.faults:
-            parse_fault_spec(spec)  # fail fast on bad grammar
+        _check_fault_specs(parser, args.faults)
 
     print(run_views(
         ordered, scale=args.scale, workload=args.workload, fault_specs=args.faults,

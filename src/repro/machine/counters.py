@@ -151,11 +151,7 @@ class FaultCounters:
       ``recovery_s`` — retransmission protocol: number of per-PE exchange
       failures, words re-sent recovering from them, idle time waiting for
       timeouts, and the total extra exchange time (timeouts + resends).
-    * ``degraded_rounds`` / ``degraded_s`` — slow-link rounds and their
-      extra bandwidth cost.
-    * ``hiccup_events`` / ``straggle_s`` — per-PE stall events, and the
-      total extra local/collective time from speed heterogeneity, straggler
-      windows and hiccups combined.
+    * ``straggle_s`` — the extra time straggler PEs spend on their charges.
     """
 
     def __init__(self, p: int):
@@ -163,34 +159,26 @@ class FaultCounters:
             raise ValueError("need at least one PE")
         self.p = int(p)
         self.dropped_rounds = np.zeros(p, dtype=np.int64)
-        self.degraded_rounds = np.zeros(p, dtype=np.int64)
         self.resent_words = np.zeros(p, dtype=np.int64)
-        self.hiccup_events = np.zeros(p, dtype=np.int64)
         self.timeout_wait_s = np.zeros(p, dtype=np.float64)
         self.recovery_s = np.zeros(p, dtype=np.float64)
-        self.degraded_s = np.zeros(p, dtype=np.float64)
         self.straggle_s = np.zeros(p, dtype=np.float64)
 
     def summary(self) -> Dict[str, object]:
         """Machine-wide totals (JSON-safe plain scalars)."""
         return {
             "dropped_rounds": int(self.dropped_rounds.sum()),
-            "degraded_rounds": int(self.degraded_rounds.sum()),
             "resent_words": int(self.resent_words.sum()),
-            "hiccup_events": int(self.hiccup_events.sum()),
             "timeout_wait_s": float(self.timeout_wait_s.sum()),
             "recovery_s": float(self.recovery_s.sum()),
             "recovery_s_max": float(self.recovery_s.max(initial=0.0)),
-            "degraded_s": float(self.degraded_s.sum()),
             "straggle_s": float(self.straggle_s.sum()),
         }
 
     def reset(self) -> None:
         """Zero all tallies."""
-        for arr in (self.dropped_rounds, self.degraded_rounds,
-                    self.resent_words, self.hiccup_events,
-                    self.timeout_wait_s, self.recovery_s,
-                    self.degraded_s, self.straggle_s):
+        for arr in (self.dropped_rounds, self.resent_words,
+                    self.timeout_wait_s, self.recovery_s, self.straggle_s):
             arr.fill(0)
 
 
@@ -281,8 +269,8 @@ class PhaseTimer:
     :meth:`~repro.sim.machine.SimulatedMachine.enable_wall_profile`), phase
     transitions also accumulate *host* wall time per phase name — the
     simulator's own execution cost, not modelled time — which is what the
-    engine-performance tooling (``benchmarks/profile_engine.py``, the
-    ``--profile`` flag of the scaling benchmark) reports.  Exclusive
+    ``--profile`` flag of ``benchmarks/bench_engine_scaling.py`` reports as
+    ``phase_wall_s``.  Exclusive
     attribution: while a nested phase is open, wall time goes to the inner
     phase only.
     """

@@ -127,8 +127,8 @@ class Comm:
     # ------------------------------------------------------------------
     def _charge_collective(self, words: int, rounds_factor: float = 1.0) -> None:
         # Fault semantics (see :mod:`repro.sim.faults`): collective and
-        # local charges pick up straggler/hiccup scaling inside
-        # ``advance_many``; only the irregular exchanges (``exchange`` and
+        # local charges pick up straggler scaling inside ``advance_many``;
+        # only the irregular exchanges (``exchange`` and
         # ``GroupBatch.charge_exchange``) additionally run the timeout +
         # retransmit retry protocol.  Barrier waits are never fault-scaled —
         # idle time is idle regardless of the PE's speed.

@@ -179,9 +179,9 @@ def exchange_times(
     per-word time of the topology level the exchange crosses, a scalar or
     one value per PE.  ``charge_copy`` adds the local cost of packing and
     unpacking the moved words.  An active fault plan adds the cost of
-    dropped and degraded rounds, keyed by each member's exchange counter
-    *before* this exchange is recorded, so an exchange draws the same
-    faults whether it is charged per communicator or in a lockstep batch.
+    dropped rounds, keyed by each member's exchange counter *before* this
+    exchange is recorded, so an exchange draws the same faults whether it
+    is charged per communicator or in a lockstep batch.
 
     Returns the per-PE ``(h, r, times)``; charges nothing.
     """

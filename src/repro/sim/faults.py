@@ -1,30 +1,23 @@
 """Deterministic fault injection for the simulated machine.
 
 Real massively-parallel sorters run on machines that are never perfectly
-healthy: nodes differ in clock speed, some straggle transiently (OS jitter,
-shared-network interference), and exchange rounds are occasionally degraded
-or dropped and must be retransmitted after a timeout.  This module models all
-of that as a *seeded, fully deterministic* overlay on the simulator's cost
-model:
+healthy: some nodes are persistently slow, and exchange rounds are
+occasionally dropped and must be retransmitted after a timeout.  This module
+models both as a *seeded, fully deterministic* overlay on the simulator's
+cost model:
 
-* **Heterogeneous speeds and stragglers** — every PE gets a static slowdown
-  multiplier (a speed spread plus a straggler subset running at
-  ``straggler_factor``); transient *straggler windows* periodically multiply
-  a PE's charges by ``window_factor``.  Both scale every local-work,
-  collective and exchange charge that flows through
+* **Stragglers** — a subset of PEs (expected fraction
+  ``straggler_fraction``) runs every charge ``straggler_factor`` times
+  slower.  The slowdown scales every local-work, collective and exchange
+  charge that flows through
   :meth:`~repro.sim.machine.SimulatedMachine.advance` /
   :meth:`~repro.sim.machine.SimulatedMachine.advance_many`.
-* **Dropped and degraded exchange rounds** — each irregular exchange
-  (``Exch(P, h, r)``) can fail per PE with probability ``drop_rate``.  Every
-  failure costs a timeout (``timeout_rounds * alpha`` of idle wait) plus a
-  retransmission charged through the same ``alpha * r + beta * h`` model
-  scaled by ``resend_fraction``; the number of consecutive failures is a
-  truncated geometric draw (at most ``max_retries``).  Independently, a
-  round can be *degraded* with probability ``degrade_rate``: the volume term
-  is charged at ``degrade_factor`` times the healthy bandwidth cost.
-* **Hiccups** — short per-PE stalls (``hiccup_seconds``) occurring at an
-  average rate of ``hiccup_rate`` events per modelled second, added to
-  whatever charge the PE was executing when the hiccup fired.
+* **Dropped exchange rounds** — each irregular exchange (``Exch(P, h, r)``)
+  can fail per PE with probability ``drop_rate``.  Every failure costs a
+  timeout (``timeout_rounds * alpha`` of idle wait) plus a retransmission
+  charged through the same ``alpha * r + beta * h`` model scaled by
+  ``resend_fraction``; the number of consecutive failures is a truncated
+  geometric draw (at most ``max_retries``).
 
 Determinism is the load-bearing property:
 
@@ -33,9 +26,8 @@ Determinism is the load-bearing property:
   carries a *fault-domain tag* — the sampling/pivot streams (and therefore
   ``RNG_VERSION`` and the sorted outputs) are untouched.
 * Draws are keyed only by per-PE state that is byte-identical across the
-  flat and reference engines: the PE index (static speeds, window phases),
-  the PE clock at the start of a charge (windows, hiccups) and the per-PE
-  exchange counter (drop/degrade draws).  Both engines therefore charge
+  flat and reference engines: the PE index (straggler draw) and the per-PE
+  exchange counter (drop draws).  Both engines therefore charge
   byte-identical faulted clocks.
 * With no plan attached — or a plan whose every rate is zero — the machine
   is byte-identical to a fault-free one (the scaling hooks short-circuit).
@@ -61,12 +53,8 @@ from repro.machine.counters import FaultCounters
 
 # Fault-domain tags, passed in the ``level`` slot of the CounterRNG key so
 # every fault class consumes its own independent stream family.
-FAULT_DOMAIN_SPEED = 1  #: per-PE static speed spread (one draw per PE)
 FAULT_DOMAIN_STRAGGLER = 2  #: which PEs are persistent stragglers
-FAULT_DOMAIN_WINDOW = 3  #: per-PE phase offset of the transient windows
 FAULT_DOMAIN_DROP = 4  #: per (PE, exchange index) drop/retry draw
-FAULT_DOMAIN_DEGRADE = 5  #: per (PE, exchange index) degraded-round draw
-FAULT_DOMAIN_HICCUP = 6  #: per (PE, hiccup interval) trigger jitter
 
 #: Salt mixed into the plan seed so a FaultPlan sharing the machine seed
 #: still draws from streams uncorrelated with the sampling paths.
@@ -90,24 +78,9 @@ class FaultPlan:
         Expected fraction of PEs that are persistent stragglers.
     straggler_factor:
         Slowdown multiplier of straggler PEs (``>= 1``).
-    speed_spread:
-        Heterogeneity: every PE's charges are scaled by a static factor
-        drawn uniformly from ``[1, 1 + speed_spread]``.
-    window_fraction:
-        Fraction of every ``window_period_s`` during which a PE is inside a
-        transient straggler window (per-PE random phase).
-    window_period_s:
-        Period of the transient windows in modelled seconds.
-    window_factor:
-        Slowdown multiplier while inside a window (``>= 1``); applied to
-        charges *starting* inside the window.
     drop_rate:
         Per-PE, per-exchange probability that a round is dropped and must be
         retransmitted (must be ``< 1``).
-    degrade_rate:
-        Per-PE, per-exchange probability of a degraded (slow-link) round.
-    degrade_factor:
-        Bandwidth-cost multiplier of a degraded round (``>= 1``).
     max_retries:
         Cap on consecutive retransmissions per exchange per PE.
     timeout_rounds:
@@ -116,53 +89,31 @@ class FaultPlan:
     resend_fraction:
         Fraction of the exchange volume/startups retransmitted per retry
         (1.0 = full retransmit).
-    hiccup_rate:
-        Average per-PE hiccup events per modelled second.
-    hiccup_seconds:
-        Stall added to the interrupted charge per hiccup event.
     """
 
     seed: int = 0
     straggler_fraction: float = 0.0
     straggler_factor: float = 2.0
-    speed_spread: float = 0.0
-    window_fraction: float = 0.0
-    window_period_s: float = 1e-3
-    window_factor: float = 4.0
     drop_rate: float = 0.0
-    degrade_rate: float = 0.0
-    degrade_factor: float = 4.0
     max_retries: int = 3
     timeout_rounds: float = 4.0
     resend_fraction: float = 1.0
-    hiccup_rate: float = 0.0
-    hiccup_seconds: float = 1e-4
 
     def __post_init__(self) -> None:
-        for name in ("straggler_fraction", "window_fraction", "resend_fraction"):
+        for name in ("straggler_fraction", "resend_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("drop_rate", "degrade_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        for name in ("straggler_factor", "window_factor", "degrade_factor"):
-            value = getattr(self, name)
-            if value < 1.0:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.window_period_s <= 0:
-            raise ValueError("window_period_s must be positive")
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        if self.straggler_factor < 1.0:
+            raise ValueError(
+                f"straggler_factor must be >= 1, got {self.straggler_factor}"
+            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.timeout_rounds < 0:
             raise ValueError("timeout_rounds must be non-negative")
-        if self.hiccup_rate < 0:
-            raise ValueError("hiccup_rate must be non-negative")
-        if self.hiccup_seconds < 0:
-            raise ValueError("hiccup_seconds must be non-negative")
-        if self.speed_spread < 0:
-            raise ValueError("speed_spread must be non-negative")
 
     @property
     def enabled(self) -> bool:
@@ -173,26 +124,17 @@ class FaultPlan:
         """
         return bool(
             (self.straggler_fraction > 0 and self.straggler_factor > 1)
-            or self.speed_spread > 0
-            or (self.window_fraction > 0 and self.window_factor > 1)
             or self.drop_rate > 0
-            or self.degrade_rate > 0
-            or (self.hiccup_rate > 0 and self.hiccup_seconds > 0)
         )
 
     def spec(self) -> str:
         """Canonical spec string (non-default fields only, fixed order)."""
         parts = []
-        for key, (field_name, _) in _SPEC_KEYS.items():
+        for key, (field_name, conv) in _SPEC_KEYS.items():
             value = getattr(self, field_name)
             if value == _FIELD_DEFAULTS[field_name]:
                 continue
-            if key == "hiccup_ms":
-                parts.append(f"{key}:{value * 1e3:g}")
-            elif field_name in ("seed", "max_retries"):
-                parts.append(f"{key}:{int(value)}")
-            else:
-                parts.append(f"{key}:{value:g}")
+            parts.append(f"{key}:{int(value)}" if conv is int else f"{key}:{value:g}")
         return ",".join(parts)
 
 
@@ -207,18 +149,10 @@ _SPEC_KEYS: Dict[str, Tuple[str, type]] = {
     "seed": ("seed", int),
     "stragglers": ("straggler_fraction", float),
     "slow": ("straggler_factor", float),
-    "spread": ("speed_spread", float),
-    "windows": ("window_fraction", float),
-    "winperiod": ("window_period_s", float),
-    "winslow": ("window_factor", float),
     "droprate": ("drop_rate", float),
-    "degrade": ("degrade_rate", float),
-    "degfactor": ("degrade_factor", float),
     "retries": ("max_retries", int),
     "timeout": ("timeout_rounds", float),
     "resend": ("resend_fraction", float),
-    "hiccups": ("hiccup_rate", float),
-    "hiccup_ms": ("hiccup_seconds", float),
 }
 
 
@@ -228,7 +162,7 @@ def parse_fault_spec(spec: "str | FaultPlan | None") -> Optional[FaultPlan]:
     Returns ``None`` for ``None`` / empty / whitespace-only specs, passes an
     existing :class:`FaultPlan` through, and raises :class:`ValueError` on
     unknown keys or malformed values.  See :data:`_SPEC_KEYS` for the
-    grammar; ``hiccup_ms`` is given in milliseconds.
+    grammar.
     """
     if spec is None or isinstance(spec, FaultPlan):
         return spec
@@ -250,27 +184,22 @@ def parse_fault_spec(spec: "str | FaultPlan | None") -> Optional[FaultPlan]:
             )
         field_name, conv = _SPEC_KEYS[key]
         try:
-            value = conv(raw.strip())
+            fields[field_name] = conv(raw.strip())
         except ValueError:
             raise ValueError(
                 f"bad fault spec value {raw!r} for key {key!r} "
                 f"(expected {conv.__name__})"
             ) from None
-        if key == "hiccup_ms":
-            value = float(value) * 1e-3
-            # 'hiccups:<rate>' alone should inject; keep the default stall.
-        fields[field_name] = value
     return FaultPlan(**fields)  # __post_init__ validates ranges
 
 
 class FaultState:
     """Per-machine runtime state of an active :class:`FaultPlan`.
 
-    Holds the salted fault RNG, the precomputed per-PE static slowdown and
-    window phases, and the :class:`FaultCounters` tallies.  All methods are
-    pure functions of ``(plan, machine state at the call)`` — no mutable
-    draw cursors — which is what makes fault injection independent of how
-    the engines batch their charges.
+    Holds the salted fault RNG, the precomputed per-PE slowdown and the
+    :class:`FaultCounters` tallies.  All methods are pure functions of
+    ``(plan, arguments)`` — no mutable draw cursors — which is what makes
+    fault injection independent of how the engines batch their charges.
     """
 
     def __init__(self, plan: FaultPlan, p: int):
@@ -280,32 +209,15 @@ class FaultState:
         self.p = int(p)
         self.rng = CounterRNG(int(plan.seed) ^ _FAULT_SEED_SALT)
         self.counters = FaultCounters(self.p)
-        pes = np.arange(self.p, dtype=np.int64)
-        slowdown = np.ones(self.p, dtype=np.float64)
-        if plan.speed_spread > 0:
-            slowdown = slowdown + plan.speed_spread * self.rng.uniforms(
-                FAULT_DOMAIN_SPEED, pes, 0
-            )
         self.straggler_pes = np.zeros(self.p, dtype=bool)
         if plan.straggler_fraction > 0 and plan.straggler_factor > 1:
+            pes = np.arange(self.p, dtype=np.int64)
             self.straggler_pes = (
                 self.rng.uniforms(FAULT_DOMAIN_STRAGGLER, pes, 0)
                 < plan.straggler_fraction
             )
-            slowdown = np.where(
-                self.straggler_pes, slowdown * plan.straggler_factor, slowdown
-            )
-        self.slowdown = slowdown
-        self._windows = plan.window_fraction > 0 and plan.window_factor > 1
-        self.window_phase = (
-            self.rng.uniforms(FAULT_DOMAIN_WINDOW, pes, 0)
-            if self._windows
-            else None
-        )
-        self._hiccups = plan.hiccup_rate > 0 and plan.hiccup_seconds > 0
-        self._scaling = bool(
-            (self.slowdown != 1.0).any() or self._windows or self._hiccups
-        )
+        self.slowdown = np.where(self.straggler_pes, plan.straggler_factor, 1.0)
+        self._scaling = bool(self.straggler_pes.any())
 
     def reset(self) -> None:
         """Zero the tallies (the draws are stateless and unaffected)."""
@@ -314,44 +226,19 @@ class FaultState:
     # ------------------------------------------------------------------
     # Charge scaling (advance / advance_many hook)
     # ------------------------------------------------------------------
-    def _hiccup_count(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Number of hiccups of PEs ``idx`` triggered in ``[0, t]``.
+    def scale(self, idx: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        """Faulted durations of the charges ``dts`` of PEs ``idx``.
 
-        Interval ``j`` of PE ``i`` fires at ``(j + u_ij) / rate`` with
-        ``u_ij`` a stateless per-(PE, interval) uniform, so the count is an
-        exact, monotone function of ``t`` — no draw cursors, identical for
-        any charge batching.
-        """
-        pos = t * self.plan.hiccup_rate
-        j = np.floor(pos)
-        u = self.rng.uniforms(FAULT_DOMAIN_HICCUP, idx, j.astype(np.uint64))
-        return j.astype(np.int64) + (u <= pos - j)
-
-    def scale(self, idx: np.ndarray, t0: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        """Faulted charge durations for charges ``dts`` starting at ``t0``.
-
-        Applies the static per-PE slowdown, the transient-window factor (a
-        charge is slowed iff it *starts* inside a window) and any hiccup
-        stalls falling inside the slowed charge.  Hiccup pauses do not
-        recursively trigger further hiccups.  The extra time is tallied in
-        ``counters.straggle_s`` / ``counters.hiccup_events``.
+        Applies the per-PE straggler slowdown; the extra time is tallied in
+        ``counters.straggle_s``.
         """
         if not self._scaling:
             return dts
-        plan = self.plan
         out = dts * self.slowdown[idx]
-        if self._windows:
-            pos = t0 / plan.window_period_s + self.window_phase[idx]
-            in_window = (pos - np.floor(pos)) < plan.window_fraction
-            out = np.where(in_window, out * plan.window_factor, out)
-        if self._hiccups:
-            k = self._hiccup_count(idx, t0 + out) - self._hiccup_count(idx, t0)
-            out = out + k * plan.hiccup_seconds
-            np.add.at(self.counters.hiccup_events, idx, k)
         np.add.at(self.counters.straggle_s, idx, out - dts)
         return out
 
-    def scale_scalar(self, pe: int, t0: float, dt: float) -> float:
+    def scale_scalar(self, pe: int, dt: float) -> float:
         """Scalar wrapper over :meth:`scale` (the ``advance`` hook).
 
         Routes through the same vectorised code on one-element arrays so the
@@ -362,7 +249,6 @@ class FaultState:
             return dt
         out = self.scale(
             np.array([pe], dtype=np.int64),
-            np.array([t0], dtype=np.float64),
             np.array([dt], dtype=np.float64),
         )
         return float(out[0])
@@ -379,7 +265,7 @@ class FaultState:
         alpha: float,
         beta: "float | np.ndarray",
     ) -> np.ndarray:
-        """Extra per-PE time of dropped/degraded rounds for one exchange.
+        """Extra per-PE time of dropped rounds for one exchange.
 
         ``op_index`` is each member's ``exchange_ops`` counter *before* the
         exchange is recorded — the per-PE draw key, identical across engines
@@ -389,43 +275,32 @@ class FaultState:
         monotone non-decreasing in ``drop_rate``, so recovery cost is
         *exactly* monotone in the drop rate for a fixed seed.  Each failure
         costs ``timeout_rounds * alpha`` of idle wait plus a resend charged
-        through the same ``alpha * r + beta * h`` exchange model; degraded
-        rounds add ``(degrade_factor - 1) * beta * h``.  PEs with nothing to
-        send or receive are unaffected.
+        through the same ``alpha * r + beta * h`` exchange model.  PEs with
+        nothing to send or receive are unaffected.
         """
         plan = self.plan
-        counters = self.counters
-        extra = np.zeros(h_per_pe.shape, dtype=np.float64)
+        if plan.drop_rate == 0:
+            return np.zeros(h_per_pe.shape, dtype=np.float64)
         active = (h_per_pe > 0) | (r_per_pe > 0)
-        if plan.drop_rate > 0:
-            u = self.rng.uniforms(FAULT_DOMAIN_DROP, members, op_index)
-            with np.errstate(divide="ignore"):
-                failures = np.floor(np.log(u) / math.log(plan.drop_rate))
-            failures = np.minimum(failures, plan.max_retries)
-            failures = np.where(active, failures, 0.0).astype(np.int64)
-            resend_h = np.ceil(plan.resend_fraction * h_per_pe)
-            resend_r = np.ceil(plan.resend_fraction * r_per_pe)
-            timeout = plan.timeout_rounds * alpha
-            per_retry = timeout + alpha * resend_r + beta * resend_h
-            retry_cost = failures * per_retry
-            extra = extra + retry_cost
-            np.add.at(counters.dropped_rounds, members, failures)
-            np.add.at(
-                counters.resent_words, members,
-                (failures * resend_h).astype(np.int64),
-            )
-            np.add.at(counters.timeout_wait_s, members, failures * timeout)
-            np.add.at(counters.recovery_s, members, retry_cost)
-        if plan.degrade_rate > 0:
-            u = self.rng.uniforms(FAULT_DOMAIN_DEGRADE, members, op_index)
-            degraded = (u < plan.degrade_rate) & active
-            deg_cost = np.where(
-                degraded, (plan.degrade_factor - 1.0) * beta * h_per_pe, 0.0
-            )
-            extra = extra + deg_cost
-            np.add.at(counters.degraded_rounds, members, degraded.astype(np.int64))
-            np.add.at(counters.degraded_s, members, deg_cost)
-        return extra
+        u = self.rng.uniforms(FAULT_DOMAIN_DROP, members, op_index)
+        with np.errstate(divide="ignore"):
+            failures = np.floor(np.log(u) / math.log(plan.drop_rate))
+        failures = np.minimum(failures, plan.max_retries)
+        failures = np.where(active, failures, 0.0).astype(np.int64)
+        resend_h = np.ceil(plan.resend_fraction * h_per_pe)
+        resend_r = np.ceil(plan.resend_fraction * r_per_pe)
+        timeout = plan.timeout_rounds * alpha
+        per_retry = timeout + alpha * resend_r + beta * resend_h
+        retry_cost = failures * per_retry
+        counters = self.counters
+        np.add.at(counters.dropped_rounds, members, failures)
+        np.add.at(
+            counters.resent_words, members,
+            (failures * resend_h).astype(np.int64),
+        )
+        np.add.at(counters.timeout_wait_s, members, failures * timeout)
+        np.add.at(counters.recovery_s, members, retry_cost)
+        return retry_cost
 
     def summary(self) -> Dict[str, object]:
         """JSON-safe fault summary: the plan spec plus the counter tallies."""

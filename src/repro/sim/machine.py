@@ -73,11 +73,11 @@ class SimulatedMachine:
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` (or spec string like
         ``"stragglers:0.1,droprate:0.01"``) injecting deterministic
-        stragglers, degraded/dropped exchange rounds and hiccups into the
-        modelled clocks.  ``None`` — or a plan that injects nothing — leaves
-        the machine byte-identical to today's fault-free behaviour.  Fault
-        draws use their own salted counter streams, so sorted outputs and
-        the sampling paths are unaffected.
+        stragglers and dropped exchange rounds into the modelled clocks.
+        ``None`` — or a plan that injects nothing — leaves the machine
+        byte-identical to a fault-free one.  Fault draws use their own
+        salted counter streams, so sorted outputs and the sampling paths are
+        unaffected.
     """
 
     def __init__(
@@ -190,15 +190,15 @@ class SimulatedMachine:
     def advance(self, pe: int, seconds: float) -> None:
         """Advance PE ``pe``'s clock by ``seconds`` attributing it to the current phase.
 
-        With an active fault plan the charge is scaled by the PE's slowdown,
-        straggler windows and hiccups first (see :mod:`repro.sim.faults`).
+        With an active fault plan the charge is scaled by the PE's straggler
+        slowdown first (see :mod:`repro.sim.faults`).
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time {seconds}")
         if seconds == 0.0:
             return
         if self.faults is not None:
-            seconds = self.faults.scale_scalar(pe, float(self.clock[pe]), seconds)
+            seconds = self.faults.scale_scalar(pe, seconds)
         self.clock[pe] += seconds
         self.breakdown.add(self.current_phase, pe, seconds)
 
@@ -214,7 +214,7 @@ class SimulatedMachine:
         if (dts < 0).any():
             raise ValueError("cannot advance clock by negative time")
         if self.faults is not None:
-            dts = self.faults.scale(idx, self.clock[idx], dts)
+            dts = self.faults.scale(idx, dts)
         self.clock[idx] += dts
         vec = np.zeros(self.p, dtype=np.float64)
         np.add.at(vec, idx, dts)

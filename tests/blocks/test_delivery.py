@@ -25,10 +25,7 @@ COUNTER_FIELDS = (
     "exchange_ops",
 )
 
-FAULT_SPEC = (
-    "seed:5,stragglers:0.25,spread:0.3,windows:0.2,droprate:0.2,"
-    "degrade:0.1,hiccups:2000"
-)
+FAULT_SPEC = "seed:5,stragglers:0.25,droprate:0.2"
 
 
 def make_comm(p):

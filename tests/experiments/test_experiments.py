@@ -250,6 +250,20 @@ class TestCLI:
             main(["table1", "--faults", "droprate:0.2"])
         assert "only valid with the 'faults' experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["bogus:1", "droprate:1.0", "hiccups:10"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["faults", "--scale", "tiny"], ["campaign", "--profile", "tiny"]],
+        ids=["faults", "campaign"],
+    )
+    def test_bad_fault_spec_is_a_usage_error(self, capsys, argv, spec):
+        # Unknown keys and out-of-range rates exit with argparse's usage
+        # error before any cell runs, not with a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--faults", spec])
+        assert exc.value.code == 2
+        assert f"error: --faults {spec!r}: " in capsys.readouterr().err
+
     def test_paper_scale_follows_the_campaign_rules(self, monkeypatch):
         # The serial view honours the profile keys that make the paper's
         # machine feasible: flat engine, Table 1 level policy, seeded

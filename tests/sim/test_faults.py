@@ -27,10 +27,7 @@ from repro.sim.machine import SimulatedMachine
 from repro.workloads.generators import per_pe_workload
 
 
-ACTIVE_SPEC = (
-    "seed:5,stragglers:0.25,spread:0.3,windows:0.2,droprate:0.2,"
-    "degrade:0.1,hiccups:2000"
-)
+ACTIVE_SPEC = "seed:5,stragglers:0.25,droprate:0.2"
 
 
 def _run(machine, p=8, n_per_pe=60, algorithm="ams", engine="flat", seed=3):
@@ -74,10 +71,6 @@ class TestSpecParsing:
         plan = FaultPlan(drop_rate=0.1)
         assert parse_fault_spec(plan) is plan
 
-    def test_hiccup_ms_unit(self):
-        plan = parse_fault_spec("hiccups:10,hiccup_ms:0.5")
-        assert plan.hiccup_seconds == pytest.approx(5e-4)
-
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="droprate"):
             parse_fault_spec("dorprate:0.1")
@@ -92,9 +85,13 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             FaultPlan(straggler_fraction=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(window_factor=0.5)
+            FaultPlan(straggler_factor=0.5)
         with pytest.raises(ValueError):
-            FaultPlan(window_period_s=0.0)
+            FaultPlan(resend_fraction=1.5)
+        with pytest.raises(ValueError):
+            FaultPlan(max_retries=-1)
+        with pytest.raises(ValueError):
+            FaultPlan(timeout_rounds=-1.0)
 
     def test_default_plan_is_disabled(self):
         assert not FaultPlan().enabled
@@ -104,7 +101,8 @@ class TestSpecParsing:
         # Factors without rates (and vice versa) inject nothing.
         assert not FaultPlan(straggler_factor=8.0).enabled
         assert not FaultPlan(straggler_fraction=0.5, straggler_factor=1.0).enabled
-        assert not FaultPlan(hiccup_rate=100.0, hiccup_seconds=0.0).enabled
+        assert not FaultPlan(max_retries=8, timeout_rounds=16.0).enabled
+        assert FaultPlan(straggler_fraction=0.5).enabled
         assert FaultPlan(drop_rate=0.01).enabled
 
 
@@ -194,21 +192,6 @@ class TestStragglerScaling:
         _run(slowed)
         assert np.array_equal(slowed.clock, 2.0 * clean.clock)
         assert slowed.faults.counters.summary()["straggle_s"] > 0.0
-
-    def test_hiccups_pause_clocks(self):
-        clean = SimulatedMachine(4, seed=1)
-        _run(clean, p=4)
-        hic = SimulatedMachine(4, seed=1, faults="hiccups:100000,hiccup_ms:0.01")
-        _run(hic, p=4)
-        assert hic.faults.counters.summary()["hiccup_events"] > 0
-        assert hic.clock.max() > clean.clock.max()
-
-    def test_hiccup_count_monotone_in_time(self):
-        state = FaultState(FaultPlan(hiccup_rate=1000.0, hiccup_seconds=1e-4), 4)
-        idx = np.zeros(64, dtype=np.int64)
-        times = np.linspace(0.0, 0.05, 64)
-        counts = state._hiccup_count(idx, times)
-        assert (np.diff(counts) >= 0).all()
 
 
 # --------------------------------------------------------------------------
