@@ -263,6 +263,16 @@ def multisequence_select_batched(
     receives exactly the charge sequence of the island-by-island execution,
     so clocks, breakdowns and split matrices are byte-identical to running
     :func:`multisequence_select` per island.
+
+    The pivot loop carries only the *open* windows (``lo < hi``).  A closed
+    window never changes again: it counts 0 elements, so every later round
+    keeps its ``lo`` and sets ``hi = lo``.  Its ``lo`` is therefore final
+    the moment it closes and goes straight into the split matrix.  Every
+    open window belongs to a row that draws in the current round (a done
+    row has all its windows closed; a live row with none open collapses at
+    the round's check), so the open windows, kept in (row, PE) order, are
+    exactly the drawing rows' candidates, and one prefix sum over their
+    widths locates every pivot's owner.
     """
     machine = islands.machine
     spec = machine.spec
@@ -275,11 +285,10 @@ def multisequence_select_batched(
     values = local_sorted.values
     offsets = local_sorted.offsets
     sizes = local_sorted.sizes()
-    if values.size > 1:
-        seg = local_sorted.segment_ids()
-        interior = seg[1:] == seg[:-1]
-        if np.any(values[1:][interior] < values[:-1][interior]):
-            raise ValueError("local segments must be individually sorted")
+    # Sorted segments descend only where a new segment starts.
+    descents = np.flatnonzero(values[1:] < values[:-1]) + 1
+    if not np.isin(descents, offsets).all():
+        raise ValueError("local segments must be individually sorted")
 
     isl_off = islands.offsets
     p_k = islands.sizes
@@ -303,31 +312,30 @@ def multisequence_select_batched(
         if np.any((ranks_flat[1:] - ranks_flat[:-1])[same_isl] < 0):
             raise ValueError("ranks must be non-decreasing within each island")
 
-    # Flattened (rank row, PE) candidate windows: row r of island k spans
-    # that island's batch PEs; all state lives in flat pair arrays.
+    # Flattened (rank row, PE) split positions: row r of island k spans
+    # that island's batch PEs.  Trivial ranks (0 / island total) are final
+    # at once.
     pair_cnt = p_k[row_isl]
-    n_pairs = int(pair_cnt.sum())
     pair_off = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(pair_cnt, out=pair_off[1:])
     pair_pe = (
         concat_ranges(isl_off[row_isl], pair_cnt) if n_rows
         else np.empty(0, dtype=np.int64)
     )
-    pair_row = np.repeat(np.arange(n_rows, dtype=np.int64), pair_cnt)
-    pair_local = np.arange(n_pairs, dtype=np.int64) - pair_off[pair_row]
     pair_size = sizes[pair_pe]
-    lo = np.zeros(n_pairs, dtype=np.int64)
-    hi = pair_size.copy()
-    row_done = np.zeros(n_rows, dtype=bool)
-
-    # Trivial ranks (0 / island total) terminate immediately.
-    triv0 = ranks_flat == 0
     trivN = ranks_flat == isl_total[row_isl]
-    hi[np.repeat(triv0, pair_cnt)] = 0
-    mN = np.repeat(trivN & ~triv0, pair_cnt)
-    lo[mN] = pair_size[mN]
-    hi[mN] = pair_size[mN]
-    row_done |= triv0 | trivN
+    row_done = (ranks_flat == 0) | trivN
+    splits = np.where(np.repeat(trivN, pair_cnt), pair_size, 0)
+    # Committed left-part size per row (the sum of its windows' ``lo``).
+    lo_sum = np.where(trivN, ranks_flat, 0)
+
+    # The open candidate windows [o_lo, o_hi) in (row, PE) order, with
+    # their batch PE, rank row and slot in the split array.
+    o_pair = np.flatnonzero(np.repeat(~row_done, pair_cnt) & (pair_size > 0))
+    o_lo = np.zeros(o_pair.size, dtype=np.int64)
+    o_hi = pair_size[o_pair]
+    o_pe = pair_pe[o_pair]
+    o_row = np.repeat(np.arange(n_rows, dtype=np.int64), pair_cnt)[o_pair]
 
     iterations = np.zeros(n_isl, dtype=np.int64)
     max_iter = 64 + 4 * np.ceil(
@@ -338,78 +346,69 @@ def multisequence_select_batched(
     log_sizes = np.maximum(1.0, np.log2(np.maximum(sizes, 2)))
 
     while True:
-        live_per_isl = np.bincount(row_isl[~row_done], minlength=n_isl)
-        active_isl = np.flatnonzero(live_per_isl > 0)
+        live = ~row_done
+        active_isl = np.flatnonzero(np.bincount(row_isl[live], minlength=n_isl))
         if active_isl.size == 0:
             break
         iterations[active_isl] += 1
         if np.any(iterations[active_isl] > (max_iter + isl_total)[active_isl]):
             raise RuntimeError("multisequence selection failed to converge")
 
-        widths = hi - lo
-        row_rem = np.add.reduceat(widths, pair_off[:-1])
-        live = ~row_done
-        collapsed = live & (row_rem == 0)
+        # Rows with an open window draw; live rows without one collapse.
+        n_open = int(o_row.size)
+        row_first = np.flatnonzero(np.diff(o_row, prepend=-1))
+        draw_rows = o_row[row_first]
+        collapsed = live.copy()
+        collapsed[draw_rows] = False
         if collapsed.any():
-            lo_sum = np.add.reduceat(lo, pair_off[:-1])
             if np.any(lo_sum[collapsed] != ranks_flat[collapsed]):
                 raise RuntimeError("multiselect window collapsed at wrong rank")
             row_done[collapsed] = True
-        drawing = live & (row_rem > 0)
-        draw_rows = np.flatnonzero(drawing)
-        if draw_rows.size == 0:
+        if n_open == 0:
             continue
+        widths = o_hi - o_lo
+        csum = np.cumsum(widths)
+        row_rem = np.add.reduceat(widths, row_first)
 
         # --- pivot draws: one vectorised call per island, islands in order
         # (rows are laid out island-major, so each drawing island is one
         # contiguous slice — no per-island masks).
         us = np.empty(draw_rows.size, dtype=np.int64)
         d_isl = row_isl[draw_rows]
-        d_vals = row_rem[draw_rows]
-        d_bnd = np.flatnonzero(d_isl[1:] != d_isl[:-1]) + 1
-        d_starts = np.concatenate([[0], d_bnd])
-        d_ends = np.concatenate([d_bnd, [d_isl.size]])
+        d_starts = np.flatnonzero(np.diff(d_isl, prepend=-1))
+        d_ends = np.append(d_starts[1:], d_isl.size)
         for a, b in zip(d_starts.tolist(), d_ends.tolist()):
-            us[a:b] = rngs[int(d_isl[a])].integers(0, d_vals[a:b])
+            us[a:b] = rngs[int(d_isl[a])].integers(0, row_rem[a:b])
 
-        # --- locate the pivots: segmented cumsum + segmented search -------
-        csum = np.cumsum(widths)
-        row_base = csum[pair_off[:-1]] - widths[pair_off[:-1]]
-        seg_csum = csum - np.repeat(row_base, pair_cnt)
-        q_local = segmented_searchsorted(seg_csum, pair_off, us, draw_rows, side="right")
-        q_pair = pair_off[draw_rows] + q_local
-        prev = np.where(q_local > 0, seg_csum[q_pair - 1], 0)
-        pos_row = lo[q_pair] + (us - prev)
-        owner_pe = pair_pe[q_pair]
-        pv_row = values[offsets[owner_pe] + pos_row]
+        # --- locate the pivots: element u of a row is element row start + u
+        # of all open windows; u < row_rem keeps it inside the row ----------
+        row_end = np.append(row_first[1:], n_open)
+        u_all = csum[row_end - 1] - row_rem + us
+        q = np.searchsorted(csum, u_all, side="right")
+        pos_row = o_lo[q] + (u_all - (csum[q] - widths[q]))
+        pv_row = values[offsets[o_pe[q]] + pos_row]
 
         # --- segmented two-sided window counting --------------------------
-        cnt = np.zeros(n_pairs, dtype=np.int64)
-        draw_idx_of_row = np.full(n_rows, -1, dtype=np.int64)
-        draw_idx_of_row[draw_rows] = np.arange(draw_rows.size, dtype=np.int64)
-        open_mask = np.repeat(drawing, pair_cnt) & (hi > lo)
-        op = np.flatnonzero(open_mask)
-        if op.size:
-            di = draw_idx_of_row[pair_row[op]]
-            pos_in_seg = segmented_searchsorted(
-                values,
-                offsets,
-                pv_row[di],
-                pair_pe[op],
-                side=pair_local[op] < q_local[di],
-                lo=lo[op],
-                hi=hi[op],
-            )
-            cnt[op] = pos_in_seg - lo[op]
+        di = np.repeat(
+            np.arange(draw_rows.size, dtype=np.int64), row_end - row_first
+        )
+        cnt = segmented_searchsorted(
+            values,
+            offsets,
+            pv_row[di],
+            o_pe,
+            side=np.arange(n_open) < q[di],
+            lo=o_lo,
+            hi=o_hi,
+        ) - o_lo
         # The owner counts by pivot *position* (implicit (value, PE, pos)
         # key) — exact with duplicate runs spanning PE boundaries.
-        cnt[q_pair] = pos_row - lo[q_pair] + 1
+        cnt[q] = pos_row - o_lo[q] + 1
 
         # --- local binary-search charge for every island that drew --------
         charged_isl = d_isl[d_starts]  # sorted unique (rows island-major)
         if charge_local:
-            ops = np.bincount(pair_pe[op], minlength=q_pes) if op.size else \
-                np.zeros(q_pes, dtype=np.int64)
+            ops = np.bincount(o_pe, minlength=q_pes)
             drawn = np.zeros(n_isl, dtype=bool)
             drawn[charged_isl] = True
             charged = drawn[pe_isl_map]
@@ -417,37 +416,42 @@ def multisequence_select_batched(
             machine.advance_many(islands.members[charged], times[charged])
 
         # --- one vector all-reduce per drawing island ---------------------
-        islands.select(charged_isl).charge_collective(nr_k[charged_isl])
+        batch = islands if charged_isl.size == n_isl else \
+            islands.select(charged_isl)
+        batch.charge_collective(nr_k[charged_isl])
 
         # --- narrow the candidate windows ---------------------------------
-        row_cnt = np.add.reduceat(cnt, pair_off[:-1])
-        lo_sum = np.add.reduceat(lo, pair_off[:-1])
-        got = row_cnt[draw_rows]
+        got = np.add.reduceat(cnt, row_first)
         target = ranks_flat[draw_rows] - lo_sum[draw_rows]
         le = got <= target
-        row_le = np.zeros(n_rows, dtype=bool)
-        row_le[draw_rows] = le
-        row_eq = np.zeros(n_rows, dtype=bool)
-        row_eq[draw_rows] = got == target
-        row_gt = np.zeros(n_rows, dtype=bool)
-        row_gt[draw_rows] = ~le
-        le_pairs = np.repeat(row_le, pair_cnt)
-        lo = np.where(le_pairs, lo + cnt, lo)
-        hi = np.where(np.repeat(row_eq, pair_cnt), lo, hi)
-        row_done |= row_eq
-        gt_pairs = np.repeat(row_gt, pair_cnt)
-        hi = np.where(gt_pairs, lo + cnt, hi)
-        hi[q_pair[~le]] -= 1
+        eq = got == target
+        lo_sum[draw_rows[le]] += got[le]
+        row_done[draw_rows[eq]] = True
+        # <= target: everything counted joins the left part (and an exact
+        # hit closes the row); > target: the left part lies strictly inside
+        # the counted region, without the pivot itself.
+        le_w = le[di]
+        counted_end = o_lo + cnt
+        o_lo = np.where(le_w, counted_end, o_lo)
+        o_hi = np.where(le_w, o_hi, counted_end)
+        o_hi[q[~le]] -= 1
+        closed = (o_hi == o_lo) | eq[di]
+        if closed.any():
+            splits[o_pair[closed]] = o_lo[closed]
+            keep = ~closed
+            o_lo, o_hi, o_pe, o_row, o_pair = (
+                o_lo[keep], o_hi[keep], o_pe[keep], o_row[keep], o_pair[keep]
+            )
 
     if n_rows:
-        row_sum = np.add.reduceat(lo, pair_off[:-1])
+        row_sum = np.add.reduceat(splits, pair_off[:-1])
         if not np.array_equal(row_sum, ranks_flat):
             raise RuntimeError("multisequence selection produced wrong rank sums")
     results: List[MultiselectResult] = []
     for k in range(n_isl):
         pairs_lo = int(pair_off[row_off[k]])
         pairs_hi = int(pair_off[row_off[k + 1]])
-        spl = lo[pairs_lo:pairs_hi].reshape(int(nr_k[k]), int(p_k[k]))
+        spl = splits[pairs_lo:pairs_hi].reshape(int(nr_k[k]), int(p_k[k]))
         results.append(
             MultiselectResult(splits=spl.copy(), iterations=int(iterations[k]))
         )

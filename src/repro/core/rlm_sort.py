@@ -212,34 +212,23 @@ def _rlm_level_batched(
     # ------------------------------------------------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         isl_totals = np.add.reduceat(data_sizes, act_off[:-1])
-        if n_act and int(isl_totals.max(initial=0)) * int(act_sizes.max(initial=1)) \
-                < 2 ** 63:
-            # All islands' target ranks in one pass: per-island inclusive
-            # cumsum of the sub-group sizes, last entry dropped, scaled by
-            # total/p — identical to the per-island integer arithmetic.
-            sub_flat = np.concatenate(sub_sizes) if n_act else \
-                np.empty(0, dtype=np.int64)
-            sub_off = np.zeros(n_act + 1, dtype=np.int64)
-            np.cumsum(r_act, out=sub_off[1:])
-            cum = np.cumsum(sub_flat)
-            cum -= np.repeat(
-                cum[sub_off[:-1]] - sub_flat[sub_off[:-1]], r_act
-            )
-            keep = np.ones(int(sub_off[-1]), dtype=bool)
-            keep[sub_off[1:] - 1] = False
-            nr = r_act - 1
-            ranks_flat = (
-                np.repeat(isl_totals, nr) * cum[keep]
-            ) // np.repeat(act_sizes, nr)
-            ranks_per_island = np.split(ranks_flat, np.cumsum(nr)[:-1])
-        else:  # pragma: no cover - int64 headroom fallback
-            ranks_per_island = []
-            for k in range(n_act):
-                cum_k = np.cumsum(sub_sizes[k])
-                ranks_per_island.append([
-                    int((int(isl_totals[k]) * int(c)) // int(act_sizes[k]))
-                    for c in cum_k[:-1]
-                ])
+        # All islands' target ranks in one pass: per-island inclusive
+        # cumsum of the sub-group sizes, last entry dropped, scaled by
+        # total/p.  With a, b = divmod(total, p), a*c + (b*c)//p equals
+        # (total*c)//p exactly and cannot overflow (b*c < p**2).
+        sub_flat = np.concatenate(sub_sizes)  # a level has an active island
+        sub_off = np.zeros(n_act + 1, dtype=np.int64)
+        np.cumsum(r_act, out=sub_off[1:])
+        cum = np.cumsum(sub_flat)
+        cum -= np.repeat(cum[sub_off[:-1]] - sub_flat[sub_off[:-1]], r_act)
+        keep = np.ones(int(sub_off[-1]), dtype=bool)
+        keep[sub_off[1:] - 1] = False
+        nr = r_act - 1
+        p_rep = np.repeat(act_sizes, nr)
+        a, b = np.divmod(np.repeat(isl_totals, nr), p_rep)
+        c = cum[keep]
+        ranks_flat = a * c + (b * c) // p_rep
+        ranks_per_island = np.split(ranks_flat, np.cumsum(nr)[:-1])
         rngs = [
             machine.group_rng(level, int(batch_members[act_off[k]]))
             for k in range(n_act)

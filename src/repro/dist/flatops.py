@@ -412,15 +412,17 @@ def segmented_searchsorted_numpy(
     ``query_seg[k]``.  The result equals
     ``np.searchsorted(values[offsets[s]:offsets[s+1]], queries[k], side)``
     per query (positions are relative to the segment start), but all queries
-    advance together through one segmented binary search —
-    ``O(log max_segment_size)`` whole-batch vectorised bisection steps
-    instead of a Python loop over segments.
+    advance together through one length-halving bisection
+    (:func:`_windowed_bisect`) — ``O(log max_segment_size)`` whole-batch
+    steps of one probe and one comparison each, instead of a Python loop
+    over segments.
 
     ``side`` is ``'left'``, ``'right'``, or a boolean array per query
     (``True`` = right); the per-query form is the *two-sided* search the
     multisequence selection uses, where the side depends on the position of
     the queried segment relative to the pivot owner (Appendix D
-    tie-breaking).
+    tie-breaking).  A mask splits the queries once into a left and a right
+    batch.
 
     ``lo``/``hi`` optionally restrict query ``k`` to the half-open window
     ``[lo[k], hi[k])`` of its segment (positions relative to the segment
@@ -441,35 +443,28 @@ def segmented_searchsorted_numpy(
     if isinstance(side, str):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left', 'right', or a boolean mask")
-        right = np.full(queries.shape, side == "right", dtype=bool)
     else:
         right = np.asarray(side, dtype=bool)
         if right.shape != queries.shape:
             raise ValueError("per-query side mask must match the query shape")
     base = offsets[query_seg]
-    if lo is None:
-        cur_lo = base.copy()
-    else:
-        cur_lo = base + np.asarray(lo, dtype=np.int64)
-    if hi is None:
-        cur_hi = offsets[query_seg + 1].copy()
-    else:
-        cur_hi = base + np.asarray(hi, dtype=np.int64)
-    if cur_lo.size and (
-        np.any(cur_lo < base) or np.any(cur_hi > offsets[query_seg + 1])
-        or np.any(cur_lo > cur_hi)
+    end = offsets[query_seg + 1]
+    start = base if lo is None else base + np.asarray(lo, dtype=np.int64)
+    stop = end if hi is None else base + np.asarray(hi, dtype=np.int64)
+    if start.size and (
+        np.any(start < base) or np.any(stop > end) or np.any(start > stop)
     ):
         raise IndexError("search window out of segment range")
-    while True:
-        active = cur_lo < cur_hi
-        if not active.any():
-            break
-        mid = (cur_lo + cur_hi) >> 1
-        probe = values[np.where(active, mid, 0)]
-        go_right = np.where(right, probe <= queries, probe < queries) & active
-        cur_lo = np.where(go_right, mid + 1, cur_lo)
-        cur_hi = np.where(active & ~go_right, mid, cur_hi)
-    return cur_lo - base
+    if isinstance(side, str):
+        pos = _windowed_bisect(values, queries, start, stop, side == "right")
+    else:
+        pos = np.empty(queries.shape, dtype=np.int64)
+        for flag in (False, True):
+            idx = np.flatnonzero(right == flag)
+            pos[idx] = _windowed_bisect(
+                values, queries[idx], start[idx], stop[idx], flag
+            )
+    return pos - base
 
 
 def blockwise_searchsorted_numpy(
@@ -674,23 +669,31 @@ def _windowed_bisect(
 ) -> np.ndarray:
     """Insertion positions of queries in per-query windows of a flat buffer.
 
-    Validation-free whole-batch bisection over the absolute windows
-    ``[lo[k], hi[k]]`` — every window must already contain its query's true
-    insertion position (the mixed-cell contract of the radix tables).
+    Validation-free whole-batch bisection over the sorted absolute windows
+    ``[lo[k], hi[k])``: the result is ``lo[k] + np.searchsorted(
+    values[lo[k]:hi[k]], queries[k], side)`` (``side='right'`` when
+    ``right``, else ``'left'``), i.e. the query's insertion position in its
+    sorted segment clamped into ``[lo[k], hi[k]]`` — exact when the window
+    contains it (the mixed-cell contract of the radix tables).
+    Length-halving: each step probes ``values[pos + half]`` and moves
+    ``pos`` by ``half`` when that element still lies left of the query, so
+    a window of length ``n`` needs ``ceil(log2 n)`` steps and one last
+    probe.  Windows of at most one candidate probe with ``half == 0`` and
+    do not move (``mode="clip"`` keeps the probe of an empty window at the
+    buffer's end in range).
     """
-    cur_lo = lo.copy()
-    cur_hi = hi.copy()
-    while True:
-        active = cur_lo < cur_hi
-        if not active.any():
-            break
-        mid = (cur_lo + cur_hi) >> 1
-        probe = values[np.where(active, mid, 0)]
-        go = probe <= queries if right else probe < queries
-        go &= active
-        cur_lo = np.where(go, mid + 1, cur_lo)
-        cur_hi = np.where(active & ~go, mid, cur_hi)
-    return cur_lo
+    pos = np.array(lo, dtype=np.int64)
+    n = hi - lo
+    if values.size == 0 or pos.size == 0:
+        return pos  # every window is empty
+    before = np.less_equal if right else np.less
+    for _ in range((max(int(n.max()), 1) - 1).bit_length()):
+        half = n >> 1
+        n -= half
+        half *= before(values.take(pos + half, mode="clip"), queries)
+        pos += half
+    pos += before(values.take(pos, mode="clip"), queries) & (n > 0)
+    return pos
 
 
 def _bit_length_i64(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,14 +85,14 @@ class TrafficCounters:
         np.add.at(self.words_sent, src, words)
         np.add.at(self.words_received, dst, words)
 
-    def record_collective(self, pes: Iterable[int]) -> None:
+    def record_collective(self, pes: Sequence[int]) -> None:
         """Record participation of ``pes`` in one collective operation."""
-        idx = np.asarray(list(pes), dtype=np.int64)
+        idx = np.asarray(pes, dtype=np.int64)
         self.collective_ops[idx] += 1
 
-    def record_exchange(self, pes: Iterable[int]) -> None:
+    def record_exchange(self, pes: Sequence[int]) -> None:
         """Record participation of ``pes`` in one irregular exchange."""
-        idx = np.asarray(list(pes), dtype=np.int64)
+        idx = np.asarray(pes, dtype=np.int64)
         self.exchange_ops[idx] += 1
 
     # ------------------------------------------------------------------

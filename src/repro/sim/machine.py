@@ -204,7 +204,7 @@ class SimulatedMachine:
 
     def advance_many(self, pes: Sequence[int], seconds: Sequence[float] | float) -> None:
         """Advance several PE clocks at once (fault-scaled like :meth:`advance`)."""
-        idx = np.asarray(list(pes), dtype=np.int64)
+        idx = np.asarray(pes, dtype=np.int64)
         if np.isscalar(seconds):
             dts = np.full(idx.shape, float(seconds))
         else:
@@ -229,7 +229,7 @@ class SimulatedMachine:
 
         Returns the synchronized time.
         """
-        idx = np.asarray(list(pes), dtype=np.int64)
+        idx = np.asarray(pes, dtype=np.int64)
         if idx.size == 0:
             return 0.0
         t = float(self.clock[idx].max())
@@ -244,7 +244,7 @@ class SimulatedMachine:
         """Maximum clock value (over ``pes`` or over all PEs)."""
         if pes is None:
             return float(self.clock.max())
-        idx = np.asarray(list(pes), dtype=np.int64)
+        idx = np.asarray(pes, dtype=np.int64)
         if idx.size == 0:
             return 0.0
         return float(self.clock[idx].max())

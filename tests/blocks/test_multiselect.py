@@ -73,6 +73,23 @@ class TestMultisequenceSelect:
         with pytest.raises(ValueError):
             multisequence_select(comm, [np.array([3, 1]), np.array([1])], [1])
 
+    def test_batched_descent_at_segment_start_accepted(self):
+        # A descent across a segment boundary is not a sortedness violation,
+        # also right after an empty segment.
+        data = [np.array([1, 5]), np.array([], dtype=np.int64), np.array([2, 3])]
+        ref, _ = _splits_and_machine(data, [2], "reference")
+        got, _ = _splits_and_machine(data, [2], "batched")
+        assert int(got.splits[0].sum()) == 2
+        assert np.array_equal(got.splits, ref.splits)
+
+    def test_batched_unsorted_segment_rejected(self):
+        with pytest.raises(
+            ValueError, match="local segments must be individually sorted"
+        ):
+            _splits_and_machine(
+                [np.array([1, 5]), np.array([3, 2])], [1], "batched"
+            )
+
     def test_bad_rank_rejected(self):
         comm = make_comm(2)
         data = [np.array([1]), np.array([2])]
@@ -251,3 +268,60 @@ class TestMultiselectDuplicateBoundaries:
         for pe in range(5):
             slices = res.pieces_for_pe(pe, int(sizes[pe]))
             assert sum(s.stop - s.start for s in slices) == int(sizes[pe])
+
+
+class TestBatchedLockstepAcrossIslands:
+    """Islands of one batch finish in different rounds; the batched loop
+    must still give every island exactly its own per-island selection."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_per_island_selection(self, data):
+        isl_sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
+        high = data.draw(st.sampled_from([3, 10**6]))  # few or many keys
+        runs, ranks = [], []
+        for size in isl_sizes:
+            isl_runs = [
+                np.sort(np.asarray(
+                    data.draw(st.lists(st.integers(0, high), max_size=20)),
+                    dtype=np.int64,
+                ))
+                for _ in range(size)
+            ]
+            total = sum(r.size for r in isl_runs)
+            rank = st.one_of(st.just(0), st.just(total), st.integers(0, total))
+            ranks.append(sorted(
+                data.draw(st.lists(rank, min_size=1, max_size=4))
+            ))
+            runs.extend(isl_runs)
+        offsets = np.concatenate([[0], np.cumsum(isl_sizes)]).astype(np.int64)
+        p = int(offsets[-1])
+
+        batched = SimulatedMachine(p, spec=laptop_like(), seed=3)
+        islands = GroupBatch(batched, np.arange(p, dtype=np.int64), offsets)
+        got = multisequence_select_batched(
+            islands, DistArray.from_list([r.copy() for r in runs]), ranks,
+            [batched.group_rng(0, int(first)) for first in offsets[:-1]],
+        )
+
+        per_island = SimulatedMachine(p, spec=laptop_like(), seed=3)
+        for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+            expect = multisequence_select(
+                per_island.comm(range(a, b)), runs[a:b], ranks[k],
+                rng=per_island.group_rng(0, int(a)),
+            )
+            assert np.array_equal(got[k].splits, expect.splits), k
+            assert got[k].iterations == expect.iterations, k
+
+        assert np.array_equal(batched.clock, per_island.clock)
+        assert batched.breakdown.phases() == per_island.breakdown.phases()
+        for phase in per_island.breakdown.phases():
+            assert np.array_equal(
+                batched.breakdown.per_pe(phase), per_island.breakdown.per_pe(phase)
+            ), phase
+        for field in ("messages_sent", "messages_received", "words_sent",
+                      "words_received", "collective_ops", "exchange_ops"):
+            assert np.array_equal(
+                getattr(batched.counters, field),
+                getattr(per_island.counters, field),
+            ), field
