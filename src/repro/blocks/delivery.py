@@ -30,7 +30,8 @@ Four strategies are implemented, mirroring the paper:
     ``s = a*n/(r*p)`` are broken into chunks of size ``s``, chunk descriptors
     are delegated to pseudorandom PEs, and the per-group enumeration order is
     randomized, giving ``<= 1 + 2r(1 + 1/a)`` received messages w.h.p.
-    (Lemma 6, Theorem 4).
+    (Lemma 6, Theorem 4).  The tuning parameter is Lemma 6's
+    ``a = max(1, sqrt(r / ln(r p)))`` (:func:`_chunk_limit`).
 
 All strategies deliver exactly the same multiset of elements to each group
 and differ only in how the elements of a group are laid out across its PEs
@@ -269,11 +270,23 @@ def _assign_deterministic(
     return outboxes, group_loads, capacities
 
 
+def _chunk_limit(sizes: np.ndarray) -> int:
+    """Chunk size ``s = a*n/(r*p)`` of the advanced algorithm (at least 1).
+
+    ``a = max(1, sqrt(r / ln(r p)))`` as in Lemma 6.
+    """
+    p, r = sizes.shape
+    total = int(sizes.sum())
+    if total == 0:
+        return 1
+    a = max(1.0, math.sqrt(r / math.log(max(r * p, 2))))
+    return max(1, int(math.ceil(a * total / max(1, r * p))))
+
+
 def _advanced_orders(
     sizes: np.ndarray,
     group_sizes: np.ndarray,
     seed: int,
-    oversplit: float,
 ) -> Tuple[List[List[Tuple[int, int, int]]], int]:
     """Chunk lists for the advanced randomized algorithm.
 
@@ -282,8 +295,7 @@ def _advanced_orders(
     over all groups (used to charge the descriptor exchange).
     """
     p, r = sizes.shape
-    total = int(sizes.sum())
-    limit = max(1, int(math.ceil(oversplit * total / max(1, r * p)))) if total > 0 else 1
+    limit = _chunk_limit(sizes)
     per_group: List[List[Tuple[int, int, int]]] = []
     delegated = 0
     for j in range(r):
@@ -315,8 +327,6 @@ def deliver_to_groups(
     pieces: Sequence[Sequence[np.ndarray]],
     method: str = "deterministic",
     seed: int = 0,
-    oversplit: Optional[float] = None,
-    phase: str = PHASE_DATA_DELIVERY,
     schedule: str = "sparse",
 ) -> DeliveryResult:
     """Deliver per-PE pieces to PE groups and return the received data.
@@ -335,14 +345,11 @@ def deliver_to_groups(
         One of :data:`DELIVERY_METHODS`.
     seed:
         Seed for the pseudorandom permutations of the randomized methods.
-    oversplit:
-        The tuning parameter ``a`` of the advanced algorithm (chunk size
-        ``a * n / (r p)``); defaults to ``max(1, sqrt(r / ln(max(r*p, 2))))``
-        following Lemma 6.
-    phase:
-        Phase name to attribute the modelled time to.
     schedule:
-        Exchange schedule (``'sparse'`` or ``'dense'``).
+        Exchange schedule: ``'sparse'`` (AMS-sort, RLM-sort, quicksort) or
+        ``'dense'`` (the single-level sample sort and mergesort).
+
+    The modelled time goes to the data-delivery phase.
     """
     if method not in DELIVERY_METHODS:
         raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
@@ -355,7 +362,7 @@ def deliver_to_groups(
     if int(group_sizes.sum()) != p:
         raise ValueError("groups must partition the parent communicator")
 
-    with comm.phase(phase):
+    with comm.phase(PHASE_DATA_DELIVERY):
         # The vector-valued prefix sum over piece sizes (cost accounting for
         # the enumeration step; the actual positions are computed below).
         comm.exscan_vec([sizes[i] for i in range(p)])
@@ -377,10 +384,7 @@ def deliver_to_groups(
                 sizes, pieces, group_starts, group_sizes
             )
         else:  # advanced
-            a_param = oversplit
-            if a_param is None:
-                a_param = max(1.0, math.sqrt(r / math.log(max(r * p, 2))))
-            chunk_lists, delegated = _advanced_orders(sizes, group_sizes, seed, a_param)
+            chunk_lists, delegated = _advanced_orders(sizes, group_sizes, seed)
             # Descriptor delegation: every delegated chunk sends a constant
             # size descriptor to a pseudorandom PE (Appendix A); modelled as
             # a small exchange.
@@ -748,7 +752,6 @@ def _flat_advanced_parts(
     group_starts: np.ndarray,
     group_sizes: np.ndarray,
     seed: int,
-    oversplit: Optional[float],
 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
     """Vectorised advanced randomized assignment (Appendix A), charge-free.
 
@@ -759,11 +762,7 @@ def _flat_advanced_parts(
     whole-machine batch.
     """
     p, r = sizes.shape
-    total = int(sizes.sum())
-    a_param = oversplit
-    if a_param is None:
-        a_param = max(1.0, math.sqrt(r / math.log(max(r * p, 2))))
-    limit = max(1, int(math.ceil(a_param * total / max(1, r * p)))) if total > 0 else 1
+    limit = _chunk_limit(sizes)
 
     per_group: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     delegated = 0
@@ -849,8 +848,6 @@ def deliver_to_groups_batched(
     piece_sizes: Sequence[np.ndarray],
     method: str = "deterministic",
     seed: int = 0,
-    oversplit: Optional[float] = None,
-    phase: str = PHASE_DATA_DELIVERY,
     schedule: str = "sparse",
     elem_plane: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     piece_layout: str = "rowmaj",
@@ -881,7 +878,7 @@ def deliver_to_groups_batched(
         destination group a singleton, method not ``'advanced'``).
     piece_sizes:
         Per island, the ``(p_k, r_k)`` piece-size matrix.
-    method, seed, oversplit, phase, schedule:
+    method, seed, schedule:
         As for :func:`deliver_to_groups`; the per-group pseudorandom
         permutation seeds restart at every island exactly like the
         per-island reference calls.  An unknown ``schedule`` raises the
@@ -966,7 +963,7 @@ def deliver_to_groups_batched(
     np.cumsum(piece_cnt, out=piece_off[1:])
     starts_flat = np.cumsum(flat_sizes) - flat_sizes
 
-    with machine.phase(phase):
+    with machine.phase(PHASE_DATA_DELIVERY):
         # Same enumeration prefix-sum collective as the per-island reference.
         islands.charge_collective(r_k)
 
@@ -1040,7 +1037,7 @@ def deliver_to_groups_batched(
                 )
             else:  # advanced
                 parts_k, desc_src, desc_dest = _flat_advanced_parts(
-                    sizes_k, starts_k, g_starts, g_sizes, seed, oversplit
+                    sizes_k, starts_k, g_starts, g_sizes, seed
                 )
                 if desc_src.size:
                     desc_parts.append(np.stack([

@@ -92,9 +92,10 @@ def _rank_against(row_vals: np.ndarray, row_ids: np.ndarray,
 def fast_work_inefficient_sort(
     comm,
     local_values: Sequence[np.ndarray],
-    phase: str = PHASE_SPLITTER_SELECTION,
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """Compute global ranks of a small distributed input on a PE grid.
+
+    The modelled time goes to the splitter-selection phase.
 
     Parameters
     ----------
@@ -102,8 +103,6 @@ def fast_work_inefficient_sort(
         Communicator of ``p`` PEs.
     local_values:
         One array per member PE (the sample contributed by that PE).
-    phase:
-        Phase name the modelled time is attributed to.
 
     Returns
     -------
@@ -123,7 +122,7 @@ def fast_work_inefficient_sort(
     if p > 1:
         offsets[1:] = np.cumsum(sizes)[:-1]
 
-    with comm.phase(phase):
+    with comm.phase(PHASE_SPLITTER_SELECTION):
         # Local sort of the sample; carry unique ids so ranks are exact.
         ids = [offsets[i] + np.arange(sizes[i], dtype=np.int64) for i in range(p)]
         values_sorted: List[np.ndarray] = []
@@ -247,20 +246,19 @@ def select_splitters_by_rank(
     comm,
     local_values: Sequence[np.ndarray],
     num_splitters: int,
-    phase: str = PHASE_SPLITTER_SELECTION,
 ) -> np.ndarray:
     """Sort a distributed sample and return ``num_splitters`` equidistant splitters.
 
     The splitters are broadcast to (i.e. returned for) every PE; the modelled
-    cost of the broadcast is charged to ``phase``.
+    cost of the sort and the broadcast goes to the splitter-selection phase.
     """
-    sorted_values, _, _, _ = fast_work_inefficient_sort(comm, local_values, phase=phase)
+    sorted_values, _, _, _ = fast_work_inefficient_sort(comm, local_values)
     total = int(sorted_values.size)
     if num_splitters <= 0 or total == 0:
         return sorted_values[:0].copy()
     ranks = ((np.arange(1, num_splitters + 1) * total) // (num_splitters + 1))
     ranks = np.clip(ranks, 0, total - 1)
     splitters = sorted_values[ranks]
-    with comm.phase(phase):
+    with comm.phase(PHASE_SPLITTER_SELECTION):
         comm.bcast(splitters, root=0, words=int(splitters.size))
     return splitters

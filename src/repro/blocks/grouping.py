@@ -12,8 +12,7 @@ minimised — a constrained bin-packing problem.  The paper solves it with
 
   - plain binary search over the value range (``O(b r log n)``),
   - the accelerated search of Appendix C that tightens the bounds using the
-    group sizes actually observed during scans and only considers the
-    ``O(b r)`` candidate values that are sums of consecutive buckets.
+    group sizes actually observed during scans.
 
 Lemma 1 proves the scanning algorithm finds the optimal ``L``; the
 test-suite verifies this against a brute-force dynamic program.
@@ -190,10 +189,7 @@ def optimal_bucket_grouping(
         (the simple sequential algorithm of Section 6);
         ``'accelerated'`` — binary search with the Appendix C bound updates
         (lower bound from failed scans, upper bound from successful scans),
-        which converges in far fewer scans;
-        ``'candidates'`` — search restricted to the values that are sums of
-        consecutive buckets (the second Appendix C observation); exact but
-        ``O((b r)^2)`` candidate generation, useful for testing.
+        which converges in far fewer scans.
     """
     sizes = np.asarray(bucket_sizes, dtype=np.int64)
     if np.any(sizes < 0):
@@ -246,20 +242,6 @@ def optimal_bucket_grouping(
                 hi = min(mid, largest) - 1
             else:
                 lo = max(mid + 1, min_overflow)
-    elif method == "candidates":
-        csum = np.concatenate([[0], np.cumsum(sizes)])
-        candidates = set()
-        for i in range(sizes.size):
-            for j in range(i + 1, sizes.size + 1):
-                value = int(csum[j] - csum[i])
-                if value >= lower:
-                    candidates.add(value)
-        for value in sorted(candidates):
-            scan_calls += 1
-            boundaries = scan_buckets_with_bound(sizes, num_groups, value)
-            if boundaries is not None:
-                best, best_bound = boundaries, value
-                break
     else:
         raise ValueError(f"unknown grouping method {method!r}")
 
@@ -503,10 +485,8 @@ def optimal_max_load_dp(bucket_sizes: Sequence[int], num_groups: int) -> int:
     if m == 0:
         return 0
     csum = np.concatenate([[0], np.cumsum(sizes)])
-    inf = np.iinfo(np.int64).max
     # dp[g][i]: minimal possible maximum load when the first i buckets are
     # split into at most g groups.
-    prev = np.where(np.arange(m + 1) == 0, 0, inf).astype(np.int64)
     prev = np.empty(m + 1, dtype=np.int64)
     for i in range(m + 1):
         prev[i] = int(csum[i])  # one group takes everything

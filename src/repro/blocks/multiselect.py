@@ -83,7 +83,6 @@ def multisequence_select(
     comm,
     local_sorted: Sequence[np.ndarray],
     ranks: Sequence[int],
-    charge_local: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> MultiselectResult:
     """Run the distributed multisequence selection on communicator ``comm``.
@@ -97,9 +96,6 @@ def multisequence_select(
     ranks:
         Target global ranks, non-decreasing, each in ``0 .. n`` where ``n``
         is the total number of elements.
-    charge_local:
-        Charge the modelled local binary-search cost (disable for tests that
-        only care about the data result).
     rng:
         Replicated random stream for the pivot draws; defaults to the
         communicator's shared generator.  The multi-level algorithms pass a
@@ -193,16 +189,15 @@ def multisequence_select(
                     cnt = pos - lo_i + 1
                 counts[t, i] = cnt
                 search_ops[i] += 1
-        if charge_local:
-            comm.charge_local_many(
-                [
-                    comm.spec.comparison_ns
-                    * 1e-9
-                    * float(ops)
-                    * max(1.0, np.log2(max(int(s), 2)))
-                    for ops, s in zip(search_ops, sizes)
-                ]
-            )
+        comm.charge_local_many(
+            [
+                comm.spec.comparison_ns
+                * 1e-9
+                * float(ops)
+                * max(1.0, np.log2(max(int(s), 2)))
+                for ops, s in zip(search_ops, sizes)
+            ]
+        )
 
         # --- one vector-valued all-reduce over all active ranks -----------
         totals = comm.allreduce_vec([counts[:, i] for i in range(p)])
@@ -241,7 +236,6 @@ def multisequence_select_batched(
     local_sorted: DistArray,
     ranks_per_island: Sequence[Sequence[int]],
     rngs: Sequence[np.random.Generator],
-    charge_local: bool = True,
 ) -> List[MultiselectResult]:
     """Run the multisequence selections of many disjoint PE groups in lockstep.
 
@@ -407,13 +401,12 @@ def multisequence_select_batched(
 
         # --- local binary-search charge for every island that drew --------
         charged_isl = d_isl[d_starts]  # sorted unique (rows island-major)
-        if charge_local:
-            ops = np.bincount(o_pe, minlength=q_pes)
-            drawn = np.zeros(n_isl, dtype=bool)
-            drawn[charged_isl] = True
-            charged = drawn[pe_isl_map]
-            times = spec.comparison_ns * 1e-9 * ops * log_sizes
-            machine.advance_many(islands.members[charged], times[charged])
+        ops = np.bincount(o_pe, minlength=q_pes)
+        drawn = np.zeros(n_isl, dtype=bool)
+        drawn[charged_isl] = True
+        charged = drawn[pe_isl_map]
+        times = spec.comparison_ns * 1e-9 * ops * log_sizes
+        machine.advance_many(islands.members[charged], times[charged])
 
         # --- one vector all-reduce per drawing island ---------------------
         batch = islands if charged_isl.size == n_isl else \

@@ -9,17 +9,14 @@ splitter ever need the full comparison).
 Our distributed algorithms handle duplicates natively (the multiselect and
 partition primitives distribute equal elements deterministically by PE
 index), so tie breaking is not required for correctness.  This module still
-provides the explicit encoding because
+provides the explicit encoding: it reproduces Appendix D, and its tests
+compare the encoded keys against a plain stable sort oracle.
 
-* it reproduces Appendix D,
-* examples that must produce a *stable* global sort (e.g. sorting records by
-  a possibly-duplicated key while preserving input order) use it, and
-* property-based tests use it to compare against a plain stable sort oracle.
-
-For integer keys with enough headroom the composite key is packed into a
-single ``int64`` (``key * 2^bits + global_index``), which keeps the element a
-single machine word as the paper requires.  Otherwise a structured array with
-``key`` and ``tag`` fields is returned.
+The composite key is packed into a single ``int64``
+(``key * 2^bits + global_index``), which keeps the element a single machine
+word as the paper requires.  Keys that leave no room for the index bits
+(floats, integers too wide for ``63 - bits``) cannot be encoded and are
+rejected: no engine sorts a wider composite key.
 """
 
 from __future__ import annotations
@@ -27,10 +24,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-
-#: dtype of the structured fallback representation.
-STRUCTURED_DTYPE = np.dtype([("key", np.float64), ("tag", np.int64)])
 
 
 def _global_offsets(local_sizes: Sequence[int]) -> np.ndarray:
@@ -68,59 +61,45 @@ def make_unique_keys(
     Returns ``(unique_data, info)`` where ``info`` holds what is needed to
     undo the transformation with :func:`strip_tiebreak`.  Ordering of the
     composite keys is the lexicographic ordering of ``(key, PE, position)``.
+
+    Raises
+    ------
+    ValueError
+        When the keys do not fit the inline ``int64`` encoding
+        (:func:`can_encode_inline`).
     """
     arrays = [np.asarray(d) for d in local_data]
+    if not can_encode_inline(arrays):
+        raise ValueError(
+            "keys do not fit the inline int64 (key, PE, position) encoding"
+        )
     sizes = [int(a.size) for a in arrays]
     offsets = _global_offsets(sizes)
-    total = int(sum(sizes))
-    if can_encode_inline(arrays):
-        bits = int(np.ceil(np.log2(max(total, 2))))
-        factor = np.int64(1) << np.int64(bits)
-        out: List[np.ndarray] = []
-        for a, off in zip(arrays, offsets):
-            idx = np.arange(a.size, dtype=np.int64) + off
-            out.append(a.astype(np.int64) * factor + idx)
-        info = {"mode": "inline", "bits": bits, "sizes": sizes}
-        return out, info
-    out = []
+    bits = int(np.ceil(np.log2(max(int(sum(sizes)), 2))))
+    factor = np.int64(1) << np.int64(bits)
+    out: List[np.ndarray] = []
     for a, off in zip(arrays, offsets):
-        rec = np.empty(a.size, dtype=STRUCTURED_DTYPE)
-        rec["key"] = a.astype(np.float64)
-        rec["tag"] = np.arange(a.size, dtype=np.int64) + off
-        out.append(rec)
-    info = {"mode": "structured", "bits": 0, "sizes": sizes}
+        idx = np.arange(a.size, dtype=np.int64) + off
+        out.append(a.astype(np.int64) * factor + idx)
+    info = {"mode": "inline", "bits": bits, "sizes": sizes}
     return out, info
+
+
+def _inline_factor(info: dict) -> np.int64:
+    """``2^bits`` of an inline encoding; raises for any other ``info``."""
+    mode = info.get("mode")
+    if mode != "inline":
+        raise ValueError(f"unknown tie-break mode {mode!r}")
+    return np.int64(1) << np.int64(info["bits"])
 
 
 def strip_tiebreak(data: Sequence[np.ndarray], info: dict) -> List[np.ndarray]:
     """Recover the original keys from composite keys produced by :func:`make_unique_keys`."""
-    mode = info.get("mode")
-    out: List[np.ndarray] = []
-    if mode == "inline":
-        factor = np.int64(1) << np.int64(info["bits"])
-        for a in data:
-            a = np.asarray(a, dtype=np.int64)
-            out.append(np.floor_divide(a, factor))
-        return out
-    if mode == "structured":
-        for a in data:
-            out.append(np.asarray(a)["key"].copy())
-        return out
-    raise ValueError(f"unknown tie-break mode {mode!r}")
+    factor = _inline_factor(info)
+    return [np.floor_divide(np.asarray(a, dtype=np.int64), factor) for a in data]
 
 
 def original_positions(data: Sequence[np.ndarray], info: dict) -> List[np.ndarray]:
     """Global input positions encoded in composite keys (for stability checks)."""
-    mode = info.get("mode")
-    out: List[np.ndarray] = []
-    if mode == "inline":
-        factor = np.int64(1) << np.int64(info["bits"])
-        for a in data:
-            a = np.asarray(a, dtype=np.int64)
-            out.append(np.mod(a, factor))
-        return out
-    if mode == "structured":
-        for a in data:
-            out.append(np.asarray(a)["tag"].copy())
-        return out
-    raise ValueError(f"unknown tie-break mode {mode!r}")
+    factor = _inline_factor(info)
+    return [np.mod(np.asarray(a, dtype=np.int64), factor) for a in data]

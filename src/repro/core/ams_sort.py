@@ -73,7 +73,6 @@ from repro.dist.flatops import (
 from repro.dist.workspace import get_arena
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
-    PHASE_DATA_DELIVERY,
     PHASE_LOCAL_SORT,
     PHASE_SPLITTER_SELECTION,
 )
@@ -171,9 +170,7 @@ def ams_sort_reference(
             local_data, sampling, p, r,
             comm.machine.sample_rng, level, comm.members,
         )
-    splitters = select_splitters_by_rank(
-        comm, samples, num_splitters, phase=PHASE_SPLITTER_SELECTION
-    )
+    splitters = select_splitters_by_rank(comm, samples, num_splitters)
 
     # ------------------------------------------------------------------
     # 2. Bucket processing: partition, global bucket sizes, bucket grouping
@@ -207,8 +204,6 @@ def ams_sort_reference(
         pieces,
         method=config.delivery,
         seed=comm.machine.seed + level + 1,
-        phase=PHASE_DATA_DELIVERY,
-        schedule=config.exchange_schedule,
     )
 
     # ------------------------------------------------------------------
@@ -622,11 +617,17 @@ def _ams_level_batched(
         islands.charge_collective(nb_per_isl)
 
         # Bucket -> destination group per island through one ragged lookup
-        # table (buckets are few, elements are not).  All islands' Appendix C
-        # bound searches advance in lockstep; a handful of islands is faster
-        # through the scalar per-island search (the lockstep probe machinery
-        # has a fixed per-step cost that only pays off across many islands).
-        if n_act >= 8:
+        # table (buckets are few, elements are not).  From 64 islands on,
+        # all islands' Appendix C bound searches advance in lockstep; below
+        # that the scalar per-island search is faster, because the lockstep
+        # probe machinery has a fixed per-step cost.  Measured on a 2-core
+        # host (b = 16, 16r buckets per island): at 32 islands the lockstep
+        # search took 13.1 ms against 6.2 ms (r = 16) and 29.0 against
+        # 11.0 ms (r = 32); at 64 islands the two are about even (r = 4:
+        # 2.7 against 4.5 ms, r = 32: 26.6 against 21.2 ms); from 128
+        # islands on the lockstep search wins for every r (r = 16 with 512
+        # islands: 39 against 122 ms).  Both return identical boundaries.
+        if n_act >= 64:
             lut = optimal_bucket_grouping_batched(
                 gbs_flat, nb_off, r_act
             ).bucket_group_lut()
@@ -743,8 +744,6 @@ def _ams_level_batched(
         piece_mats,
         method=config.delivery,
         seed=machine.seed + level + 1,
-        phase=PHASE_DATA_DELIVERY,
-        schedule=config.exchange_schedule,
         elem_plane=(dist_b.values, elem_dest) if fuse_delivery else None,
         piece_layout=piece_layout,
     )

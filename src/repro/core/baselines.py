@@ -1,18 +1,20 @@
 """Single-level baseline algorithms the paper compares against.
 
 * :func:`single_level_sample_sort` — classic parallel sample sort [6]:
-  centralized splitter selection (gather the sample, sort it on one PE,
-  broadcast ``p - 1`` splitters), a direct all-to-all exchange with up to
-  ``p - 1`` message startups per PE, and a final local sort.  Its
-  isoefficiency function is ``Omega(p^2 / log p)`` — the scalability gap the
-  multi-level algorithms close.
+  centralized splitter selection (gather :data:`OVERSAMPLING` samples per
+  PE, sort them on one PE, broadcast ``p - 1`` splitters), a dense
+  all-to-allv with ``p - 1`` message startups per PE (a plain
+  ``MPI_Alltoallv``, as the paper describes single-level algorithms), and a
+  final local sort.  Its isoefficiency function is ``Omega(p^2 / log p)`` —
+  the scalability gap the multi-level algorithms close.
 * :func:`single_level_mergesort` — single-level multiway mergesort in the
   style of MP-sort [12] (Section 7.3): local sort, exact ``p``-way
-  splitting via multisequence selection, direct all-to-all exchange, and a
-  final local merge (or, like MP-sort, a local sort from scratch).
+  splitting via multisequence selection, the same dense all-to-allv, and a
+  final local merge of the received runs.
 * :func:`parallel_quicksort` — recursive parallel quicksort [19]: the PEs
   are repeatedly split into two halves around a pivot, moving all data once
-  per level for ``log2 p`` levels.  It represents the "prohibitive
+  per level for ``log2 p`` levels, with pivots from :data:`OVERSAMPLING`
+  samples per PE and a sparse exchange.  It represents the "prohibitive
   communication volume" end of the design space discussed in the
   introduction.
 """
@@ -35,7 +37,6 @@ from repro.dist.flatops import (
 )
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
-    PHASE_DATA_DELIVERY,
     PHASE_LOCAL_SORT,
     PHASE_SPLITTER_SELECTION,
 )
@@ -43,12 +44,13 @@ from repro.seq.merge import merge_runs_numpy
 from repro.seq.partition import bucket_indices
 from repro.sim.groups import GroupBatch
 
+#: Samples per PE of sample sort's splitter and quicksort's pivot selection.
+OVERSAMPLING = 16
+
 
 def single_level_sample_sort_reference(
     comm,
     local_data: Sequence[np.ndarray],
-    oversampling: int = 16,
-    schedule: str = "dense",
 ) -> List[np.ndarray]:
     """Per-PE reference implementation of the classic sample sort."""
     p = comm.size
@@ -64,10 +66,10 @@ def single_level_sample_sort_reference(
     # --- centralized splitter selection -------------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
-            DistArray.from_list(local_data), oversampling,
+            DistArray.from_list(local_data), OVERSAMPLING,
             comm.machine.sample_rng, 0, comm.members,
         ).to_list()
-        gathered = comm.gather(samples, root=0, words_each=oversampling)
+        gathered = comm.gather(samples, root=0, words_each=OVERSAMPLING)
         pieces = [np.asarray(s) for s in gathered if np.asarray(s).size > 0]
         sample = np.sort(np.concatenate(pieces), kind="stable") if pieces else np.empty(0)
         comm.charge_local(0, comm.spec.local_sort_time(int(sample.size)))
@@ -93,8 +95,7 @@ def single_level_sample_sort_reference(
     # --- direct all-to-all exchange ------------------------------------
     groups = comm.split(p)  # every PE is its own group
     delivery = deliver_to_groups(
-        comm, groups, pieces_per_pe, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+        comm, groups, pieces_per_pe, method="naive", schedule="dense"
     )
 
     # --- final local sort ------------------------------------------------
@@ -110,8 +111,6 @@ def single_level_sample_sort_reference(
 def single_level_mergesort_reference(
     comm,
     local_data: Sequence[np.ndarray],
-    merge_received: bool = True,
-    schedule: str = "dense",
 ) -> List[np.ndarray]:
     """Per-PE reference implementation of single-level multiway mergesort."""
     p = comm.size
@@ -139,8 +138,7 @@ def single_level_mergesort_reference(
 
     groups = comm.split(p)
     delivery = deliver_to_groups(
-        comm, groups, pieces, method="naive",
-        phase=PHASE_DATA_DELIVERY, schedule=schedule,
+        comm, groups, pieces, method="naive", schedule="dense"
     )
 
     with comm.phase(PHASE_BUCKET_PROCESSING):
@@ -149,28 +147,24 @@ def single_level_mergesort_reference(
         ways = []
         for i in range(p):
             runs = delivery.received[i]
-            if merge_received:
-                out = merge_runs_numpy(runs)
-            else:
-                out = delivery.received_concat(i)
-                out = np.sort(out, kind="stable")
+            out = merge_runs_numpy(runs)
             output.append(out)
             sizes.append(int(out.size))
             ways.append(max(2, len([x for x in runs if x.size > 0])))
-        if merge_received:
-            comm.charge_merge(sizes, ways)
-        else:
-            comm.charge_sort(sizes)
+        comm.charge_merge(sizes, ways)
     return output
 
 
 def parallel_quicksort_reference(
     comm,
     local_data: Sequence[np.ndarray],
-    oversampling: int = 16,
-    seed_offset: int = 0,
+    _seed_offset: int = 0,
 ) -> List[np.ndarray]:
-    """Per-PE reference implementation of recursive parallel quicksort."""
+    """Per-PE reference implementation of recursive parallel quicksort.
+
+    ``_seed_offset`` is the recursion depth (it keys the sample and the
+    delivery permutation); callers leave it at 0.
+    """
     p = comm.size
     if len(local_data) != p:
         raise ValueError("need one local array per member PE")
@@ -185,8 +179,8 @@ def parallel_quicksort_reference(
     # --- pivot selection from a small sample ---------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
-            DistArray.from_list(local_data), oversampling,
-            comm.machine.sample_rng, seed_offset, comm.members,
+            DistArray.from_list(local_data), OVERSAMPLING,
+            comm.machine.sample_rng, _seed_offset, comm.members,
         ).to_list()
         gathered = comm.allgather_arrays(samples, merge_sorted=True)
         if gathered.size == 0:
@@ -208,8 +202,7 @@ def parallel_quicksort_reference(
 
     groups = comm.split(2)
     delivery = deliver_to_groups(
-        comm, groups, pieces, method="naive", phase=PHASE_DATA_DELIVERY,
-        seed=seed_offset,
+        comm, groups, pieces, method="naive", seed=_seed_offset
     )
 
     output: List[np.ndarray] = [None] * p  # type: ignore[list-item]
@@ -217,7 +210,7 @@ def parallel_quicksort_reference(
         offset = comm.local_rank_of(int(group.members[0]))
         group_local = [delivery.received_concat(offset + j) for j in range(group.size)]
         sorted_group = parallel_quicksort_reference(
-            group, group_local, oversampling=oversampling, seed_offset=seed_offset + 1
+            group, group_local, _seed_offset=_seed_offset + 1
         )
         for j in range(group.size):
             output[offset + j] = sorted_group[j]
@@ -240,12 +233,7 @@ def _one_island(comm) -> GroupBatch:
     )
 
 
-def _single_level_sample_sort_flat(
-    comm,
-    dist: DistArray,
-    oversampling: int = 16,
-    schedule: str = "dense",
-) -> DistArray:
+def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
     """Flat-engine port of the classic single-level sample sort."""
     p = comm.size
     if p == 1:
@@ -258,9 +246,9 @@ def _single_level_sample_sort_flat(
     # --- centralized splitter selection (counter-RNG sample) ------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
-            dist, oversampling, comm.machine.sample_rng, 0, comm.members
+            dist, OVERSAMPLING, comm.machine.sample_rng, 0, comm.members
         ).to_list()
-        gathered = comm.gather(samples, root=0, words_each=oversampling)
+        gathered = comm.gather(samples, root=0, words_each=OVERSAMPLING)
         pieces = [np.asarray(s) for s in gathered if np.asarray(s).size > 0]
         sample = np.sort(np.concatenate(pieces), kind="stable") if pieces else np.empty(0)
         comm.charge_local(0, comm.spec.local_sort_time(int(sample.size)))
@@ -286,11 +274,10 @@ def _single_level_sample_sort_flat(
         )
         comm.charge_partition(sizes, p)
 
-    # --- direct all-to-all exchange (every PE is its own group) --------
+    # --- dense all-to-allv (every PE is its own group) ------------------
     delivery = deliver_to_groups_batched(
         _one_island(comm), [np.ones(p, dtype=np.int64)], piece_values,
-        [piece_sizes], method="naive", phase=PHASE_DATA_DELIVERY,
-        schedule=schedule,
+        [piece_sizes], method="naive", schedule="dense",
     )
 
     # --- final local sort ------------------------------------------------
@@ -300,12 +287,7 @@ def _single_level_sample_sort_flat(
     return output
 
 
-def _single_level_mergesort_flat(
-    comm,
-    dist: DistArray,
-    merge_received: bool = True,
-    schedule: str = "dense",
-) -> DistArray:
+def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
     """Flat-engine port of single-level multiway mergesort (MP-sort style)."""
     p = comm.size
 
@@ -333,30 +315,25 @@ def _single_level_mergesort_flat(
 
     delivery = deliver_to_groups_batched(
         island, [np.ones(p, dtype=np.int64)], local_sorted.values,
-        [piece_sizes], method="naive", phase=PHASE_DATA_DELIVERY,
-        schedule=schedule,
+        [piece_sizes], method="naive", schedule="dense",
     )
 
     with comm.phase(PHASE_BUCKET_PROCESSING):
         # Merging the received sorted runs in source order equals a stable
-        # segmented sort of the received buffer; only the charge differs
-        # between merging (MP-sort merges) and re-sorting from scratch.
+        # segmented sort of the received buffer; the charge is the merge.
         output = delivery.received.sort_segments()
-        if merge_received:
-            ways = np.maximum(2, delivery.nonempty_runs)
-            comm.charge_merge(delivery.received_sizes, ways)
-        else:
-            comm.charge_sort(delivery.received_sizes)
+        ways = np.maximum(2, delivery.nonempty_runs)
+        comm.charge_merge(delivery.received_sizes, ways)
     return output
 
 
 def _parallel_quicksort_flat(
-    comm,
-    dist: DistArray,
-    oversampling: int = 16,
-    seed_offset: int = 0,
+    comm, dist: DistArray, seed_offset: int = 0
 ) -> DistArray:
-    """Flat-engine port of recursive parallel quicksort."""
+    """Flat-engine port of recursive parallel quicksort.
+
+    ``seed_offset`` is the recursion depth, as in the reference.
+    """
     p = comm.size
 
     if p == 1:
@@ -369,7 +346,7 @@ def _parallel_quicksort_flat(
     # --- pivot selection from a small sample ---------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
-            dist, oversampling, comm.machine.sample_rng, seed_offset, comm.members
+            dist, OVERSAMPLING, comm.machine.sample_rng, seed_offset, comm.members
         ).to_list()
         gathered = comm.allgather_arrays(samples, merge_sorted=True)
         if gathered.size == 0:
@@ -395,87 +372,62 @@ def _parallel_quicksort_flat(
     groups = comm.split(2)
     delivery = deliver_to_groups_batched(
         _one_island(comm), [np.array([g.size for g in groups], dtype=np.int64)],
-        piece_values, [piece_sizes], method="naive",
-        phase=PHASE_DATA_DELIVERY, seed=seed_offset,
+        piece_values, [piece_sizes], method="naive", seed=seed_offset,
     )
 
     parts: List[DistArray] = []
     start_rank = 0
     for group in groups:
         sub = delivery.received.slice_segments(start_rank, start_rank + group.size)
-        parts.append(
-            _parallel_quicksort_flat(
-                group, sub, oversampling=oversampling, seed_offset=seed_offset + 1
-            )
-        )
+        parts.append(_parallel_quicksort_flat(group, sub, seed_offset + 1))
         start_rank += group.size
     return DistArray.concatenate(parts)
 
 
-def _dispatch(flat_func, comm, local_data, **kwargs):
+def _dispatch(flat_func, comm, local_data):
     """Run a flat baseline, converting list inputs at the boundary."""
     if isinstance(local_data, DistArray):
         if local_data.p != comm.size:
             raise ValueError("need one local segment per member PE")
-        return flat_func(comm, local_data, **kwargs)
+        return flat_func(comm, local_data)
     if len(local_data) != comm.size:
         raise ValueError("need one local array per member PE")
     dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    return flat_func(comm, dist, **kwargs).to_list()
+    return flat_func(comm, dist).to_list()
 
 
 def single_level_sample_sort(
     comm,
     local_data: "Union[DistArray, Sequence[np.ndarray]]",
-    oversampling: int = 16,
-    schedule: str = "dense",
 ) -> "Union[DistArray, List[np.ndarray]]":
     """Classic single-level sample sort with centralized splitter selection.
 
     Runs on the flat engine; accepts a :class:`DistArray` or the classic
-    per-PE list (converted at this boundary).
-
-    Parameters
-    ----------
-    oversampling:
-        Number of samples per PE; the root picks ``p - 1`` equidistant
-        splitters from the gathered, sorted sample.
-    schedule:
-        ``'dense'`` models a plain ``MPI_Alltoallv`` (``p - 1`` startups per
-        PE) which is the behaviour the paper attributes to single-level
-        algorithms; ``'sparse'`` skips empty messages.
+    per-PE list (converted at this boundary).  Every PE draws
+    :data:`OVERSAMPLING` samples; the root picks ``p - 1`` equidistant
+    splitters from the gathered, sorted sample.  The exchange is a dense
+    all-to-allv (``p - 1`` startups per PE), the behaviour the paper
+    attributes to single-level algorithms.
     """
-    return _dispatch(
-        _single_level_sample_sort_flat, comm, local_data,
-        oversampling=oversampling, schedule=schedule,
-    )
+    return _dispatch(_single_level_sample_sort_flat, comm, local_data)
 
 
 def single_level_mergesort(
     comm,
     local_data: "Union[DistArray, Sequence[np.ndarray]]",
-    merge_received: bool = True,
-    schedule: str = "dense",
 ) -> "Union[DistArray, List[np.ndarray]]":
     """Single-level multiway mergesort (perfect splitting, MP-sort style).
 
     Runs on the flat engine; accepts a :class:`DistArray` or the classic
-    per-PE list.  ``merge_received=False`` re-sorts the received data from
-    scratch instead of merging the received runs — this mimics MP-sort,
-    which "implements local multiway merging by sorting from scratch"
-    (Section 7.3).
+    per-PE list.  The pieces travel in one dense all-to-allv and every PE
+    merges the sorted runs it receives.
     """
-    return _dispatch(
-        _single_level_mergesort_flat, comm, local_data,
-        merge_received=merge_received, schedule=schedule,
-    )
+    return _dispatch(_single_level_mergesort_flat, comm, local_data)
 
 
 def parallel_quicksort(
     comm,
     local_data: "Union[DistArray, Sequence[np.ndarray]]",
-    oversampling: int = 16,
-    seed_offset: int = 0,
 ) -> "Union[DistArray, List[np.ndarray]]":
     """Recursive parallel quicksort: split the PEs in two around a pivot.
 
@@ -484,7 +436,4 @@ def parallel_quicksort(
     exactly the "prohibitive communication volume" regime the introduction
     of the paper describes for parallelised classic algorithms.
     """
-    return _dispatch(
-        _parallel_quicksort_flat, comm, local_data,
-        oversampling=oversampling, seed_offset=seed_offset,
-    )
+    return _dispatch(_parallel_quicksort_flat, comm, local_data)

@@ -15,8 +15,8 @@ evenly as possible (Section 7.2, Table 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.blocks.delivery import DELIVERY_METHODS
 from repro.blocks.sampling import SamplingParams, default_oversampling
@@ -88,6 +88,10 @@ def level_plan(p: int, levels: int, node_size: int = 16) -> List[int]:
 class AMSConfig:
     """Configuration of AMS-sort.
 
+    Every level delivers through the 1-factor style sparse exchange, which
+    skips empty messages (Section 4.3); the group counts per level come from
+    :func:`level_plan`.
+
     Attributes
     ----------
     levels:
@@ -98,41 +102,26 @@ class AMSConfig:
         defaults (``b = 16``, ``a = 1.6 log10 n``) at run time.
     delivery:
         Data delivery strategy (see :data:`DELIVERY_METHODS`).
-    exchange_schedule:
-        ``'sparse'`` (1-factor style, skips empty messages) or ``'dense'``
-        (plain all-to-allv).
     node_size:
         Group size targeted by the last level (Table 1 uses 16).
-    group_plan:
-        Optional explicit list of group counts per level, overriding
-        :func:`level_plan`.
     """
 
     levels: int = 2
     sampling: Optional[SamplingParams] = None
     delivery: str = "deterministic"
-    exchange_schedule: str = "sparse"
     node_size: int = 16
-    group_plan: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.levels < 1:
             raise ValueError("AMS-sort needs at least one level")
         if self.delivery not in DELIVERY_METHODS:
             raise ValueError(f"unknown delivery method {self.delivery!r}")
-        if self.exchange_schedule not in ("sparse", "dense"):
-            raise ValueError("exchange_schedule must be 'sparse' or 'dense'")
         if self.node_size < 1:
             raise ValueError("node_size must be positive")
 
     # ------------------------------------------------------------------
     def plan_for(self, p: int) -> List[int]:
         """Group counts per level for a machine of ``p`` PEs."""
-        if self.group_plan is not None:
-            plan = [int(r) for r in self.group_plan]
-            if any(r < 1 for r in plan):
-                raise ValueError("group plan entries must be positive")
-            return plan
         return level_plan(p, self.levels, node_size=self.node_size)
 
     def sampling_for(self, n_total: int) -> SamplingParams:
@@ -145,14 +134,13 @@ class AMSConfig:
             per_pe=True,
         )
 
-    def with_levels(self, levels: int) -> "AMSConfig":
-        """Copy of this configuration with a different level count."""
-        return replace(self, levels=levels, group_plan=None)
-
 
 @dataclass(frozen=True)
 class RLMConfig:
     """Configuration of RLM-sort (Recurse Last Multiway Mergesort).
+
+    Like AMS-sort, every level delivers through the sparse exchange and
+    takes its group counts from :func:`level_plan`.
 
     Attributes
     ----------
@@ -160,39 +148,22 @@ class RLMConfig:
         Number of recursion levels ``k``.
     delivery:
         Data delivery strategy.
-    exchange_schedule:
-        Exchange schedule for the bulk data exchange.
     node_size:
         Group size targeted by the last level.
-    group_plan:
-        Optional explicit group counts per level.
     """
 
     levels: int = 2
     delivery: str = "deterministic"
-    exchange_schedule: str = "sparse"
     node_size: int = 16
-    group_plan: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.levels < 1:
             raise ValueError("RLM-sort needs at least one level")
         if self.delivery not in DELIVERY_METHODS:
             raise ValueError(f"unknown delivery method {self.delivery!r}")
-        if self.exchange_schedule not in ("sparse", "dense"):
-            raise ValueError("exchange_schedule must be 'sparse' or 'dense'")
         if self.node_size < 1:
             raise ValueError("node_size must be positive")
 
     def plan_for(self, p: int) -> List[int]:
         """Group counts per level for a machine of ``p`` PEs."""
-        if self.group_plan is not None:
-            plan = [int(r) for r in self.group_plan]
-            if any(r < 1 for r in plan):
-                raise ValueError("group plan entries must be positive")
-            return plan
         return level_plan(p, self.levels, node_size=self.node_size)
-
-    def with_levels(self, levels: int) -> "RLMConfig":
-        """Copy of this configuration with a different level count."""
-        return replace(self, levels=levels, group_plan=None)

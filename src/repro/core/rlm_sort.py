@@ -35,7 +35,6 @@ from repro.dist.array import DistArray
 from repro.dist.flatops import concat_ranges, map_by_unique2
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
-    PHASE_DATA_DELIVERY,
     PHASE_LOCAL_SORT,
     PHASE_SPLITTER_SELECTION,
 )
@@ -121,8 +120,6 @@ def rlm_sort_reference(
         pieces,
         method=config.delivery,
         seed=comm.machine.seed + level + 1,
-        phase=PHASE_DATA_DELIVERY,
-        schedule=config.exchange_schedule,
     )
 
     # ------------------------------------------------------------------
@@ -260,8 +257,6 @@ def _rlm_level_batched(
         piece_mats,
         method=config.delivery,
         seed=machine.seed + level + 1,
-        phase=PHASE_DATA_DELIVERY,
-        schedule=config.exchange_schedule,
     )
     received = delivery.received
 

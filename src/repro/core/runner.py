@@ -156,11 +156,21 @@ def distribute_array(data: np.ndarray, p: int) -> List[np.ndarray]:
     return [np.ascontiguousarray(c) for c in chunks]
 
 
-def _reject_nan(local_data: "DistArray | Sequence[np.ndarray]") -> None:
-    """Raise for NaN keys; only floating-point inputs are scanned."""
+def _check_keys(local_data: "DistArray | Sequence[np.ndarray]") -> None:
+    """Raise for keys the algorithms cannot order: non-numeric dtypes and NaN.
+
+    The engines compare, search and pad keys as machine words, so only
+    integer and floating-point keys are accepted; NaN has no place in a
+    total order.
+    """
     arrays = [local_data.values] if isinstance(local_data, DistArray) else local_data
     for arr in arrays:
         arr = np.asarray(arr)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(
+                f"cannot sort keys of dtype {arr.dtype}: only integer and "
+                "floating-point keys are supported"
+            )
         if arr.dtype.kind == "f" and np.isnan(arr).any():
             raise ValueError("cannot sort NaN keys: NaN has no place in a total order")
 
@@ -174,7 +184,6 @@ def run_on_machine(
     max_imbalance: Optional[float] = None,
     engine: str = "flat",
     backend: "object | str | None" = None,
-    **kwargs: object,
 ) -> SortResult:
     """Run a distributed sorting algorithm on an existing machine.
 
@@ -206,26 +215,25 @@ def run_on_machine(
         (numpy unless :func:`repro.dist.backend.install` set another).
         Backends are byte-identical, so this never changes the result, the
         clocks or the RNG streams.
-    kwargs:
-        Extra keyword arguments forwarded to the algorithm function
-        (baselines take e.g. ``oversampling`` or ``schedule``).
 
     Raises
     ------
     ValueError
-        For NaN keys: NaN has no place in a total order, and the
-        algorithms' splitter comparisons would misroute such elements.
+        For keys that are neither integers nor floats (bool, complex,
+        object, string, structured), naming the dtype, and for NaN keys:
+        NaN has no place in a total order, and the algorithms' splitter
+        comparisons would misroute such elements.
     """
     from repro.dist.backend import use_backend
 
     if len(local_data) != machine.p:
         raise ValueError("need one input array per PE")
-    _reject_nan(local_data)
+    _check_keys(local_data)
     machine.reset()
     comm = machine.world()
     func = _resolve_algorithm(algorithm, engine)
 
-    call_kwargs: Dict[str, object] = dict(kwargs)
+    call_kwargs: Dict[str, object] = {}
     if config is not None:
         call_kwargs["config"] = config
     if isinstance(local_data, DistArray):
@@ -276,7 +284,6 @@ def sort_array(
     spec: Optional[MachineSpec] = None,
     seed: int = 0,
     validate: bool = True,
-    **kwargs: object,
 ) -> SortResult:
     """Sort a single array on a freshly built simulated machine.
 
@@ -293,5 +300,4 @@ def sort_array(
         algorithm=algorithm,
         config=config,
         validate=validate,
-        **kwargs,
     )

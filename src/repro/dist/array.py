@@ -36,13 +36,13 @@ class DistArray:
     offsets:
         ``p + 1`` non-decreasing int64 offsets; segment ``i`` is
         ``values[offsets[i]:offsets[i+1]]``.
-    copy:
-        Copy the inputs (default False: views are kept).
+
+    Both are kept as given (views, no copy).
     """
 
     __slots__ = ("values", "offsets")
 
-    def __init__(self, values: np.ndarray, offsets: np.ndarray, copy: bool = False):
+    def __init__(self, values: np.ndarray, offsets: np.ndarray):
         values = np.asarray(values)
         offsets = np.asarray(offsets, dtype=np.int64)
         if values.ndim != 1:
@@ -53,8 +53,8 @@ class DistArray:
             raise ValueError("offsets must start at 0 and end at values.size")
         if np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must be non-decreasing")
-        self.values = values.copy() if copy else values
-        self.offsets = offsets.copy() if copy else offsets
+        self.values = values
+        self.offsets = offsets
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,10 +153,9 @@ class DistArray:
     # ------------------------------------------------------------------
     # Conversion / transformation
     # ------------------------------------------------------------------
-    def to_list(self, copy: bool = False) -> List[np.ndarray]:
-        """The seed per-PE list representation (views unless ``copy``)."""
-        out = [self.segment(i) for i in range(self.p)]
-        return [a.copy() for a in out] if copy else out
+    def to_list(self) -> List[np.ndarray]:
+        """The seed per-PE list representation (views into ``values``)."""
+        return [self.segment(i) for i in range(self.p)]
 
     def sort_segments(self) -> "DistArray":
         """Stable-sort every segment (byte-identical to per-PE stable sort)."""

@@ -24,7 +24,7 @@ import numpy as np
 from repro.dist.workspace import get_arena
 
 
-def segment_ids(offsets: np.ndarray, arena=None) -> np.ndarray:
+def segment_ids(offsets: np.ndarray) -> np.ndarray:
     """Segment index of every element for a CSR ``offsets`` vector.
 
     ``offsets`` has ``p + 1`` entries; the result has ``offsets[-1]``
@@ -32,25 +32,18 @@ def segment_ids(offsets: np.ndarray, arena=None) -> np.ndarray:
     Computed as a cumulative sum of boundary markers, which is considerably
     faster than ``np.repeat`` for large element counts.
 
-    When ``arena`` is given the result is checked out of it — the caller
-    owns the buffer and must ``recycle`` it once the ids are dead.
-
     Deliberately int64: the ids index offset tables (``key_offsets[seg]``)
-    and feed ``astype`` widenings in the composed-key sorts, and numpy
-    upcasts any non-``intp`` integer index array on every use — measured at
-    p=4096 (two-level AMS) an int32 variant cost ~15% total wall.  Keys are
-    narrowed where it actually pays, at the radix-sort boundary
-    (:func:`stable_key_argsort_numpy`), where the one narrowing copy buys an
-    order-of-magnitude faster sort.
+    and key the radix argsorts, and numpy upcasts any non-``intp`` integer
+    index array on every use — measured at p=4096 (two-level AMS) an int32
+    variant cost ~15% total wall.  Keys are narrowed where it actually
+    pays, at the radix-sort boundary (:func:`stable_key_argsort_numpy`),
+    where the one narrowing copy buys an order-of-magnitude faster sort.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     total = int(offsets[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    if arena is None:
-        marks = np.zeros(total, dtype=np.int64)
-    else:
-        marks = arena.zeros(total, np.int64)
+    marks = np.zeros(total, dtype=np.int64)
     interior = offsets[1:-1]
     interior = interior[interior < total]
     np.add.at(marks, interior, 1)
@@ -258,56 +251,6 @@ def stable_two_key_argsort_numpy(
     return order
 
 
-def _composed_radix_segment_sort(
-    values: np.ndarray, offsets: np.ndarray, p: int
-) -> Union[np.ndarray, None]:
-    """Key-composed radix path of :func:`segmented_sort_values`.
-
-    When the values are integers of range ``R`` and ``p * R`` fits a 64-bit
-    key, the per-segment sort is one whole-array ``np.sort`` of the composed
-    key ``(segment << value_bits) | (value - vmin)``: the composed order is
-    exactly (segment, value), and decomposing restores the values sorted
-    within each segment.  One C-speed sort instead of ``p`` Python-level
-    segment sorts — the win of the flat engine's large-``p``/short-segment
-    regime whenever the value range allows (narrow keys, ranks, bucket
-    ids).  Returns ``None`` when the composition does not fit.
-    """
-    if values.dtype.kind not in "iu":
-        return None
-    vmin = int(values.min())
-    vmax = int(values.max())
-    if vmax > np.iinfo(np.int64).max:
-        return None  # uint64 beyond int64: the int64 key space cannot hold it
-    value_bits = max(1, int(vmax - vmin).bit_length())
-    seg_bits = int(p - 1).bit_length()
-    if value_bits + seg_bits > 63:
-        return None
-    ws = get_arena()
-    total = values.size
-    # When the output dtype is int64 the composed key *becomes* the result
-    # (``astype(copy=False)`` escapes it), so it must be a fresh
-    # allocation; narrower dtypes decompose into a fresh copy anyway, so
-    # the key is a pure workspace scratch.
-    escapes = values.dtype == np.int64
-    key = np.empty(total, dtype=np.int64) if escapes else ws.empty(total, np.int64)
-    seg = segment_ids(offsets, ws)
-    np.left_shift(seg, value_bits, out=key)
-    ws.recycle(seg)
-    tmp = ws.empty(total, np.int64)
-    np.copyto(tmp, values, casting="unsafe")
-    if vmin != 0:
-        tmp -= vmin
-    np.bitwise_or(key, tmp, out=key)
-    ws.recycle(tmp)
-    key.sort()
-    key &= np.int64((1 << value_bits) - 1)
-    key += vmin
-    out = key.astype(values.dtype, copy=False)
-    if not escapes:
-        ws.recycle(key)
-    return out
-
-
 def _padded_segment_sort(
     values: np.ndarray, offsets: np.ndarray, p: int
 ) -> np.ndarray:
@@ -354,46 +297,33 @@ def segmented_sort_values_numpy(
 
     Byte-identical to ``np.sort(segment, kind="stable")`` applied per
     segment (for plain values a sort's output does not depend on the sort's
-    stability, so any correct per-segment ordering qualifies).  Three
+    stability, so any correct per-segment ordering qualifies).  Two
     strategies cover the engine's regimes:
 
-    * few segments (or long segments): in-place sorts of the segment slices,
-    * many short integer segments with a bounded value range: one
-      whole-array radix-style sort of composed ``(segment, value)`` keys
-      (:func:`_composed_radix_segment_sort`),
-    * many short near-uniform segments with wide values (the post-delivery
-      layout at large ``p``): one padded rectangular ``np.sort(axis=1)``
-      (:func:`_padded_segment_sort`),
-
-    falling back to a stable argsort keyed by segment id for extremely
-    short ragged segments.
+    * many short near-uniform segments (the post-delivery layout at large
+      ``p``): one padded rectangular ``np.sort(axis=1)``
+      (:func:`_padded_segment_sort`);
+    * everything else — few segments, long segments, or skewed sizes such
+      as AMS-sort's outputs on duplicate keys: in-place sorts of the
+      segment slices.
     """
     values = np.asarray(values)
     if values.size == 0:
         return values.copy()
     p = int(offsets.size) - 1
-    sizes = np.diff(offsets)
-    max_len = int(sizes.max())
-    if p >= 64 and values.size >= 4 * p:
-        composed = _composed_radix_segment_sort(values, offsets, p)
-        if composed is not None:
-            return composed
-        if max_len * p <= 2 * values.size + 4 * p and not (
-            # NaNs sort *after* the inf padding, so the padded prefix
-            # gather would return pads instead of the NaNs — fall back.
-            values.dtype.kind == "f" and bool(np.isnan(values).any())
-        ):
-            return _padded_segment_sort(values, offsets, p)
-    if values.size >= 4 * p:
-        out = values.copy()
-        for i in range(p):
-            out[offsets[i]:offsets[i + 1]].sort(kind="stable")
-        return out
-    seg = segment_ids(offsets)
-    if p < 2 ** 31:
-        seg = seg.astype(np.int32, copy=False)
-    order = np.lexsort((values, seg))
-    return values[order]
+    max_len = int(np.diff(offsets).max())
+    if (
+        p >= 64
+        and max_len * p <= 2 * values.size + 4 * p
+        # NaNs sort *after* the inf padding, so the padded prefix gather
+        # would return pads instead of the NaNs.
+        and not (values.dtype.kind == "f" and bool(np.isnan(values).any()))
+    ):
+        return _padded_segment_sort(values, offsets, p)
+    out = values.copy()
+    for i in range(p):
+        out[offsets[i]:offsets[i + 1]].sort(kind="stable")
+    return out
 
 
 def segmented_searchsorted_numpy(

@@ -1,7 +1,7 @@
 """Per-machine workspace arena: preallocated buffers for level temporaries.
 
 The flat engine's recursion levels are dominated by a small set of
-element-scale temporaries — composed sort keys, radix argsort scratch,
+element-scale temporaries — radix argsort keys and scratch,
 ``concat_ranges`` index planes, padded-sort rectangles, delivery planes.
 Before this module each level allocated them fresh with ``np.empty`` /
 ``np.zeros`` and dropped them at the end of the level, so the process

@@ -47,7 +47,7 @@ class TestScanWithBound:
 
 
 class TestOptimalGrouping:
-    @pytest.mark.parametrize("method", ["binary", "accelerated", "candidates"])
+    @pytest.mark.parametrize("method", ["binary", "accelerated"])
     def test_matches_dp_optimum_small(self, method):
         rng = np.random.default_rng(0)
         for _ in range(10):

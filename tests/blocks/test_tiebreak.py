@@ -54,21 +54,21 @@ class TestInlineEncoding:
         assert unique[0].size == 0
 
 
-class TestStructuredFallback:
-    def test_float_keys_use_structured(self):
+class TestNoInlineEncoding:
+    """Keys without room for the index bits are rejected: no engine sorts a
+    wider composite key."""
+
+    def test_float_keys_rejected(self):
         data = [np.array([1.5, 1.5]), np.array([0.5])]
         assert not can_encode_inline(data)
-        unique, info = make_unique_keys(data)
-        assert info["mode"] == "structured"
-        merged = np.sort(np.concatenate(unique), order=("key", "tag"))
-        restored = strip_tiebreak([merged], info)[0]
-        assert restored.tolist() == [0.5, 1.5, 1.5]
+        with pytest.raises(ValueError, match="inline int64"):
+            make_unique_keys(data)
 
-    def test_huge_integers_use_structured(self):
+    def test_huge_integers_rejected(self):
         data = [np.array([2**62, 2**62]), np.array([2**61])]
         assert not can_encode_inline(data)
-        unique, info = make_unique_keys(data)
-        assert info["mode"] == "structured"
+        with pytest.raises(ValueError, match="inline int64"):
+            make_unique_keys(data)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -82,10 +82,6 @@ class TestAMSCorrectness:
         assert check_globally_sorted(output)
         assert check_permutation(data, output)
 
-    def test_explicit_group_plan(self):
-        machine, data, output = run_ams(16, 100, group_plan=[4, 4], node_size=4)
-        assert check_globally_sorted(output)
-
 
 class TestAMSBalance:
     def test_imbalance_small_with_overpartitioning(self):

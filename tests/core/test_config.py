@@ -62,22 +62,11 @@ class TestAMSConfig:
         with pytest.raises(ValueError):
             AMSConfig(delivery="warp")
         with pytest.raises(ValueError):
-            AMSConfig(exchange_schedule="bogus")
-        with pytest.raises(ValueError):
             AMSConfig(node_size=0)
 
     def test_plan_for_uses_table1_logic(self):
         cfg = AMSConfig(levels=2, node_size=16)
         assert cfg.plan_for(512) == [32, 16]
-
-    def test_explicit_group_plan(self):
-        cfg = AMSConfig(group_plan=[4, 4])
-        assert cfg.plan_for(16) == [4, 4]
-
-    def test_invalid_group_plan(self):
-        cfg = AMSConfig(group_plan=[0, 4])
-        with pytest.raises(ValueError):
-            cfg.plan_for(16)
 
     def test_sampling_defaults_to_paper(self):
         cfg = AMSConfig()
@@ -89,10 +78,6 @@ class TestAMSConfig:
         cfg = AMSConfig(sampling=sampling)
         assert cfg.sampling_for(10**6) is sampling
 
-    def test_with_levels(self):
-        cfg = AMSConfig(levels=2).with_levels(3)
-        assert cfg.levels == 3
-
 
 class TestRLMConfig:
     def test_defaults_and_validation(self):
@@ -103,7 +88,7 @@ class TestRLMConfig:
         with pytest.raises(ValueError):
             RLMConfig(delivery="bogus")
 
-    def test_plan_and_with_levels(self):
+    def test_plan_for_levels(self):
         cfg = RLMConfig(levels=3, node_size=16)
         assert cfg.plan_for(32768) == [64, 32, 16]
-        assert cfg.with_levels(1).plan_for(64) == [64]
+        assert RLMConfig(levels=1).plan_for(64) == [64]

@@ -84,12 +84,6 @@ class TestRunOnMachine:
         with pytest.raises(ValueError):
             run_on_machine(machine, [np.arange(3)], algorithm="ams")
 
-    def test_kwargs_forwarded_to_baseline(self):
-        machine = SimulatedMachine(4, spec=laptop_like())
-        data = [np.random.default_rng(i).integers(0, 100, 50) for i in range(4)]
-        result = run_on_machine(machine, data, algorithm="samplesort", oversampling=4)
-        assert result.algorithm == "samplesort"
-
     def test_validation_catches_imbalance_bound(self):
         machine = SimulatedMachine(4, spec=laptop_like())
         data = [np.random.default_rng(i).integers(0, 100, 200) for i in range(4)]
@@ -116,6 +110,38 @@ class TestRunOnMachine:
             with pytest.raises(ValueError, match="cannot sort NaN keys"):
                 run_on_machine(machine, local, algorithm=algorithm, config=config,
                                validate=False, engine=engine)
+
+    @staticmethod
+    def _non_numeric_keys(kind, p):
+        """``p`` PEs of 20 keys each of a dtype the engines cannot order."""
+        rng = np.random.default_rng(0)
+        ints = [rng.integers(0, 100, 20) for _ in range(p)]
+        if kind == "bool":
+            return [a % 2 == 0 for a in ints]
+        if kind == "object":
+            return [a.astype(object) for a in ints]
+        if kind == "complex":
+            return [a + 1j * a for a in ints]
+        out = []
+        for a in ints:
+            rec = np.zeros(a.size, dtype=[("key", np.int64), ("tag", np.int64)])
+            rec["key"] = a
+            rec["tag"] = np.arange(a.size)
+            out.append(rec)
+        return out
+
+    @pytest.mark.parametrize("algorithm", ["ams", "rlm", "samplesort"])
+    @pytest.mark.parametrize("p", [16, 64])
+    @pytest.mark.parametrize("kind", ["bool", "object", "complex", "structured"])
+    def test_non_numeric_keys_rejected(self, kind, p, algorithm):
+        """The same clear error at every p, before any engine runs."""
+        data = self._non_numeric_keys(kind, p)
+        config = RLMConfig(levels=2) if algorithm == "rlm" else None
+        for local in (data, DistArray.from_list(data)):
+            machine = SimulatedMachine(p, spec=laptop_like())
+            with pytest.raises(ValueError, match="cannot sort keys of dtype"):
+                run_on_machine(machine, local, algorithm=algorithm, config=config)
+            assert machine.elapsed() == 0.0
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

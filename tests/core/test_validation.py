@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.validation import (
     check_globally_sorted,
@@ -76,3 +77,56 @@ class TestValidateOutput:
         out = [np.sort(np.concatenate(inp)), np.empty(0, dtype=np.int64)]
         with pytest.raises(AssertionError):
             validate_output(inp, out, max_imbalance=0.5)
+
+
+def _loop_globally_sorted(output):
+    """The per-PE loop the flat check replaced (reference)."""
+    prev_max = None
+    for arr in output:
+        if arr.size == 0:
+            continue
+        if arr.size > 1 and np.any(arr[1:] < arr[:-1]):
+            return False
+        if prev_max is not None and arr[0] < prev_max:
+            return False
+        prev_max = arr[-1]
+    return True
+
+
+def _loop_permutation(input_data, output):
+    """Both sides stably sorted and compared (reference)."""
+    all_in = np.sort(np.concatenate(input_data), kind="stable")
+    all_out = np.sort(np.concatenate(output), kind="stable")
+    return bool(np.array_equal(all_in, all_out))
+
+
+class TestMatchesPerPELoop:
+    @given(
+        st.lists(st.lists(st.integers(-3, 3), max_size=5), min_size=1, max_size=6),
+        st.booleans(),
+        st.sampled_from(["same", "drop", "alter"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_match_reference(self, per_pe, presort, change):
+        sizes = np.array([len(x) for x in per_pe], dtype=np.int64)
+        flat = np.array([v for x in per_pe for v in x], dtype=np.int64)
+        if presort:
+            flat = np.sort(flat)
+        output = np.split(flat, np.cumsum(sizes)[:-1])
+        inp = [np.array(x[::-1], dtype=np.int64) for x in per_pe]
+        k = next((i for i, a in enumerate(inp) if a.size), None)
+        if k is not None and change == "drop":
+            inp[k] = inp[k][1:]
+        elif k is not None and change == "alter":
+            inp[k] = inp[k] + np.arange(inp[k].size) + 1
+
+        sorted_ok = _loop_globally_sorted(output)
+        perm_ok = _loop_permutation(inp, output)
+        assert check_globally_sorted(output) == sorted_ok
+        assert check_permutation(inp, output) == perm_ok
+        if sorted_ok and perm_ok:
+            validate_output(inp, output)
+        else:
+            match = "not globally sorted" if not sorted_ok else "not a permutation"
+            with pytest.raises(AssertionError, match=match):
+                validate_output(inp, output)

@@ -4,8 +4,8 @@ The counter RNG (:mod:`repro.dist.ctr_rng`) underpins the sampled paths of
 both engines: every draw is a pure function of ``(seed, level, pe, index)``.
 These tests pin the properties the engines rely on — determinism, stability
 across :meth:`SimulatedMachine.reset`, independence between streams and
-between batched/per-PE invocations — plus Hypothesis oracles for the new
-hot-path kernels (key-composed / padded segmented sort, table-accelerated
+between batched/per-PE invocations — plus Hypothesis oracles for the
+hot-path kernels (padded / per-segment segmented sort, table-accelerated
 ``blockwise_searchsorted``).
 """
 
@@ -204,7 +204,9 @@ class TestSegmentedSortOracle:
     @given(st.integers(64, 200), st.integers(0, 12), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_radix_composed_path_large_p(self, p, max_len, seed):
-        """Many short bounded-range segments: the key-composed regime."""
+        """Many short bounded-range segments at p >= 64, ragged and empty
+        ones included: the padded or the per-segment sort, depending on
+        the size spread."""
         rng = np.random.default_rng(seed)
         arrays = [
             rng.integers(-1000, 1000, size=rng.integers(0, max_len + 1))
@@ -254,8 +256,8 @@ class TestSegmentedSortOracle:
         assert not np.isinf(out).any()
 
     def test_uint64_beyond_int64_range(self):
-        """Small-range uint64 values above 2**63 must not overflow the
-        composed int64 key path."""
+        """Small-range uint64 values above 2**63 sort through the padded
+        path, whose uint64 padding is the dtype maximum."""
         rng = np.random.default_rng(0)
         base = np.uint64(2 ** 63)
         arrays = [

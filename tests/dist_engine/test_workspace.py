@@ -199,13 +199,6 @@ class TestWorkspaceFlatops:
                 assert np.array_equal(out, ref)
                 arena.recycle(out)
 
-    def test_segment_ids_arena_variant(self, arena):
-        offsets = np.array([0, 3, 3, 7, 10])
-        ref = flatops.segment_ids(offsets)
-        out = flatops.segment_ids(offsets, arena)
-        assert np.array_equal(out, ref)
-        arena.recycle(out)
-
     def test_no_leaks_after_an_engine_run(self, arena):
         machine = SimulatedMachine(64, seed=5)
         data = per_pe_workload("uniform", 64, 200, seed=5)

@@ -105,7 +105,7 @@ class TestPaperClaims:
         m_single = SimulatedMachine(p, spec=supermuc_like(), seed=2)
         multi = run_on_machine(m_multi, data, algorithm="ams",
                                config=AMSConfig(levels=2, node_size=16))
-        single = run_on_machine(m_single, data, algorithm="samplesort", schedule="dense")
+        single = run_on_machine(m_single, data, algorithm="samplesort")
         assert multi.total_time < single.total_time
 
     def test_ams_output_imbalance_bounded(self):
