@@ -73,7 +73,9 @@ class DeliveryResult:
     received:
         ``received[i]`` is the list of arrays PE ``i`` (local rank within the
         delivering communicator) holds after the delivery — network messages
-        and locally retained pieces, ordered by sending PE.
+        and locally retained pieces, ordered by sending PE.  A PE that
+        receives nothing holds one empty array of the pieces' dtype, so
+        its output keeps the key dtype.
     received_sizes:
         Total number of elements each PE holds after the delivery.
     group_of_rank:
@@ -98,12 +100,7 @@ class DeliveryResult:
 
     def received_concat(self, local_rank: int) -> np.ndarray:
         """All data held by ``local_rank`` after delivery, concatenated."""
-        pieces = [p for p in self.received[local_rank] if p.size > 0]
-        if not pieces:
-            for p in self.received[local_rank]:
-                return p[:0].copy()
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(pieces)
+        return np.concatenate(self.received[local_rank])
 
     def max_received_messages(self) -> int:
         """Maximum number of network messages received by any PE."""
@@ -436,11 +433,12 @@ def deliver_to_groups(
 
         received: List[List[np.ndarray]] = []
         received_sizes = np.zeros(p, dtype=np.int64)
+        nothing = np.asarray(pieces[0][0])[:0]
         for i in range(p):
             entries = list(exchange.inboxes[i]) + kept[i]
             entries.sort(key=lambda e: e[0])
             arrays = [np.asarray(payload) for _, payload in entries]
-            received.append(arrays)
+            received.append(arrays or [nothing])
             received_sizes[i] = int(sum(a.size for a in arrays))
 
         group_of_rank = np.zeros(p, dtype=np.int64)

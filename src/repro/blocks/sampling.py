@@ -182,12 +182,7 @@ def draw_samples_flat(
     words[:, 1] = y1
     words[:, 2] = y2
     words[:, 3] = y3
-    if not np.any(eff & 3):
-        # Every segment consumes whole blocks: the per-draw words are the
-        # block words in order, no gather needed.
-        draw_words = words.reshape(-1)
-    else:
-        draw_words = words.reshape(-1)[concat_ranges(lane_excl * 4, eff)]
+    draw_words = words.reshape(-1)[concat_ranges(lane_excl * 4, eff)]
     draw_sizes = sizes[seg].astype(np.uint64) if int(sizes.min()) != int(sizes.max()) \
         else np.uint64(sizes[0])
     pos = (draw_words % draw_sizes).astype(np.int64)

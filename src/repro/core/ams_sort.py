@@ -777,9 +777,9 @@ def _ams_sort_flat(comm, dist: DistArray, config: AMSConfig) -> DistArray:
     # ------------------------------------------------------------------
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
-            comm.charge_sort([out.size])
-        return DistArray(out, dist.offsets - dist.offsets[0])
+            out = dist.sort_segments()
+            comm.charge_sort([out.total])
+        return out
 
     plan = config.plan_for(p)
     n_total = dist.total

@@ -32,6 +32,7 @@ from repro.dist.array import DistArray
 from repro.dist.flatops import (
     bincount,
     gather,
+    segmented_sort_values,
     stable_key_argsort,
     stable_two_key_argsort,
 )
@@ -238,9 +239,9 @@ def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
     p = comm.size
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
-            comm.charge_sort([out.size])
-        return DistArray(out, dist.offsets.copy())
+            out = dist.sort_segments()
+            comm.charge_sort([out.total])
+        return out
     sizes = dist.sizes()
 
     # --- centralized splitter selection (counter-RNG sample) ------------
@@ -250,7 +251,8 @@ def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
         ).to_list()
         gathered = comm.gather(samples, root=0, words_each=OVERSAMPLING)
         pieces = [np.asarray(s) for s in gathered if np.asarray(s).size > 0]
-        sample = np.sort(np.concatenate(pieces), kind="stable") if pieces else np.empty(0)
+        sample = np.concatenate(pieces) if pieces else np.empty(0)
+        sample = segmented_sort_values(sample, np.array([0, sample.size]))
         comm.charge_local(0, comm.spec.local_sort_time(int(sample.size)))
         if sample.size == 0:
             splitters = sample[:0]
@@ -338,9 +340,9 @@ def _parallel_quicksort_flat(
 
     if p == 1:
         with comm.phase(PHASE_LOCAL_SORT):
-            out = np.sort(dist.values, kind="stable")
-            comm.charge_sort([out.size])
-        return DistArray(out, dist.offsets - dist.offsets[0])
+            out = dist.sort_segments()
+            comm.charge_sort([out.total])
+        return out
     sizes = dist.sizes()
 
     # --- pivot selection from a small sample ---------------------------

@@ -158,7 +158,7 @@ class DistArray:
         return [self.segment(i) for i in range(self.p)]
 
     def sort_segments(self) -> "DistArray":
-        """Stable-sort every segment (byte-identical to per-PE stable sort)."""
+        """Sort every segment (byte-identical to a per-PE stable sort)."""
         return DistArray(segmented_sort_values(self.values, self.offsets), self.offsets)
 
     def copy(self) -> "DistArray":

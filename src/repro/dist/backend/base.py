@@ -48,7 +48,12 @@ class KernelBackend(ABC):
     def segmented_sort_values(
         self, values: np.ndarray, offsets: np.ndarray
     ) -> np.ndarray:
-        """Sort every CSR segment independently (per-PE local sorts)."""
+        """Sort every CSR segment independently (per-PE local sorts).
+
+        The output must equal a per-segment ``np.sort(kind="stable")``
+        byte for byte, which also fixes the order of equal keys whose
+        bytes differ (``-0.0`` and ``0.0``, NaN payloads).
+        """
 
     @abstractmethod
     def segmented_searchsorted(

@@ -49,6 +49,14 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# Lanes per block of :func:`philox4x32`: its six uint64 scratch lanes then
+# take 768 KiB and stay in L2 through the hundred in-place passes of the
+# ten rounds, instead of streaming every pass through memory.  Measured on
+# a 2-core Xeon (2 MiB L2 per core), 770k lanes: 53 ms in blocks of 2**14
+# or 2**15 lanes, 72 ms at 2**16, 117 ms in one block.
+_PHILOX_CHUNK = 1 << 14
+
+
 def philox4x32(
     c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
     k0: int, k1: int,
@@ -57,42 +65,52 @@ def philox4x32(
 
     ``c0..c3`` are arrays (or scalars) of 32-bit counter words stored in
     uint64 lanes; ``k0``/``k1`` is the 64-bit key split into 32-bit words.
-    Returns the four 32-bit output words (in uint64 lanes).  All lanes are
-    encrypted independently — one call per array, no Python loop.
+    Returns the four 32-bit output words (in uint64 lanes), equal to
+    Random123's ``philox4x32`` with ten rounds.  All lanes are encrypted
+    independently, with no Python loop per lane: the lanes run in blocks of
+    ``_PHILOX_CHUNK``, each through all ten rounds while its scratch is
+    cache-resident.  The words do not depend on the block size.
     """
     shape = np.broadcast_shapes(
         np.shape(c0), np.shape(c1), np.shape(c2), np.shape(c3)
     )
-    # Six reusable uint64 lanes; every round runs in place (out=) so the
-    # ten rounds cost zero allocations beyond this scratch.
-    x0 = np.empty(shape, dtype=np.uint64)
-    np.bitwise_and(np.asarray(c0, dtype=np.uint64), _MASK32, out=x0)
-    x1 = np.empty(shape, dtype=np.uint64)
-    np.bitwise_and(np.asarray(c1, dtype=np.uint64), _MASK32, out=x1)
-    x2 = np.empty(shape, dtype=np.uint64)
-    np.bitwise_and(np.asarray(c2, dtype=np.uint64), _MASK32, out=x2)
-    x3 = np.empty(shape, dtype=np.uint64)
-    np.bitwise_and(np.asarray(c3, dtype=np.uint64), _MASK32, out=x3)
-    prod0 = np.empty(shape, dtype=np.uint64)
-    prod1 = np.empty(shape, dtype=np.uint64)
-    key0 = np.uint64(k0 & 0xFFFFFFFF)
-    key1 = np.uint64(k1 & 0xFFFFFFFF)
-    for _ in range(_PHILOX_ROUNDS):
-        np.multiply(_PHILOX_M0, x0, out=prod0)  # full 32x32 -> 64 bit product
-        np.multiply(_PHILOX_M1, x2, out=prod1)
-        # x0/x2 are consumed by the products; rebuild them from the other
-        # half's high word, then turn the products into the new low words.
-        np.right_shift(prod1, np.uint64(32), out=x0)
-        np.bitwise_xor(x0, x1, out=x0)
-        np.bitwise_xor(x0, key0, out=x0)
-        np.right_shift(prod0, np.uint64(32), out=x2)
-        np.bitwise_xor(x2, x3, out=x2)
-        np.bitwise_xor(x2, key1, out=x2)
-        np.bitwise_and(prod1, _MASK32, out=x1)
-        np.bitwise_and(prod0, _MASK32, out=x3)
-        key0 = (key0 + _PHILOX_W0) & _MASK32
-        key1 = (key1 + _PHILOX_W1) & _MASK32
-    return x0, x1, x2, x3
+    out = tuple(np.empty(shape, dtype=np.uint64) for _ in range(4))
+    lanes = [o.reshape(-1) for o in out]
+    counters = [
+        np.broadcast_to(np.asarray(c, dtype=np.uint64), shape).reshape(-1)
+        for c in (c0, c1, c2, c3)
+    ]
+    n = lanes[0].size
+    # Two product lanes; every round runs in place (out=), so the ten
+    # rounds cost no allocation beyond this scratch and the outputs.
+    prod0 = np.empty(min(n, _PHILOX_CHUNK), dtype=np.uint64)
+    prod1 = np.empty_like(prod0)
+    for lo in range(0, n, _PHILOX_CHUNK):
+        hi = min(lo + _PHILOX_CHUNK, n)
+        x0, x1, x2, x3 = (lane[lo:hi] for lane in lanes)
+        for x, c in zip((x0, x1, x2, x3), counters):
+            np.bitwise_and(c[lo:hi], _MASK32, out=x)
+        p0 = prod0[:hi - lo]
+        p1 = prod1[:hi - lo]
+        key0 = np.uint64(k0 & 0xFFFFFFFF)
+        key1 = np.uint64(k1 & 0xFFFFFFFF)
+        for _ in range(_PHILOX_ROUNDS):
+            np.multiply(_PHILOX_M0, x0, out=p0)  # full 32x32 -> 64 bit product
+            np.multiply(_PHILOX_M1, x2, out=p1)
+            # x0/x2 are consumed by the products; rebuild them from the
+            # other half's high word, then turn the products into the new
+            # low words.
+            np.right_shift(p1, np.uint64(32), out=x0)
+            np.bitwise_xor(x0, x1, out=x0)
+            np.bitwise_xor(x0, key0, out=x0)
+            np.right_shift(p0, np.uint64(32), out=x2)
+            np.bitwise_xor(x2, x3, out=x2)
+            np.bitwise_xor(x2, key1, out=x2)
+            np.bitwise_and(p1, _MASK32, out=x1)
+            np.bitwise_and(p0, _MASK32, out=x3)
+            key0 = (key0 + _PHILOX_W0) & _MASK32
+            key1 = (key1 + _PHILOX_W1) & _MASK32
+    return out
 
 
 class CounterRNG:

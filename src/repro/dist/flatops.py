@@ -88,7 +88,7 @@ def cached_arange(n: int, dtype=np.int64) -> np.ndarray:
     """Read-only view of ``np.arange(n, dtype=dtype)`` from the workspace arena.
 
     The flat engine builds ``0..total`` index ramps on every level
-    (:func:`concat_ranges`, padded sorts); the ramp's contents never change,
+    (:func:`concat_ranges` without an arena); the ramp's contents never change,
     so one shared buffer per dtype — grown geometrically, marked read-only
     so a mutating caller fails loudly instead of corrupting it — replaces
     the per-call fills.  Callers that need a writable ramp must copy (any
@@ -251,78 +251,28 @@ def stable_two_key_argsort_numpy(
     return order
 
 
-def _padded_segment_sort(
-    values: np.ndarray, offsets: np.ndarray, p: int
-) -> np.ndarray:
-    """Pad segments to a rectangle and sort all rows with one ``np.sort``.
-
-    Every segment becomes one row of a ``(p, max_len)`` matrix, padded with
-    the dtype's maximum so the pad elements sink to the row ends after an
-    ascending ``np.sort(axis=1)``; stripping the padding leaves each
-    segment's values sorted.  (Equal-to-max real values are
-    indistinguishable from pads in *value*, which is all a value sort
-    returns — the truncation keeps exactly ``len_i`` entries, so the output
-    is still the sorted segment.)  One vectorised row sort replaces ``p``
-    Python-level slice sorts; used when segments are short and near-uniform
-    so the padding overhead stays bounded.
-    """
-    sizes = np.diff(offsets)
-    max_len = int(sizes.max())
-    if np.issubdtype(values.dtype, np.floating):
-        pad = np.inf
-    else:
-        pad = np.iinfo(values.dtype).max
-    ws = get_arena()
-    # The (p, max_len) rectangle and its flat index are level-local
-    # scratch — both come from the workspace; only the final gather (the
-    # sorted values) escapes as a fresh array.
-    flat = ws.full(p * max_len, pad, values.dtype)
-    mat = flat.reshape(p, max_len)
-    # Each segment occupies its row's prefix; one flat index addresses the
-    # prefixes for both the scatter in and the gather out.
-    flat_idx = concat_ranges(
-        np.arange(p, dtype=np.int64) * max_len, sizes, arena=ws
-    )
-    flat[flat_idx] = values
-    mat.sort(axis=1)
-    out = flat[flat_idx]
-    ws.recycle(flat, flat_idx)
-    return out
-
-
 def segmented_sort_values_numpy(
     values: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """Reference implementation of :func:`segmented_sort_values`.
 
-    Byte-identical to ``np.sort(segment, kind="stable")`` applied per
-    segment (for plain values a sort's output does not depend on the sort's
-    stability, so any correct per-segment ordering qualifies).  Two
-    strategies cover the engine's regimes:
-
-    * many short near-uniform segments (the post-delivery layout at large
-      ``p``): one padded rectangular ``np.sort(axis=1)``
-      (:func:`_padded_segment_sort`);
-    * everything else — few segments, long segments, or skewed sizes such
-      as AMS-sort's outputs on duplicate keys: in-place sorts of the
-      segment slices.
+    Sorts each segment slice of a copy in place, so the output is byte for
+    byte the reference engines' per-PE ``np.sort(segment, kind="stable")``.
+    A value sort's stability shows only in the order of equal keys, and
+    equal integer keys are equal bytes, so for integer dtypes that order
+    leaves no trace in the output.  Integer keys take numpy's default sort,
+    which dispatches to its SIMD sorts (AVX2 or AVX-512) and runs about ten
+    times faster than the stable sort on 64-bit keys.  Every other dtype
+    keeps ``kind="stable"``: equal floats may differ in bytes (``-0.0`` and
+    ``0.0``), and a default sort may put ``-0.0`` after an equal ``0.0``.
     """
     values = np.asarray(values)
-    if values.size == 0:
-        return values.copy()
-    p = int(offsets.size) - 1
-    max_len = int(np.diff(offsets).max())
-    if (
-        p >= 64
-        and max_len * p <= 2 * values.size + 4 * p
-        # NaNs sort *after* the inf padding, so the padded prefix gather
-        # would return pads instead of the NaNs.
-        and not (values.dtype.kind == "f" and bool(np.isnan(values).any()))
-    ):
-        return _padded_segment_sort(values, offsets, p)
     out = values.copy()
-    for i in range(p):
-        out[offsets[i]:offsets[i + 1]].sort(kind="stable")
+    kind = None if values.dtype.kind in "iu" else "stable"
+    bounds = np.asarray(offsets).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo > 1:
+            out[lo:hi].sort(kind=kind)
     return out
 
 
@@ -736,9 +686,10 @@ def _active_backend():
 
 
 def segmented_sort_values(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Stable-sort every segment of a CSR layout independently.
+    """Sort every segment of a CSR layout independently.
 
-    Dispatches to the active backend; byte-identical to
+    The output equals a per-segment ``np.sort(kind="stable")`` byte for
+    byte.  Dispatches to the active backend; byte-identical to
     :func:`segmented_sort_values_numpy` (the full contract) on every
     backend.
     """

@@ -2,7 +2,8 @@
 
 The flat engine's recursion levels are dominated by a small set of
 element-scale temporaries — radix argsort keys and scratch,
-``concat_ranges`` index planes, padded-sort rectangles, delivery planes.
+``concat_ranges`` index planes, delivery planes.  (Segmented value sorts
+need none: they sort their output's segment slices in place.)
 Before this module each level allocated them fresh with ``np.empty`` /
 ``np.zeros`` and dropped them at the end of the level, so the process
 walked its whole working set through the allocator once per level and the

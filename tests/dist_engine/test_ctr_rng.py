@@ -5,7 +5,7 @@ both engines: every draw is a pure function of ``(seed, level, pe, index)``.
 These tests pin the properties the engines rely on — determinism, stability
 across :meth:`SimulatedMachine.reset`, independence between streams and
 between batched/per-PE invocations — plus Hypothesis oracles for the
-hot-path kernels (padded / per-segment segmented sort, table-accelerated
+hot-path kernels (the segmented value sort, table-accelerated
 ``blockwise_searchsorted``).
 """
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocks.sampling import SamplingParams, draw_samples, draw_samples_flat
 from repro.dist.array import DistArray
-from repro.dist.ctr_rng import CounterRNG, philox4x32
+from repro.dist.ctr_rng import _PHILOX_CHUNK, CounterRNG, philox4x32
 from repro.dist.flatops import (
     _bucketize_with_table,
     blockwise_searchsorted,
@@ -25,6 +25,37 @@ from repro.sim.machine import SimulatedMachine
 
 
 class TestPhilox:
+    @pytest.mark.parametrize("counter,key,expected", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
+         (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+         (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ])
+    def test_known_answers(self, counter, key, expected):
+        """Random123's published Philox4x32-10 test vectors."""
+        words = philox4x32(*counter, *key)
+        assert tuple(int(w) for w in words) == expected
+        # The same counter as one lane of a batch spanning several blocks.
+        n = 2 * _PHILOX_CHUNK + 5
+        lanes = philox4x32(
+            *(np.full(n, c, dtype=np.uint64) for c in counter), *key
+        )
+        for w, e in zip(lanes, expected):
+            assert np.array_equal(w, np.full(n, e, dtype=np.uint64))
+
+    def test_lanes_independent_of_blocking(self):
+        """A long batch equals its lanes encrypted one at a time."""
+        rng = np.random.default_rng(0)
+        n = 2 * _PHILOX_CHUNK + 123
+        counters = [rng.integers(0, 2 ** 32, n, dtype=np.uint64) for _ in range(4)]
+        batch = philox4x32(*counters, 17, 99)
+        for i in (0, _PHILOX_CHUNK - 1, _PHILOX_CHUNK, 2 * _PHILOX_CHUNK, n - 1):
+            solo = philox4x32(*(int(c[i]) for c in counters), 17, 99)
+            assert [int(w[i]) for w in batch] == [int(w) for w in solo]
+
     def test_deterministic(self):
         a = philox4x32(np.arange(100), 0, 7, 3, 123, 456)
         b = philox4x32(np.arange(100), 0, 7, 3, 123, 456)
@@ -113,6 +144,27 @@ class TestSampleRNGStability:
         b = draw_samples_flat(data, 50, rng, 1, np.arange(1))
         assert not np.array_equal(a.values, b.values)
 
+    def test_multi_block_draw_matches_per_pe_wrapper(self):
+        """A draw whose Philox lanes span several blocks and end inside
+        one equals the per-PE reference wrapper, PE by PE."""
+        rng = CounterRNG(8)
+        params = SamplingParams(oversampling=14.5, overpartitioning=16)
+        per_pe = params.samples_per_pe(1, 4)
+        lanes_per_pe = (per_pe + 3) // 4
+        p = (7 * _PHILOX_CHUNK) // (2 * lanes_per_pe)
+        n_lanes = p * lanes_per_pe
+        assert n_lanes > 3 * _PHILOX_CHUNK and n_lanes % _PHILOX_CHUNK
+        sizes = np.random.default_rng(3).integers(1, 400, size=p)
+        arrays = [np.arange(n) * 7 + i for i, n in enumerate(sizes)]
+        flat = draw_samples_flat(
+            DistArray.from_list(arrays), per_pe, rng, 1, np.arange(p)
+        )
+        for i in range(p):
+            (solo,) = draw_samples(
+                [arrays[i]], params, 1, 4, rng, 1, np.array([i])
+            )
+            assert np.array_equal(flat.segment(i), solo), f"PE {i} differs"
+
     def test_reference_wrapper_matches_flat(self):
         rng = CounterRNG(21)
         arrays = [np.arange(25) + i for i in range(5)]
@@ -189,59 +241,68 @@ segments_strategy = st.lists(
 )
 
 
+def per_segment_stable(arrays, dtype):
+    """The reference engines' local sort: ``np.sort(kind="stable")`` per PE."""
+    if not any(a.size for a in arrays):
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([np.sort(a, kind="stable") for a in arrays])
+
+
+def assert_sorts_like_reference(arrays):
+    """The segmented sort returns the per-PE stable sorts' dtype and bytes."""
+    dist = DistArray.from_list(arrays)
+    out = segmented_sort_values(dist.values, dist.offsets)
+    expected = per_segment_stable(arrays, dist.dtype)
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+    return out
+
+
+def signed_zero_floats(rng, n):
+    """Floats in {-2, ..., 2} whose zeros are half ``-0.0``, half ``0.0``."""
+    a = rng.integers(-2, 3, size=n).astype(np.float64)
+    a[(a == 0) & (rng.random(n) < 0.5)] = -0.0
+    return a
+
+
 class TestSegmentedSortOracle:
     @given(segments_strategy)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_segment_sort(self, segs):
-        arrays = [np.asarray(s, dtype=np.int64) for s in segs]
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
-        expected = np.concatenate(
-            [np.sort(a, kind="stable") for a in arrays]
-        ) if dist.total else dist.values
-        assert np.array_equal(out, expected)
+        assert_sorts_like_reference(
+            [np.asarray(s, dtype=np.int64) for s in segs]
+        )
 
     @given(st.integers(64, 200), st.integers(0, 12), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_radix_composed_path_large_p(self, p, max_len, seed):
         """Many short bounded-range segments at p >= 64, ragged and empty
-        ones included: the padded or the per-segment sort, depending on
-        the size spread."""
+        ones included."""
         rng = np.random.default_rng(seed)
-        arrays = [
+        assert_sorts_like_reference([
             rng.integers(-1000, 1000, size=rng.integers(0, max_len + 1))
             for _ in range(p)
-        ]
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
-        expected = (
-            np.concatenate([np.sort(a, kind="stable") for a in arrays])
-            if dist.total else dist.values
-        )
-        assert np.array_equal(out, expected)
+        ])
 
     def test_padded_path_wide_values(self):
-        """Near-uniform wide-valued segments: the padded rectangle regime."""
+        """Near-uniform segments of wide 62-bit keys."""
         rng = np.random.default_rng(0)
-        arrays = [
+        assert_sorts_like_reference([
             rng.integers(0, 2 ** 62, size=rng.integers(28, 33), dtype=np.int64)
             for _ in range(100)
-        ]
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
-        expected = np.concatenate([np.sort(a) for a in arrays])
-        assert np.array_equal(out, expected)
+        ])
 
     def test_values_equal_to_dtype_max(self):
-        """Padding uses the dtype max; real max values must survive."""
+        """Keys equal to the dtype maximum sort like any other key."""
         hi = np.iinfo(np.int64).max
-        arrays = [np.array([hi, 3, hi], dtype=np.int64)] * 80
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
+        out = assert_sorts_like_reference(
+            [np.array([hi, 3, hi], dtype=np.int64)] * 80
+        )
         assert np.array_equal(out, np.tile([3, hi, hi], 80))
 
     def test_nan_segments_not_padded_away(self):
-        """NaNs sort after the inf padding — the padded path must decline."""
+        """NaN keys take the stable sort: they end each segment, in input
+        order, and no other key takes their place."""
         rng = np.random.default_rng(0)
         arrays = []
         for i in range(128):
@@ -249,25 +310,53 @@ class TestSegmentedSortOracle:
             if i % 3 == 0:
                 a[0] = np.nan
             arrays.append(a)
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
-        expected = np.concatenate([np.sort(a, kind="stable") for a in arrays])
-        assert np.array_equal(out, expected, equal_nan=True)
+        # Long segments with NaNs of two payloads, where a default sort's
+        # SIMD kernels would run.
+        for _ in range(2):
+            a = rng.normal(size=12_000)
+            a[rng.integers(0, a.size, 50)] = np.nan
+            a[rng.integers(0, a.size, 50)] = -np.nan
+            arrays.append(a)
+        out = assert_sorts_like_reference(arrays)
         assert not np.isinf(out).any()
 
     def test_uint64_beyond_int64_range(self):
-        """Small-range uint64 values above 2**63 sort through the padded
-        path, whose uint64 padding is the dtype maximum."""
+        """uint64 keys above 2**63, in a narrow and in the full range."""
         rng = np.random.default_rng(0)
         base = np.uint64(2 ** 63)
-        arrays = [
+        assert_sorts_like_reference([
             base + rng.integers(0, 512, size=5).astype(np.uint64)
             for _ in range(128)
-        ]
-        dist = DistArray.from_list(arrays)
-        out = segmented_sort_values(dist.values, dist.offsets)
-        expected = np.concatenate([np.sort(a) for a in arrays])
-        assert np.array_equal(out, expected)
+        ])
+        assert_sorts_like_reference([
+            rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+            for n in (0, 7, 15_000, 30_000)
+        ])
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int32, np.int64, np.uint64, np.float32, np.float64]
+    )
+    def test_long_segments(self, dtype):
+        """Segments of 10k keys and more, where numpy's SIMD sorts run on
+        integer keys; floats include ``0.0`` and duplicates."""
+        rng = np.random.default_rng(1)
+        arrays = []
+        for n in (10_000, 16_384, 40_000):
+            a = rng.integers(-5_000, 5_000, size=n).astype(dtype)
+            arrays.append(a)
+            arrays.append(np.zeros(0, dtype=dtype))
+        assert_sorts_like_reference(arrays)
+
+    def test_signed_zeros_keep_stable_order(self):
+        """``-0.0`` and ``0.0`` are equal keys with different bytes; their
+        order must be the stable sort's, in short and in long segments."""
+        rng = np.random.default_rng(2)
+        assert_sorts_like_reference(
+            [signed_zero_floats(rng, 100) for _ in range(64)]
+        )
+        assert_sorts_like_reference(
+            [signed_zero_floats(rng, n) for n in (20_000, 5, 0)]
+        )
 
 
 class TestBucketizeOracle:

@@ -109,7 +109,7 @@ class TestFlatOps:
         assert concat_ranges(starts, lengths).tolist() == expect
 
     def test_segmented_sort_values_small_segments(self):
-        # One key per segment at p = 100: the padded sort's 100 x 1 rectangle.
+        # One key per segment at p = 100: one-key segments are already sorted.
         offsets = np.arange(0, 101)
         values = np.random.default_rng(0).integers(0, 5, size=100)
         out = segmented_sort_values(values, offsets)

@@ -44,6 +44,23 @@ def random_data(p, max_n, seed, high=1000):
     ]
 
 
+def same_bytes(a, b):
+    """Equal dtype and bytes: what ``np.array_equal`` misses (the order of
+    ``-0.0`` and ``0.0``, a changed dtype)."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def signed_zero_data(p, n_per_pe, seed):
+    """Float keys in {-2, ..., 2} whose zeros are half ``-0.0``, half ``0.0``."""
+    rng = np.random.default_rng(seed)
+    data = []
+    for _ in range(p):
+        d = rng.integers(-2, 3, size=n_per_pe).astype(np.float64)
+        d[(d == 0) & (rng.random(n_per_pe) < 0.5)] = -0.0
+        data.append(d)
+    return data
+
+
 def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None, **kwargs):
     """Run both engines on identical machines and compare all observables."""
     spec = spec or laptop_like()
@@ -54,7 +71,7 @@ def assert_engines_identical(flat_fn, ref_fn, p, data, seed, spec=None, **kwargs
 
     assert len(out_ref) == len(out_flat)
     for i, (a, b) in enumerate(zip(out_ref, out_flat)):
-        assert np.array_equal(a, b), f"output of PE {i} differs"
+        assert same_bytes(a, b), f"output of PE {i} differs"
     assert np.array_equal(m_ref.clock, m_flat.clock), "clocks differ"
     assert sorted(m_ref.breakdown.phases()) == sorted(m_flat.breakdown.phases())
     for phase in m_ref.breakdown.phases():
@@ -265,6 +282,27 @@ class TestBaselineEquivalence:
         }[name]
         data = random_data(p, 120, 40 + p)
         assert_engines_identical(flat_fn, ref_fn, p, data, 40 + p)
+
+
+class TestSignedZeroEquivalence:
+    """Float keys mixing ``-0.0`` and ``0.0``: equal values, different bytes.
+
+    The flat engine must order equal keys as the reference's per-PE stable
+    sorts and merges do.  A local sort that is not stable on such keys
+    still returns equal *values* but moves the sign bits.
+    """
+
+    @pytest.mark.parametrize("p", [64, 256])
+    @pytest.mark.parametrize("name", ["rlm", "mergesort"])
+    def test_outputs_byte_identical(self, name, p):
+        flat_fn, ref_fn, kwargs = {
+            "rlm": (rlm_sort, rlm_sort_reference,
+                    {"config": RLMConfig(levels=2, node_size=4)}),
+            "mergesort": (single_level_mergesort,
+                          single_level_mergesort_reference, {}),
+        }[name]
+        data = signed_zero_data(p, 100, p)
+        assert_engines_identical(flat_fn, ref_fn, p, data, p, **kwargs)
 
 
 class TestRunnerEngines:
