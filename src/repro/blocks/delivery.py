@@ -50,9 +50,7 @@ from repro.blocks.feistel import FeistelPermutation
 from repro.dist.array import DistArray
 from repro.dist.flatops import (
     concat_ranges,
-    gather,
     split_intervals,
-    stable_key_argsort,
     stable_two_key_argsort,
     take_ranges,
 )
@@ -514,7 +512,6 @@ def _flat_assign_deterministic_batched(
     sel: np.ndarray,
     isl_off: np.ndarray,
     sub_sizes: Sequence[np.ndarray],
-    colmaj: bool = False,
 ) -> np.ndarray:
     """Vectorised :func:`_assign_deterministic` for many islands in one pass.
 
@@ -557,10 +554,7 @@ def _flat_assign_deterministic_batched(
     rk_rep = r_k[sel][isl_rep]
     src_idx = piece_off[sel][isl_rep] + (pos % pk_rep) * rk_rep + pos // pk_rep
     sz = flat_sizes[src_idx]
-    # Piece starts: gathered from the PE-major value buffer, or — for the
-    # column-major piece plane, whose buffer is laid out exactly in this
-    # loop's (island, group, sender) order — a plain running prefix.
-    st = (np.cumsum(sz) - sz) if colmaj else starts_flat[src_idx]
+    st = starts_flat[src_idx]
     sender = isl_off[sel][isl_rep] + pos % pk_rep  # batch rank of the sender
 
     # One pair per (island, group); pieces of a pair are contiguous.
@@ -839,15 +833,36 @@ class BatchedDeliveryResult:
     nonempty_runs: np.ndarray
 
 
+def _colmaj_piece_starts(
+    flat_sizes: np.ndarray,
+    piece_off: np.ndarray,
+    p_k: np.ndarray,
+    r_k: np.ndarray,
+) -> np.ndarray:
+    """Piece starts in a buffer ordered ``(island, group, batch PE)``.
+
+    ``flat_sizes`` lists the pieces row-major (island, batch PE, group);
+    the result holds each piece's start, indexed the same way.
+    """
+    pcs = p_k * r_k
+    pos = concat_ranges(np.zeros(pcs.size, dtype=np.int64), pcs)
+    isl_rep = np.repeat(np.arange(pcs.size, dtype=np.int64), pcs)
+    pk_rep = p_k[isl_rep]
+    idx = piece_off[isl_rep] + (pos % pk_rep) * r_k[isl_rep] + pos // pk_rep
+    sz = flat_sizes[idx]
+    starts = np.empty_like(flat_sizes)
+    starts[idx] = np.cumsum(sz) - sz
+    return starts
+
+
 def deliver_to_groups_batched(
     islands,
     subgroup_sizes: Sequence[np.ndarray],
-    piece_values: Optional[np.ndarray],
+    piece_values: np.ndarray,
     piece_sizes: Sequence[np.ndarray],
     method: str = "deterministic",
     seed: int = 0,
     schedule: str = "sparse",
-    elem_plane: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     piece_layout: str = "rowmaj",
 ) -> BatchedDeliveryResult:
     """Run the data deliveries of all islands of one recursion level at once.
@@ -870,10 +885,8 @@ def deliver_to_groups_batched(
         Per island, the sizes of its ``r_k`` destination sub-groups
         (island-local, summing to the island size).
     piece_values:
-        One flat buffer holding every batch PE's pieces in
-        ``(batch PE, destination group)`` order.  May be ``None`` when
-        ``elem_plane`` is given and the fused element path applies (every
-        destination group a singleton, method not ``'advanced'``).
+        One flat buffer holding every batch PE's pieces, each piece one
+        contiguous run, in the order ``piece_layout`` names.
     piece_sizes:
         Per island, the ``(p_k, r_k)`` piece-size matrix.
     method, seed, schedule:
@@ -882,29 +895,16 @@ def deliver_to_groups_batched(
         per-island reference calls.  An unknown ``schedule`` raises the
         :class:`ValueError` of :func:`repro.sim.exchange.execute_exchange`.
     piece_layout:
-        ``'rowmaj'`` (default): ``piece_values`` holds every batch PE's
-        pieces in ``(batch PE, destination group)`` order.  ``'colmaj'``:
-        the buffer is ordered ``(island, destination group, batch PE)``
-        instead — one stable radix pass builds it from the original element
-        order, against two for the row-major plane.  Only supported for the
-        ``'deterministic'`` method with no singleton destination groups,
-        where every ``(source, destination)`` pair carries at most one
-        message, which makes the two layouts emit identical message
-        streams.
-    elem_plane:
-        Optional ``(values, elem_dest)`` pair for the fused element-level
-        data plane: ``values`` are the batch elements in original
-        ``(batch PE, local order)`` layout and ``elem_dest`` the batch rank
-        every element is delivered to.  When every piece is one whole
-        message (all destination groups singletons, non-``advanced``
-        method), the received layout — runs ordered by (receiver, source,
-        send order) — equals one stable argsort of ``elem_dest``, because
-        elements are stored by (source, original order) and each
-        (source, receiver) pair carries at most one message.  That replaces
-        the piece reorder, the message index build and the reassembly
-        gather of the piece-space path with a single radix argsort plus one
-        gather; the charged costs are identical (they only depend on the
-        piece sizes).
+        ``'rowmaj'`` (default): ``piece_values`` holds the pieces in
+        ``(batch PE, destination group)`` order.  ``'colmaj'``: in
+        ``(island, destination group, batch PE)`` order.  Every method
+        addresses pieces only through their starts, so both layouts send
+        the same messages.  When every destination group is one PE (the
+        final recursion level) and the method is not ``'advanced'``, each
+        piece is one whole message to that PE, and the column-major buffer
+        is ordered by (receiver, source, send order): it *is* the received
+        layout, and the delivery returns it as the received values without
+        reassembling them.
     """
     if method not in DELIVERY_METHODS:
         raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
@@ -912,21 +912,13 @@ def deliver_to_groups_batched(
         raise ValueError(f"unknown exchange schedule {schedule!r}")
     if piece_layout not in ("rowmaj", "colmaj"):
         raise ValueError("piece_layout must be 'rowmaj' or 'colmaj'")
-    if piece_layout == "colmaj" and method != "deterministic":
-        raise ValueError("the column-major piece plane requires the "
-                         "deterministic delivery method")
     machine = islands.machine
     spec = machine.spec
     q = int(islands.members.size)
     n_isl = islands.num_groups
     if len(subgroup_sizes) != n_isl or len(piece_sizes) != n_isl:
         raise ValueError("need one sub-group layout and piece matrix per island")
-    if piece_values is None:
-        piece_values = np.empty(0, dtype=np.float64)  # fused path sentinel
-        if elem_plane is None:
-            raise ValueError("piece_values may only be omitted with elem_plane")
-    else:
-        piece_values = np.asarray(piece_values)
+    piece_values = np.asarray(piece_values)
     isl_off = islands.offsets
     p_k = islands.sizes
     pe_isl = np.repeat(np.arange(n_isl, dtype=np.int64), p_k)
@@ -939,27 +931,17 @@ def deliver_to_groups_batched(
         if shape[1] == 0:
             raise ValueError("need at least one target group")
         r_k[k] = shape[1]
-    fused = (
-        elem_plane is not None
-        and method != "advanced"
-        and bool(np.all(r_k == p_k))
-    )
     flat_sizes = (
         np.concatenate([
             np.asarray(m, dtype=np.int64).reshape(-1) for m in piece_sizes
         ])
         if n_isl else np.empty(0, dtype=np.int64)
     )
-    total_words = int(flat_sizes.sum())
-    if fused:
-        if total_words != np.asarray(elem_plane[0]).size:
-            raise ValueError("elem_plane values do not match piece_sizes")
-    elif total_words != piece_values.size:
+    if int(flat_sizes.sum()) != piece_values.size:
         raise ValueError("piece_values size does not match piece_sizes")
     piece_cnt = p_k * r_k
     piece_off = np.zeros(n_isl + 1, dtype=np.int64)
     np.cumsum(piece_cnt, out=piece_off[1:])
-    starts_flat = np.cumsum(flat_sizes) - flat_sizes
 
     with machine.phase(PHASE_DATA_DELIVERY):
         # Same enumeration prefix-sum collective as the per-island reference.
@@ -979,6 +961,16 @@ def deliver_to_groups_batched(
             (r_k == p_k) if method != "advanced"
             else np.zeros(n_isl, dtype=bool)
         )
+        # When every island is one of these, a column-major buffer is the
+        # received layout already (see the assembly below): no piece start
+        # is read, and the zeros only fill the messages' start row.
+        in_place = piece_layout == "colmaj" and bool(eligible.all())
+        if piece_layout == "rowmaj":
+            starts_flat = np.cumsum(flat_sizes) - flat_sizes
+        elif in_place:
+            starts_flat = np.zeros_like(flat_sizes)
+        else:
+            starts_flat = _colmaj_piece_starts(flat_sizes, piece_off, p_k, r_k)
         if eligible.any():
             el = np.flatnonzero(eligible)
             ws = get_arena()
@@ -997,17 +989,11 @@ def deliver_to_groups_batched(
             ]))
 
         noneligible = np.flatnonzero(~eligible)
-        if piece_layout == "colmaj" and (
-            eligible.any() or noneligible.size != n_isl
-        ):
-            raise ValueError("the column-major piece plane requires every "
-                             "destination group to be a proper sub-group")
         if method == "deterministic" and noneligible.size:
             parts.append(_flat_assign_deterministic_batched(
                 flat_sizes, starts_flat, piece_off, p_k, r_k,
                 noneligible, isl_off,
                 [subgroup_sizes[int(k)] for k in noneligible],
-                colmaj=piece_layout == "colmaj",
             ))
             noneligible = noneligible[:0]
         # Naive, randomized and advanced delivery assign island by island.
@@ -1127,13 +1113,11 @@ def deliver_to_groups_batched(
 
         # Assemble the received DistArray from all runs (network + kept),
         # ordered by (receiver, source, send order) as in the reference.
-        # In the fused element plane (all pieces whole messages) that order
-        # is one stable argsort of the per-element destination; otherwise
-        # messages are gathered out of the piece-space buffer.
-        if fused:
-            elem_values, elem_dest = elem_plane
-            eorder = stable_key_argsort(np.asarray(elem_dest), q)
-            recv_values = gather(np.asarray(elem_values), eorder)
+        # A column-major buffer whose pieces are all whole messages to
+        # single-PE groups is already in that order; otherwise messages
+        # are gathered out of the piece buffer.
+        if in_place:
+            recv_values = piece_values
         else:
             order = stable_two_key_argsort(dest, src, q, q)
             recv_values = take_ranges(piece_values, start[order], length[order])

@@ -64,7 +64,6 @@ from repro.dist.flatops import (
     gather,
     map_by_unique,
     map_by_unique2,
-    repeat_add,
     segmented_sort_values,
     stable_key_argsort,
     stable_two_key_argsort,
@@ -515,6 +514,167 @@ def _batched_grid_splitters(
     return spl_values, spl_off
 
 
+# Bucket processing walks a level's batch in blocks of about this many
+# elements, cut at PE boundaries, so that each block's key, count and
+# reorder passes stay in cache, as in super scalar sample sort's
+# distribution passes (Sanders & Winkel, ESA 2004).  The size comes from a
+# sweep over 2**14..2**18 (ROADMAP, "Settled by measurement").
+_BLOCK_ELEMS = 2 ** 16
+
+
+class _LevelBlocks:
+    """One level's batch cut into cache-sized blocks for bucket processing.
+
+    A block is a range of batch PEs: either a run of whole islands or a
+    PE-aligned slice of one island that holds more than ``_BLOCK_ELEMS``
+    elements.  A run of whole islands ends before the first island that
+    starts in a new window of ``_BLOCK_ELEMS`` elements; a larger island
+    is cut before every PE whose island-local start enters a new window.
+    Every block's bucket keys, piece counts and piece reorder then touch
+    only the block's own elements.
+    """
+
+    def __init__(
+        self,
+        pe_off: np.ndarray,
+        act_off: np.ndarray,
+        isl_elem: np.ndarray,
+        nb_off: np.ndarray,
+    ):
+        self.pe_off = pe_off  # element offsets of the batch PEs
+        self.act_off = act_off  # batch-PE offsets of the islands
+        self.isl_elem = isl_elem  # element offsets of the islands
+        self.nb_off = nb_off  # bucket offsets of the islands
+        n_act = int(act_off.size) - 1
+        size = _BLOCK_ELEMS
+        if int(isl_elem[-1]) <= size:
+            self.blocks = [(0, int(act_off[-1]), 0, int(isl_elem[-1]),
+                            0, n_act, False)]
+            return
+        big = np.diff(isl_elem) > size
+        win = isl_elem[:-1] // size
+        starts = np.ones(n_act, dtype=bool)
+        starts[1:] = (win[1:] != win[:-1]) | big[1:]
+        cuts = [act_off[:-1][starts], act_off[-1:]]
+        if big.any():
+            pe_isl = np.repeat(np.arange(n_act), np.diff(act_off))
+            pe_win = (pe_off[:-1] - isl_elem[pe_isl]) // size
+            cuts.append(1 + np.flatnonzero(
+                big[pe_isl[1:]]
+                & (pe_isl[1:] == pe_isl[:-1])
+                & (pe_win[1:] != pe_win[:-1])
+            ))
+        cuts = np.unique(np.concatenate(cuts))
+        pe_lo, pe_hi = cuts[:-1], cuts[1:]
+        i_lo = np.searchsorted(act_off, pe_lo, side="right") - 1
+        i_hi = np.searchsorted(act_off, pe_hi - 1, side="right")
+        split = (act_off[i_lo] != pe_lo) | (act_off[i_hi] != pe_hi)
+        self.blocks = list(zip(
+            pe_lo.tolist(), pe_hi.tolist(), pe_off[pe_lo].tolist(),
+            pe_off[pe_hi].tolist(), i_lo.tolist(), i_hi.tolist(),
+            split.tolist(),
+        ))
+
+    def _bucket_key(self, bucket_of, e_lo, e_hi, i_lo, i_hi):
+        """Island-offset bucket keys of one block's elements."""
+        key = bucket_of[e_lo:e_hi]
+        if i_hi - i_lo > 1:
+            key = np.repeat(
+                self.nb_off[i_lo:i_hi] - self.nb_off[i_lo],
+                np.diff(self.isl_elem[i_lo:i_hi + 1]),
+            ) + key
+        return key
+
+    def bucket_sizes(self, bucket_of: np.ndarray) -> np.ndarray:
+        """Global bucket sizes of every island: the sum of block histograms."""
+        nb_off = self.nb_off
+        sizes = np.zeros(int(nb_off[-1]), dtype=np.int64)
+        for _, _, e_lo, e_hi, i_lo, i_hi, _ in self.blocks:
+            if e_hi > e_lo:
+                b_lo, b_hi = int(nb_off[i_lo]), int(nb_off[i_hi])
+                sizes[b_lo:b_hi] += bincount(
+                    self._bucket_key(bucket_of, e_lo, e_hi, i_lo, i_hi),
+                    minlength=b_hi - b_lo,
+                )
+        return sizes
+
+    def reorder_pieces(
+        self,
+        values: np.ndarray,
+        bucket_of: np.ndarray,
+        lut: np.ndarray,
+        r_act: np.ndarray,
+        bucket_sizes: np.ndarray,
+    ) -> tuple:
+        """Piece sizes and the column-major piece plane, block by block.
+
+        ``lut`` maps every island's buckets to its groups (one slice per
+        island, nondecreasing).  Returns ``(piece_values, piece_len)``:
+        ``piece_len`` holds the ``(PE, group)`` piece sizes in row-major
+        order, and ``piece_values`` the elements ordered by ``(island,
+        group)`` — a stable reorder, so ties keep ``(PE, original)`` order
+        and every piece is one contiguous run.  A block of whole islands
+        reorders into its own element range.  The blocks of a split island
+        place each group's run at a cursor that starts at the group's
+        offset in the island (prefix sums of the global bucket sizes).
+        """
+        pe_off, act_off, nb_off = self.pe_off, self.act_off, self.nb_off
+        isl_elem = self.isl_elem
+        seg_sizes = np.diff(pe_off)
+        pc_off = np.zeros(int(act_off[-1]) + 1, dtype=np.int64)
+        np.cumsum(np.repeat(r_act, np.diff(act_off)), out=pc_off[1:])
+        g_off = np.zeros(r_act.size + 1, dtype=np.int64)
+        np.cumsum(r_act, out=g_off[1:])
+        piece_len = np.zeros(int(pc_off[-1]), dtype=np.int64)
+        out = np.empty(values.size, dtype=values.dtype)
+        cursor_isl, cursor = -1, None
+        for pe_lo, pe_hi, e_lo, e_hi, i_lo, i_hi, split in self.blocks:
+            if e_hi == e_lo:
+                continue
+            b_lo, b_hi = int(nb_off[i_lo]), int(nb_off[i_hi])
+            group = np.take(
+                lut[b_lo:b_hi],
+                self._bucket_key(bucket_of, e_lo, e_hi, i_lo, i_hi),
+            )
+            pc_lo, pc_hi = int(pc_off[pe_lo]), int(pc_off[pe_hi])
+            piece_len[pc_lo:pc_hi] = bincount(
+                np.repeat(pc_off[pe_lo:pe_hi] - pc_lo, seg_sizes[pe_lo:pe_hi])
+                + group,
+                minlength=pc_hi - pc_lo,
+            )
+            n_isl = i_hi - i_lo
+            bound = int(g_off[i_hi] - g_off[i_lo])
+            if n_isl == 1:
+                order = stable_key_argsort(group, bound)
+            else:
+                isl_sizes = np.diff(isl_elem[i_lo:i_hi + 1])
+                if bound <= 2 ** 16:
+                    order = stable_key_argsort(np.repeat(
+                        g_off[i_lo:i_hi] - g_off[i_lo], isl_sizes
+                    ) + group, bound)
+                else:
+                    order = stable_two_key_argsort(
+                        np.repeat(np.arange(n_isl), isl_sizes), group,
+                        n_isl, int(r_act[i_lo:i_hi].max()),
+                    )
+            moved = gather(values[e_lo:e_hi], order)
+            if not split:
+                out[e_lo:e_hi] = moved
+                continue
+            r = int(r_act[i_lo])
+            if cursor_isl != i_lo:
+                cum = np.zeros(b_hi - b_lo + 1, dtype=np.int64)
+                np.cumsum(bucket_sizes[b_lo:b_hi], out=cum[1:])
+                cursor = isl_elem[i_lo] + cum[np.searchsorted(
+                    lut[b_lo:b_hi], np.arange(r)
+                )]
+                cursor_isl = i_lo
+            runs = piece_len[pc_lo:pc_hi].reshape(pe_hi - pe_lo, r).sum(axis=0)
+            out[concat_ranges(cursor, runs)] = moved
+            cursor += runs
+        return out, piece_len
+
+
 def _ams_level_batched(
     comm,
     dist: DistArray,
@@ -547,7 +707,6 @@ def _ams_level_batched(
     act_sizes = sizes_isl[active]
     act_off = np.zeros(n_act + 1, dtype=np.int64)
     np.cumsum(act_sizes, out=act_off[1:])
-    q = int(act_off[-1])
     batch_ranks = concat_ranges(isl_offsets[active], act_sizes)
     batch_members = comm.members[batch_ranks]
     islands = GroupBatch(machine, batch_members, act_off)
@@ -586,8 +745,9 @@ def _ams_level_batched(
     )
 
     # ------------------------------------------------------------------
-    # 2. Bucket processing: one segmented search per element, per-island
-    #    grouping, one stable (PE, group) reorder for the whole batch
+    # 2. Bucket processing: one segmented search per element, then per
+    #    cache-sized block a bucket histogram, and after the grouping the
+    #    block's piece counts and piece reorder
     # ------------------------------------------------------------------
     with comm.phase(PHASE_BUCKET_PROCESSING):
         spl_sizes = np.diff(spl_off)
@@ -598,22 +758,8 @@ def _ams_level_batched(
         )
         nb_off = np.zeros(n_act + 1, dtype=np.int64)
         np.cumsum(nb_per_isl, out=nb_off[1:])
-        # Global bucket sizes per island: one bincount over island-offset
-        # bucket keys.  The bucket indices come straight out of the bounded
-        # searchsorted, so they need no range check.
-        ws = get_arena()
-        if n_act == 1:
-            isl_bucket_key = bucket_of
-            gbs_flat = bincount(
-                bucket_of, minlength=int(nb_off[-1])
-            ).astype(np.int64, copy=False)
-        else:
-            isl_bucket_key = repeat_add(
-                nb_off[:-1], np.diff(elem_off), bucket_of, ws
-            )
-            gbs_flat = bincount(
-                isl_bucket_key, minlength=int(nb_off[-1])
-            ).astype(np.int64, copy=False)
+        blocks = _LevelBlocks(dist_b.offsets, act_off, elem_off, nb_off)
+        gbs_flat = blocks.bucket_sizes(bucket_of)
         islands.charge_collective(nb_per_isl)
 
         # Bucket -> destination group per island through one ragged lookup
@@ -643,75 +789,19 @@ def _ams_level_batched(
                 for k in range(n_act)
             ])
         islands.charge_collective(np.ones(n_act, dtype=np.int64))
-        # Group indices fit 32 bits at any simulable scale; the narrow
-        # dtype halves the bandwidth of every element-scale key pass below.
-        lut = lut.astype(np.int32, copy=False)
-        dest_local = ws.empty(np.asarray(isl_bucket_key).size, np.int32)
-        np.take(lut, isl_bucket_key, out=dest_local)
-        ws.recycle(isl_bucket_key)  # no-op when it aliases bucket_of
 
-        r_per_pe = r_act[pe_isl]
-        total_pieces = int(r_per_pe.sum())
-        r_max = int(r_act.max(initial=1))
-        seg_sizes_b = np.diff(dist_b.offsets)
-        pe_piece_base = np.cumsum(r_per_pe) - r_per_pe
-        narrow = total_pieces < 2 ** 31 and int(isl_offsets[-1]) < 2 ** 31
-        if narrow:
-            pe_piece_base = pe_piece_base.astype(np.int32)
-        piece_key = repeat_add(pe_piece_base, seg_sizes_b, dest_local, ws)
-        # Piece reorder for the whole batch at once.  Three regimes:
-        # * final level (every destination group a singleton, non-advanced
-        #   delivery): no reorder at all — the delivery consumes the
-        #   elements in place through its fused element plane, keyed by
-        #   each element's destination PE;
-        # * deterministic delivery at intermediate levels: ONE stable
-        #   16-bit radix argsort by global (island, group) key builds the
-        #   *column-major* piece plane — within a group the elements stay
-        #   in (PE, original) order because the input is PE-major, so each
-        #   piece is one contiguous run and the delivery addresses it
-        #   through column-major piece starts.  (Valid because the
-        #   deterministic assignment sends at most one message per
-        #   (source, destination) pair, making the row/column layouts
-        #   indistinguishable downstream.)
-        # * otherwise: the classic (PE, group) row-major reorder — a stable
-        #   two-key radix argsort (two 16-bit counting passes).
-        fuse_delivery = (
-            config.delivery != "advanced"
-            and bool(np.all(r_act == act_sizes))
+        # Piece plane: the elements ordered (island, group, PE, original
+        # order), so every piece is one contiguous run.  Deliveries address
+        # pieces only through their starts, so this column-major layout
+        # sends the same messages as a (PE, group) one.  At the final level
+        # group j of an island is its PE j, and the plane is the received
+        # layout itself (receiver, source, original order): the
+        # non-advanced deliveries reassemble nothing.  Group ids fit 32
+        # bits; the narrow table halves each block's group-key bytes.
+        piece_values, piece_len = blocks.reorder_pieces(
+            dist_b.values, bucket_of, lut.astype(np.int32, copy=False),
+            r_act, gbs_flat,
         )
-        piece_layout = "rowmaj"
-        isl_counts = np.diff(elem_off)
-        if fuse_delivery:
-            piece_values = None
-            act_base = act_off[:-1].astype(np.int32) if narrow else act_off[:-1]
-            elem_dest = repeat_add(act_base, isl_counts, dest_local, ws)
-        else:
-            elem_dest = None
-            n_groups_total = int(r_act.sum())
-            if (
-                config.delivery == "deterministic"
-                and n_groups_total <= 2 ** 16
-                and n_total < 2 ** 45
-                and bool(np.all(r_act < act_sizes))
-            ):
-                gbase = np.cumsum(r_act) - r_act
-                if narrow:
-                    gbase = gbase.astype(np.int32)
-                gkey = dest_local if n_act == 1 else repeat_add(
-                    gbase, isl_counts, dest_local, ws
-                )
-                order = stable_key_argsort(gkey, n_groups_total)
-                ws.recycle(gkey)  # no-op when it aliases dest_local
-                piece_layout = "colmaj"
-            else:
-                order = stable_two_key_argsort(
-                    dist_b.segment_ids(), dest_local, q, r_max
-                )
-            piece_values = gather(dist_b.values, order)
-        piece_len = bincount(piece_key, minlength=total_pieces).astype(
-            np.int64, copy=False
-        )
-        ws.recycle(piece_key, dest_local)
         machine.advance_many(
             batch_members,
             map_by_unique2(
@@ -737,19 +827,15 @@ def _ams_level_batched(
         )
         for k in range(n_act)
     ]
-    delivery = deliver_to_groups_batched(
+    received = deliver_to_groups_batched(
         islands,
         sub_sizes,
         piece_values,
         piece_mats,
         method=config.delivery,
         seed=machine.seed + level + 1,
-        elem_plane=(dist_b.values, elem_dest) if fuse_delivery else None,
-        piece_layout=piece_layout,
-    )
-    received = delivery.received
-    if fuse_delivery:
-        get_arena().recycle(elem_dest)
+        piece_layout="colmaj",
+    ).received
 
     # ------------------------------------------------------------------
     # 4. Next-level island layout (+ pass-through of singleton islands)

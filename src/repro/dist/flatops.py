@@ -146,42 +146,6 @@ def concat_ranges(
     return np.cumsum(out, out=out)
 
 
-def repeat_add(
-    base: np.ndarray, lengths: np.ndarray, addend: np.ndarray, arena
-) -> np.ndarray:
-    """``np.repeat(base, lengths) + addend`` built in one workspace buffer.
-
-    The level executors broadcast a per-segment base onto the element axis
-    and add a per-element key four times per level (island bucket keys,
-    piece keys, destination planes) — each time allocating the repeat *and*
-    the sum.  This builds the repeat by the same telescoping
-    scatter-then-cumsum as :func:`concat_ranges` (exact for any integer
-    dtype: the scattered deltas reconstruct the values under two's
-    complement even if an intermediate wraps) directly in a checked-out
-    buffer of the promoted dtype and adds ``addend`` in place — zero fresh
-    allocations, byte-identical values.  The caller owns the result and
-    must ``recycle`` it.
-    """
-    base = np.asarray(base)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    addend = np.asarray(addend)
-    total = int(lengths.sum())
-    dt = np.result_type(base, addend)
-    out = arena.empty(total, dt)
-    if total == 0:
-        return out
-    vals = base.astype(dt, copy=False)
-    out.fill(0)
-    out[0] = vals[0]
-    excl = np.cumsum(lengths) - lengths
-    pos = excl[1:]
-    keep = pos < total  # trailing zero-length segments start past the end
-    np.add.at(out, pos[keep], np.diff(vals)[keep])
-    np.cumsum(out, out=out)
-    out += addend
-    return out
-
-
 def stable_key_argsort_numpy(key: np.ndarray, key_bound: int) -> np.ndarray:
     """Reference implementation of :func:`stable_key_argsort`.
 

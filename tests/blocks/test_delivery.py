@@ -305,10 +305,11 @@ class TestBatchedDeliveryEquivalence:
         st.sampled_from(["sparse", "dense"]),
         st.booleans(),
         st.booleans(),
+        st.sampled_from(["rowmaj", "colmaj"]),
     )
     @settings(max_examples=80, deadline=None)
     def test_property_one_island_matches_reference(
-        self, p, r, seed, method, schedule, skew, faulty
+        self, p, r, seed, method, schedule, skew, faulty, piece_layout
     ):
         r = min(r, p)  # comm.split(r) is uneven whenever r does not divide p
         pieces = skewed_pieces(p, r, seed, skew)
@@ -322,10 +323,16 @@ class TestBatchedDeliveryEquivalence:
         m_flat = SimulatedMachine(p, spec=laptop_like(), seed=9, faults=faults)
         island = GroupBatch(m_flat, np.arange(p), np.array([0, p]))
         sizes = np.array([[piece.size for piece in row] for row in pieces])
-        values = np.concatenate([piece for row in pieces for piece in row])
+        if piece_layout == "rowmaj":
+            values = np.concatenate([piece for row in pieces for piece in row])
+        else:
+            values = np.concatenate(
+                [row[j] for j in range(r) for row in pieces]
+            )
         group_sizes = np.array([g.size for g in m_flat.world().split(r)])
         res = deliver_to_groups_batched(
-            island, [group_sizes], values, [sizes], **kwargs
+            island, [group_sizes], values, [sizes],
+            piece_layout=piece_layout, **kwargs
         )
 
         for rank in range(p):
@@ -342,4 +349,59 @@ class TestBatchedDeliveryEquivalence:
         for name in COUNTER_FIELDS:
             assert np.array_equal(
                 getattr(m_flat.counters, name), getattr(m_ref.counters, name)
+            ), name
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                 min_size=1, max_size=4),
+        st.integers(0, 10_000),
+        st.sampled_from(list(DELIVERY_METHODS)),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_layouts_send_same_messages(
+        self, shapes, seed, method, skew
+    ):
+        """Row- and column-major buffers of a many-island batch deliver alike.
+
+        Islands whose groups are all single PEs mix with islands of larger
+        groups, so the in-place column-major result and the message
+        assembly both run, alone and side by side.
+        """
+        shapes = [(p, min(r, p)) for p, r in shapes]
+        pieces = [
+            skewed_pieces(p, r, seed + k, skew)
+            for k, (p, r) in enumerate(shapes)
+        ]
+        sizes = [np.array([[x.size for x in row] for row in isl], dtype=np.int64)
+                 for isl in pieces]
+        group_sizes = [np.array([g.size for g in np.array_split(np.arange(p), r)])
+                       for p, r in shapes]
+        offsets = np.concatenate([[0], np.cumsum([p for p, _ in shapes])])
+        buffers = {
+            "rowmaj": [x for isl in pieces for row in isl for x in row],
+            "colmaj": [isl[i][j] for isl, (p, r) in zip(pieces, shapes)
+                       for j in range(r) for i in range(p)],
+        }
+        out = {}
+        for layout, parts in buffers.items():
+            machine = SimulatedMachine(int(offsets[-1]), spec=laptop_like(), seed=9)
+            res = deliver_to_groups_batched(
+                GroupBatch(machine, np.arange(offsets[-1]), offsets),
+                group_sizes, np.concatenate(parts), sizes,
+                method=method, seed=seed, piece_layout=layout,
+            )
+            out[layout] = (res, machine)
+        (row, m_row), (col, m_col) = out["rowmaj"], out["colmaj"]
+        assert col.received.values.tobytes() == row.received.values.tobytes()
+        assert np.array_equal(col.received_sizes, row.received_sizes)
+        assert np.array_equal(col.nonempty_runs, row.nonempty_runs)
+        assert np.array_equal(m_col.clock, m_row.clock)
+        for phase in m_row.breakdown.phases():
+            assert np.array_equal(
+                m_col.breakdown.per_pe(phase), m_row.breakdown.per_pe(phase)
+            ), phase
+        for name in COUNTER_FIELDS:
+            assert np.array_equal(
+                getattr(m_col.counters, name), getattr(m_row.counters, name)
             ), name

@@ -7,6 +7,8 @@ seed per-PE implementation.  These tests enforce that contract on
 randomized ``(p, n, plan, seed)`` configurations.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,54 @@ class TestAMSMultiLevelEquivalence:
         assert_engines_identical(
             ams_sort, ams_sort_reference, 18, data, 21, config=config
         )
+
+    @pytest.mark.parametrize(
+        "delivery", ["naive", "randomized", "deterministic", "advanced"]
+    )
+    @pytest.mark.parametrize("p", [27, 64])
+    def test_delivery_methods_three_levels_small_blocks(
+        self, p, delivery, monkeypatch
+    ):
+        """Bucket processing with blocks that split and pack islands.
+
+        Keys 1, 2 and 3 carry 0.85, 0.85 and 1.6 block sizes of elements
+        (the rest spread over distinct keys above them), so each is one
+        bucket and the level-0 grouping sends each to its own group.  With
+        the block constant shrunk to one such unit, every level cuts an
+        island into several blocks, and every level past the first (the
+        first has one island) packs two non-empty islands into one block.
+        """
+        weights = {27: (0.85, 0.85, 1.6, 0.05), 64: (0.85, 0.85, 1.6, 1.7)}[p]
+        rng = np.random.default_rng(3)
+        w = np.asarray(weights)
+        data = []
+        for _ in range(p):
+            d = rng.choice(np.arange(1, w.size + 1), size=20, p=w / w.sum())
+            spread = d == w.size
+            d[spread] = rng.integers(10**3, 10**6, int(spread.sum()))
+            data.append(d.astype(np.int64))
+        ams_module = importlib.import_module("repro.core.ams_sort")
+        monkeypatch.setattr(
+            ams_module, "_BLOCK_ELEMS", round(20 * p / w.sum())
+        )
+        seen = []
+        blocks_init = ams_module._LevelBlocks.__init__
+
+        def recording_init(blocks, *args):
+            blocks_init(blocks, *args)
+            loads = np.diff(blocks.isl_elem)
+            seen.append((
+                any(b[6] for b in blocks.blocks),
+                any(np.count_nonzero(loads[b[4]:b[5]]) > 1
+                    for b in blocks.blocks),
+            ))
+
+        monkeypatch.setattr(ams_module._LevelBlocks, "__init__", recording_init)
+        config = AMSConfig(levels=3, node_size=3, delivery=delivery)
+        assert_engines_identical(
+            ams_sort, ams_sort_reference, p, data, 3, config=config
+        )
+        assert seen == [(True, False), (True, True), (True, True)]
 
     def test_explicit_uneven_group_plan(self):
         # Odd factors produce non-power-of-two islands whose sample-sort

@@ -8,7 +8,11 @@ ones (all-equal keys stress tie-breaking, zipf stresses duplicate handling,
 nearly-sorted/staggered stress splitter quality).  For each workload and
 ``p`` in {16, 64} the flat engine must reproduce the reference engine's
 outputs, per-PE clocks, phase breakdowns and traffic counters byte for byte.
+The same holds with AMS-sort's bucket-processing blocks shrunk, so that the
+adversarial workloads also drive the block passes that split an island.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -79,3 +83,38 @@ def test_rlm_engines_identical_on_workload(workload):
     _assert_engines_identical(
         workload, 16, "rlm", RLMConfig(levels=2, node_size=4)
     )
+
+
+# Bucket-processing block size for the small-block runs.  At the default
+# size every batch here fits one block; at 256 elements level 0's single
+# island (768 or 2,560 keys) splits into several blocks, and level 1 packs
+# or splits its 4-PE islands as the workload's grouping loads them.
+SMALL_BLOCK = 256
+
+
+@pytest.mark.parametrize("delivery", ["deterministic", "naive", "advanced"])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_ams_engines_identical_on_workload_small_blocks(
+    workload, delivery, monkeypatch
+):
+    """Byte identity when bucket processing cuts islands into blocks.
+
+    All three deliveries read the column-major piece plane: the
+    deterministic one through its batched assignment, the naive one island
+    by island and, at the final level, as the received values in place,
+    and the advanced one through its chunks at every level.
+    """
+    ams_module = importlib.import_module("repro.core.ams_sort")
+    monkeypatch.setattr(ams_module, "_BLOCK_ELEMS", SMALL_BLOCK)
+    split_seen = []
+    blocks_init = ams_module._LevelBlocks.__init__
+
+    def recording_init(blocks, *args):
+        blocks_init(blocks, *args)
+        split_seen.append(any(b[6] for b in blocks.blocks))
+
+    monkeypatch.setattr(ams_module._LevelBlocks, "__init__", recording_init)
+    _assert_engines_identical(
+        workload, 64, "ams", AMSConfig(levels=2, node_size=4, delivery=delivery)
+    )
+    assert split_seen[0], f"{workload}: level 0 never split its island"

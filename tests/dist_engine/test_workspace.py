@@ -185,20 +185,6 @@ class TestWorkspaceFlatops:
             assert np.array_equal(out, ref)
             arena.recycle(out)
 
-    def test_repeat_add_matches_repeat_plus_add(self, arena):
-        rng = np.random.default_rng(1)
-        for dt in (np.int64, np.int32):
-            for _ in range(30):
-                m = int(rng.integers(1, 20))
-                lengths = rng.integers(0, 6, m)
-                base = rng.integers(0, 1 << 20, m).astype(dt)
-                addend = rng.integers(0, 100, int(lengths.sum())).astype(dt)
-                ref = np.repeat(base, lengths) + addend
-                out = flatops.repeat_add(base, lengths, addend, arena)
-                assert out.dtype == ref.dtype
-                assert np.array_equal(out, ref)
-                arena.recycle(out)
-
     def test_no_leaks_after_an_engine_run(self, arena):
         machine = SimulatedMachine(64, seed=5)
         data = per_pe_workload("uniform", 64, 200, seed=5)
