@@ -50,7 +50,6 @@ from repro.blocks.feistel import FeistelPermutation
 from repro.dist.array import DistArray
 from repro.dist.flatops import (
     concat_ranges,
-    split_intervals,
     stable_two_key_argsort,
     take_ranges,
 )
@@ -463,117 +462,143 @@ def deliver_to_groups(
 # algorithms above, called by :func:`deliver_to_groups_batched`.  Pieces
 # are given as one flat value buffer plus a piece-size matrix per island;
 # messages are built as flat ``(src, dest, start, length)`` index arrays
-# with :func:`repro.dist.flatops.split_intervals` instead of per-piece
-# Python loops.  Every port emits *exactly* the message stream of its
-# per-PE counterpart (same sources, destinations and payload slices), which
-# keeps costs and data byte-identical.
+# instead of per-piece Python loops.  Every port emits *exactly* the
+# message stream of its per-PE counterpart (same sources, destinations and
+# payload slices), which keeps costs and data byte-identical.
 
 
-def _flat_assign_by_prefix(
-    sizes: np.ndarray,
-    piece_starts: np.ndarray,
-    group_starts: np.ndarray,
-    group_sizes: np.ndarray,
-    order_per_group: Optional[List[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Vectorised :func:`_assign_by_prefix`: message arrays per group."""
-    p, r = sizes.shape
-    group_loads = sizes.sum(axis=0)
-    parts: List[np.ndarray] = []
-    for j in range(r):
-        m_j = int(group_loads[j])
-        p_g = int(group_sizes[j])
-        block = int(math.ceil(m_j / p_g)) if m_j > 0 else 1
-        order = order_per_group[j] if order_per_group is not None \
-            else np.arange(p, dtype=np.int64)
-        sz = sizes[order, j]
-        nonempty = sz > 0
-        senders = order[nonempty]
-        sz = sz[nonempty]
-        if sz.size == 0:
-            continue
-        bounds = np.zeros(sz.size + 1, dtype=np.int64)
-        np.cumsum(sz, out=bounds[1:])
-        cuts = block * np.arange(1, p_g, dtype=np.int64)
-        piece_idx, off, lengths, abs_start = split_intervals(bounds, cuts, m_j)
-        src = senders[piece_idx]
-        dest = group_starts[j] + np.minimum(abs_start // block, p_g - 1)
-        start = piece_starts[src, j] + off
-        parts.append(np.stack([src, dest, start, lengths]))
-    return parts
+def _enumerate_pieces(
+    p_k: np.ndarray,
+    r_k: np.ndarray,
+    piece_off: np.ndarray,
+    isl_off: np.ndarray,
+    sel: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of islands ``sel`` in (island, group, sender) order.
+
+    A delivery's one enumeration, read by the column-major piece starts
+    and the deterministic and prefix-sum assignments.  Returns per piece
+    its index into the row-major (island, sender, group) piece list, its
+    sender's batch rank and its position in its island's column-major
+    (group, sender) order.
+    """
+    pcs = p_k[sel] * r_k[sel]
+    pos = concat_ranges(np.zeros(sel.size, dtype=np.int64), pcs)
+    isl = np.repeat(sel, pcs)
+    group, local = np.divmod(pos, p_k[isl])
+    return piece_off[isl] + local * r_k[isl] + group, isl_off[isl] + local, pos
+
+
+def _randomized_order(
+    pos: np.ndarray, p_k: np.ndarray, r_k: np.ndarray, seed: int
+) -> np.ndarray:
+    """The enumerated pieces reordered as the randomized delivery sends them.
+
+    ``pos`` comes from :func:`_enumerate_pieces` over islands of sizes
+    ``p_k`` with ``r_k`` groups.  Group ``j`` of an island of ``p`` PEs
+    enumerates sender ``i`` at position ``pi(i)`` of the bijection
+    ``FeistelPermutation(p, seed * 104729 + j)``, as the reference does.
+    """
+    pcs = p_k * r_k
+    pk_rep = np.repeat(p_k, pcs)
+    rank = np.empty_like(pos)
+    for pk in np.unique(p_k).tolist():
+        of_pk = pk_rep == pk
+        rank[of_pk] = np.concatenate([
+            FeistelPermutation(pk, seed=seed * 104729 + j).permutation_array()
+            for j in range(int(r_k[p_k == pk].max()))
+        ])[pos[of_pk]]
+    piece = np.arange(pos.size, dtype=np.int64)
+    order = np.empty_like(piece)
+    order[piece - pos % pk_rep + rank] = piece
+    return order
+
+
+def _flat_assign_by_prefix_batched(
+    sz: np.ndarray,
+    st: np.ndarray,
+    sender: np.ndarray,
+    pair_len: np.ndarray,
+    p_g: np.ndarray,
+    g_start: np.ndarray,
+) -> np.ndarray:
+    """Vectorised :func:`_assign_by_prefix` for many (island, group) pairs.
+
+    The pieces come pair by pair, ``pair_len`` of them in each pair's
+    enumeration order; ``p_g`` and ``g_start`` are every pair's group size
+    and first batch rank.  A pair lays its ``m`` elements out back to back
+    and hands position ``x`` to group PE ``min(x // ceil(m / p_g), p_g - 1)``,
+    so a piece becomes one message per group PE its positions meet.
+    Returns the stacked ``(src, dest, start, length)`` messages.
+    """
+    pair_off = np.zeros(pair_len.size + 1, dtype=np.int64)
+    np.cumsum(pair_len, out=pair_off[1:])
+    csum = np.zeros(sz.size + 1, dtype=np.int64)
+    np.cumsum(sz, out=csum[1:])
+    block = np.maximum(1, -(-(csum[pair_off[1:]] - csum[pair_off[:-1]]) // p_g))
+    nz = np.flatnonzero(sz > 0)
+    pair = np.repeat(np.arange(pair_len.size, dtype=np.int64), pair_len)[nz]
+    at = csum[nz] - csum[pair_off[pair]]  # position of each piece in its pair
+    end = at + sz[nz]
+    b = block[pair]
+    first = np.minimum(at // b, p_g[pair] - 1)
+    cnt = np.minimum((end - 1) // b, p_g[pair] - 1) - first + 1
+    msg = np.repeat(np.arange(nz.size, dtype=np.int64), cnt)
+    pe = concat_ranges(first, cnt)
+    lo = pe * b[msg]
+    hi = lo + b[msg]
+    head = np.cumsum(cnt) - cnt
+    lo[head] = at
+    hi[head + cnt - 1] = end
+    return np.stack([
+        sender[nz][msg], g_start[pair][msg] + pe,
+        st[nz][msg] + (lo - at[msg]), hi - lo,
+    ])
 
 
 def _flat_assign_deterministic_batched(
-    flat_sizes: np.ndarray,
-    starts_flat: np.ndarray,
-    piece_off: np.ndarray,
+    sz: np.ndarray,
+    st: np.ndarray,
+    sender: np.ndarray,
     p_k: np.ndarray,
     r_k: np.ndarray,
-    sel: np.ndarray,
-    isl_off: np.ndarray,
-    sub_sizes: Sequence[np.ndarray],
+    p_g: np.ndarray,
+    g_start: np.ndarray,
 ) -> np.ndarray:
     """Vectorised :func:`_assign_deterministic` for many islands in one pass.
 
-    Runs the two-phase deterministic assignment of every ``(island, group)``
-    pair of the selected islands at once: phase-1 small pieces place by a
-    segmented enumeration count, phase-2 large pieces split against the
-    residual capacities through one composed-key interval merge (the
-    batched analogue of :func:`~repro.dist.flatops.split_intervals`) —
-    no Python loop over islands or groups.  Emits exactly the messages of
-    the per-PE reference; their order differs, which is unobservable
-    because the deterministic assignment sends at most one message per
-    ``(source, destination)`` pair.  Returns the stacked
-    ``(src, dest, start, length)`` message matrix with batch-rank sources
-    and destinations (``(4, 0)`` when nothing is sent).
+    ``sz``, ``st`` and ``sender`` list the pieces of islands of sizes
+    ``p_k`` with ``r_k`` groups in (island, group, sender) order
+    (:func:`_enumerate_pieces`); ``p_g`` and ``g_start`` give every
+    ``(island, group)`` pair's group size and the batch rank of its first
+    PE.  Runs the two-phase deterministic assignment of every pair at
+    once: phase-1 small pieces place by a segmented enumeration count,
+    phase-2 large pieces split against the residual capacities through
+    one composed-key interval merge — no Python loop over islands or
+    groups.  Emits exactly the messages of the per-PE reference; their
+    order differs, which is unobservable because the deterministic
+    assignment sends at most one message per ``(source, destination)``
+    pair.  Returns the stacked ``(src, dest, start, length)`` message
+    matrix (``(4, 0)`` when nothing is sent).
 
     Raises :class:`OverflowError` when the composed ``(pair, position)``
     keys do not fit in int64, which needs ``p * n >= 2**61`` for ``p`` PEs
     and ``n`` keys.
     """
-    sel = np.asarray(sel, dtype=np.int64)
-    n_sel = int(sel.size)
-    pcs = p_k[sel] * r_k[sel]
-    total_pieces = int(pcs.sum())
-    if total_pieces == 0:
-        return np.empty((4, 0), dtype=np.int64)
-    g_flat = np.concatenate([
-        np.asarray(s, dtype=np.int64).reshape(-1) for s in sub_sizes
-    ])
-    g_off = np.zeros(n_sel + 1, dtype=np.int64)
-    np.cumsum(r_k[sel], out=g_off[1:])
-    if g_flat.size != int(g_off[-1]):
-        raise ValueError("need one sub-group size vector per island")
-    if np.any(np.add.reduceat(g_flat, g_off[:-1]) != p_k[sel]):
-        raise ValueError("sub-groups must partition their island")
-
-    # Column-major (island, group, sender) view of every piece matrix.
-    pos = concat_ranges(np.zeros(n_sel, dtype=np.int64), pcs)
-    isl_rep = np.repeat(np.arange(n_sel, dtype=np.int64), pcs)
-    pk_rep = p_k[sel][isl_rep]
-    rk_rep = r_k[sel][isl_rep]
-    src_idx = piece_off[sel][isl_rep] + (pos % pk_rep) * rk_rep + pos // pk_rep
-    sz = flat_sizes[src_idx]
-    st = starts_flat[src_idx]
-    sender = isl_off[sel][isl_rep] + pos % pk_rep  # batch rank of the sender
+    pcs = p_k * r_k
+    g_off = np.zeros(p_k.size + 1, dtype=np.int64)
+    np.cumsum(r_k, out=g_off[1:])
 
     # One pair per (island, group); pieces of a pair are contiguous.
     n_pairs = int(g_off[-1])
-    pair_len = np.repeat(p_k[sel], r_k[sel])
+    pair_len = np.repeat(p_k, r_k)
     pair_off = np.zeros(n_pairs + 1, dtype=np.int64)
     np.cumsum(pair_len, out=pair_off[1:])
     pair_of_piece = np.repeat(np.arange(n_pairs, dtype=np.int64), pair_len)
-    pair_isl = np.repeat(np.arange(n_sel, dtype=np.int64), r_k[sel])
-    p_g = g_flat  # destination sub-group size per pair
-    g_start = np.cumsum(g_flat) - g_flat
-    g_start = isl_off[sel][pair_isl] + (
-        g_start - np.repeat(g_start[g_off[:-1]], r_k[sel])
-    )
 
     m_j = np.add.reduceat(sz, pair_off[:-1])
     isl_tot = np.add.reduceat(m_j, g_off[:-1])
-    thr = np.maximum(1, isl_tot // (2 * p_k[sel] * r_k[sel]))
-    thr_rep = thr[isl_rep]
+    thr_rep = np.repeat(np.maximum(1, isl_tot // (2 * pcs)), pcs)
 
     parts: List[np.ndarray] = []
 
@@ -582,7 +607,7 @@ def _flat_assign_deterministic_batched(
     excl = np.cumsum(small.astype(np.int64)) - small
     s_idx = excl - np.repeat(excl[pair_off[:-1]], pair_len)
     pe_small = np.minimum(
-        p_g[pair_of_piece] - 1, s_idx // np.maximum(1, rk_rep)
+        p_g[pair_of_piece] - 1, s_idx // np.maximum(1, np.repeat(r_k, pcs))
     )
     sm = np.flatnonzero(small)
     if sm.size:
@@ -714,28 +739,17 @@ def _flat_assign_deterministic_batched(
 
 def _flat_chunks_for_group(
     psj: np.ndarray, limit: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chunk arrays ``(sender, offset, length)`` for one group (advanced).
 
     Pieces larger than ``limit`` are split into ``ceil(size / limit)``
-    chunks; every chunk of a split piece counts as delegated (Appendix A).
+    chunks, in sender order.
     """
     senders = np.flatnonzero(psj > 0)
-    if senders.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy(), 0
-    sz = psj[senders]
-    n_chunks = (sz + limit - 1) // limit
-    total_chunks = int(n_chunks.sum())
-    cum_excl = np.cumsum(n_chunks) - n_chunks
-    idx_in_piece = (
-        np.arange(total_chunks, dtype=np.int64) - np.repeat(cum_excl, n_chunks)
-    )
+    n_chunks = -(-psj[senders] // limit)
     chunk_src = np.repeat(senders, n_chunks)
-    chunk_off = idx_in_piece * limit
-    chunk_len = np.minimum(limit, np.repeat(sz, n_chunks) - chunk_off)
-    delegated = int(n_chunks[n_chunks > 1].sum())
-    return chunk_src, chunk_off, chunk_len, delegated
+    chunk_off = concat_ranges(np.zeros(senders.size, dtype=np.int64), n_chunks) * limit
+    return chunk_src, chunk_off, np.minimum(limit, psj[chunk_src] - chunk_off)
 
 
 def _flat_advanced_parts(
@@ -744,66 +758,42 @@ def _flat_advanced_parts(
     group_starts: np.ndarray,
     group_sizes: np.ndarray,
     seed: int,
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised advanced randomized assignment (Appendix A), charge-free.
 
     Reproduces :func:`_advanced_orders` and the chunk-order prefix
-    enumeration of the reference path.  Returns the message parts plus the
+    enumeration of the reference path.  Returns the messages plus the
     descriptor delegation messages ``(desc_src, desc_dest)``, which
     :func:`deliver_to_groups_batched` charges for all islands as one
     whole-machine batch.
     """
     p, r = sizes.shape
     limit = _chunk_limit(sizes)
-
-    per_group: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    delegated = 0
+    per_group = []
     for j in range(r):
-        chunk_src, chunk_off, chunk_len, dj = _flat_chunks_for_group(sizes[:, j], limit)
-        if chunk_src.size > 1:
-            perm = FeistelPermutation(chunk_src.size, seed=seed * 7919 + j)
+        chunks = _flat_chunks_for_group(sizes[:, j], limit)
+        if chunks[0].size > 1:
+            perm = FeistelPermutation(chunks[0].size, seed=seed * 7919 + j)
             order = np.argsort(perm.permutation_array(), kind="stable")
-            chunk_src, chunk_off, chunk_len = (
-                chunk_src[order], chunk_off[order], chunk_len[order]
-            )
-        per_group.append((chunk_src, chunk_off, chunk_len))
-        delegated += dj
+            chunks = tuple(c[order] for c in chunks)
+        per_group.append(chunks)
+    chunk_src, chunk_off, chunk_len = (np.concatenate(c) for c in zip(*per_group))
+    n_chunks = np.array([c[0].size for c in per_group], dtype=np.int64)
+    group = np.repeat(np.arange(r, dtype=np.int64), n_chunks)
 
-    # Descriptor delegation targets: one constant-size descriptor per chunk
-    # of a broken-up piece, to a pseudorandom PE (Appendix A).
-    desc_src_list: List[int] = []
-    desc_dest_list: List[int] = []
-    if delegated > 0:
-        perm = FeistelPermutation(max(delegated, 1), seed=seed * 15485863 + 1)
-        t = 0
-        for j, (chunk_src, chunk_off, chunk_len) in enumerate(per_group):
-            split_chunk = (chunk_len >= 1) & (
-                (sizes[chunk_src, j] > chunk_len) | (chunk_off > 0)
-            )
-            for i in chunk_src[split_chunk]:
-                desc_src_list.append(int(i))
-                desc_dest_list.append(int(perm.apply(t % max(delegated, 1))) % p)
-                t += 1
-    desc_src = np.asarray(desc_src_list, dtype=np.int64)
-    desc_dest = np.asarray(desc_dest_list, dtype=np.int64)
+    # Descriptor delegation: every chunk of a broken-up piece sends one
+    # constant-size descriptor to a pseudorandom PE (Appendix A).
+    desc_src = chunk_src[sizes[chunk_src, group] > chunk_len]
+    desc_dest = desc_src.copy()
+    if desc_src.size:
+        perm = FeistelPermutation(desc_src.size, seed=seed * 15485863 + 1)
+        desc_dest = perm.apply(np.arange(desc_src.size, dtype=np.int64)) % p
 
-    group_loads = sizes.sum(axis=0)
-    parts: List[np.ndarray] = []
-    for j, (chunk_src, chunk_off, chunk_len) in enumerate(per_group):
-        m_j = int(group_loads[j])
-        p_g = int(group_sizes[j])
-        block = int(math.ceil(m_j / p_g)) if m_j > 0 else 1
-        if chunk_src.size == 0:
-            continue
-        bounds = np.zeros(chunk_src.size + 1, dtype=np.int64)
-        np.cumsum(chunk_len, out=bounds[1:])
-        cuts = block * np.arange(1, p_g, dtype=np.int64)
-        chunk_idx, off, lengths, abs_start = split_intervals(bounds, cuts, m_j)
-        src = chunk_src[chunk_idx]
-        dest = group_starts[j] + np.minimum(abs_start // block, p_g - 1)
-        start = piece_starts[src, j] + chunk_off[chunk_idx] + off
-        parts.append(np.stack([src, dest, start, lengths]))
-    return parts, desc_src, desc_dest
+    msgs = _flat_assign_by_prefix_batched(
+        chunk_len, piece_starts[chunk_src, group] + chunk_off, chunk_src,
+        n_chunks, group_sizes, group_starts,
+    )
+    return msgs, desc_src, desc_dest
 
 
 # ======================================================================
@@ -833,28 +823,6 @@ class BatchedDeliveryResult:
     nonempty_runs: np.ndarray
 
 
-def _colmaj_piece_starts(
-    flat_sizes: np.ndarray,
-    piece_off: np.ndarray,
-    p_k: np.ndarray,
-    r_k: np.ndarray,
-) -> np.ndarray:
-    """Piece starts in a buffer ordered ``(island, group, batch PE)``.
-
-    ``flat_sizes`` lists the pieces row-major (island, batch PE, group);
-    the result holds each piece's start, indexed the same way.
-    """
-    pcs = p_k * r_k
-    pos = concat_ranges(np.zeros(pcs.size, dtype=np.int64), pcs)
-    isl_rep = np.repeat(np.arange(pcs.size, dtype=np.int64), pcs)
-    pk_rep = p_k[isl_rep]
-    idx = piece_off[isl_rep] + (pos % pk_rep) * r_k[isl_rep] + pos // pk_rep
-    sz = flat_sizes[idx]
-    starts = np.empty_like(flat_sizes)
-    starts[idx] = np.cumsum(sz) - sz
-    return starts
-
-
 def deliver_to_groups_batched(
     islands,
     subgroup_sizes: Sequence[np.ndarray],
@@ -873,8 +841,8 @@ def deliver_to_groups_batched(
     streams of all islands are executed as one whole-machine exchange.
     Because the islands are pairwise disjoint, every PE receives exactly
     the charge sequence (and the received data) of the island-by-island
-    execution.  The single-level baselines call it with a one-island batch
-    over their communicator.
+    execution.  Every level of AMS-sort, RLM-sort and parallel quicksort
+    is one call; sample sort and mergesort deliver as one-island batches.
 
     Parameters
     ----------
@@ -899,12 +867,15 @@ def deliver_to_groups_batched(
         ``(batch PE, destination group)`` order.  ``'colmaj'``: in
         ``(island, destination group, batch PE)`` order.  Every method
         addresses pieces only through their starts, so both layouts send
-        the same messages.  When every destination group is one PE (the
-        final recursion level) and the method is not ``'advanced'``, each
-        piece is one whole message to that PE, and the column-major buffer
-        is ordered by (receiver, source, send order): it *is* the received
-        layout, and the delivery returns it as the received values without
-        reassembling them.
+        the same messages.  The column-major buffer is ordered by
+        (receiver, source, send order) — it *is* the received layout, and
+        the delivery returns it as the received values without
+        reassembling them — in two cases: under the naive method at every
+        level, because each ``(island, group)`` pair's prefix-sum stream
+        is that pair's run of the buffer cut in receiver order; and when
+        every destination group is one PE (the final recursion level) and
+        the method is not ``'advanced'``, because each piece is then one
+        whole message to that PE.
     """
     if method not in DELIVERY_METHODS:
         raise ValueError(f"unknown delivery method {method!r}; choose from {DELIVERY_METHODS}")
@@ -931,17 +902,25 @@ def deliver_to_groups_batched(
         if shape[1] == 0:
             raise ValueError("need at least one target group")
         r_k[k] = shape[1]
-    flat_sizes = (
-        np.concatenate([
+    # Piece sizes row-major (island, sender, group); sub-group sizes.
+    flat_sizes = g_size = np.empty(0, dtype=np.int64)
+    if n_isl:
+        flat_sizes = np.concatenate([
             np.asarray(m, dtype=np.int64).reshape(-1) for m in piece_sizes
         ])
-        if n_isl else np.empty(0, dtype=np.int64)
-    )
+        g_size = np.concatenate(subgroup_sizes).astype(np.int64, copy=False)
     if int(flat_sizes.sum()) != piece_values.size:
         raise ValueError("piece_values size does not match piece_sizes")
     piece_cnt = p_k * r_k
     piece_off = np.zeros(n_isl + 1, dtype=np.int64)
     np.cumsum(piece_cnt, out=piece_off[1:])
+    g_off = np.zeros(n_isl + 1, dtype=np.int64)
+    np.cumsum(r_k, out=g_off[1:])
+    if np.any(np.add.reduceat(g_size, g_off[:-1]) != p_k):
+        raise ValueError("sub-groups must partition their island")
+    # Islands are contiguous batch-rank ranges partitioned by their
+    # groups, so every group's first batch rank is a running sum.
+    g_start = np.cumsum(g_size) - g_size
 
     with machine.phase(PHASE_DATA_DELIVERY):
         # Same enumeration prefix-sum collective as the per-island reference.
@@ -950,29 +929,33 @@ def deliver_to_groups_batched(
         parts: List[np.ndarray] = []
         desc_parts: List[np.ndarray] = []
 
-        # Singleton destination groups (the final recursion level, usually
-        # the vast majority of islands): every prefix-style assignment
-        # degenerates to "each non-empty piece is one whole message to its
-        # group's only PE".  The per-(src, dest) message multiplicity is one,
-        # so neither the per-group enumeration order of the general path nor
-        # the batching across islands can be observed — build all of these
-        # islands' messages in one vectorised pass.
-        eligible = (
+        # Islands whose destination groups are single PEs (the final
+        # recursion level, usually the vast majority of islands): every
+        # assignment but the advanced one degenerates to "each non-empty
+        # piece is one whole message to its group's only PE".  The
+        # per-(src, dest) message multiplicity is one, so neither the
+        # per-group enumeration order nor the batching across islands can
+        # be observed — build these islands' messages in one pass.
+        whole = (
             (r_k == p_k) if method != "advanced"
             else np.zeros(n_isl, dtype=bool)
         )
-        # When every island is one of these, a column-major buffer is the
-        # received layout already (see the assembly below): no piece start
-        # is read, and the zeros only fill the messages' start row.
-        in_place = piece_layout == "colmaj" and bool(eligible.all())
+        in_place = piece_layout == "colmaj" and (
+            method == "naive" or bool(whole.all())
+        )
         if piece_layout == "rowmaj":
             starts_flat = np.cumsum(flat_sizes) - flat_sizes
         elif in_place:
+            # The buffer is the received layout: no piece start is read,
+            # and the zeros only fill the messages' start row.
             starts_flat = np.zeros_like(flat_sizes)
         else:
-            starts_flat = _colmaj_piece_starts(flat_sizes, piece_off, p_k, r_k)
-        if eligible.any():
-            el = np.flatnonzero(eligible)
+            # Column-major starts come from the enumeration of every
+            # island, which the assignments then read for all of them.
+            starts_flat = None
+            whole[:] = False
+        if whole.any():
+            el = np.flatnonzero(whole)
             ws = get_arena()
             idx_full = concat_ranges(piece_off[el], piece_cnt[el], arena=ws)
             isl_of_piece = np.repeat(el, piece_cnt[el])
@@ -988,52 +971,51 @@ def deliver_to_groups_batched(
                 flat_sizes[idx],
             ]))
 
-        noneligible = np.flatnonzero(~eligible)
-        if method == "deterministic" and noneligible.size:
-            parts.append(_flat_assign_deterministic_batched(
-                flat_sizes, starts_flat, piece_off, p_k, r_k,
-                noneligible, isl_off,
-                [subgroup_sizes[int(k)] for k in noneligible],
-            ))
-            noneligible = noneligible[:0]
-        # Naive, randomized and advanced delivery assign island by island.
-        for k in noneligible:
-            k = int(k)
+        # The other islands' pieces, enumerated once (island, group,
+        # sender); the naive and randomized prefix sums and the
+        # deterministic assignment run over all of them in one pass.
+        sel = np.flatnonzero(~whole)
+        if sel.size and (method != "advanced" or starts_flat is None):
+            idx, sender, pos = _enumerate_pieces(p_k, r_k, piece_off, isl_off, sel)
+            sz = flat_sizes[idx]
+            if starts_flat is not None:
+                st = starts_flat[idx]
+            else:
+                st = np.cumsum(sz) - sz
+                if method == "advanced":
+                    starts_flat = np.empty_like(flat_sizes)
+                    starts_flat[idx] = st
+            pairs = concat_ranges(g_off[sel], r_k[sel])
+            if method == "deterministic":
+                parts.append(_flat_assign_deterministic_batched(
+                    sz, st, sender, p_k[sel], r_k[sel],
+                    g_size[pairs], g_start[pairs],
+                ))
+            elif method != "advanced":
+                if method == "randomized":
+                    order = _randomized_order(pos, p_k[sel], r_k[sel], seed)
+                    sz, st, sender = sz[order], st[order], sender[order]
+                parts.append(_flat_assign_by_prefix_batched(
+                    sz, st, sender, np.repeat(p_k[sel], r_k[sel]),
+                    g_size[pairs], g_start[pairs],
+                ))
+        # Advanced delivery assigns island by island.
+        for k in sel.tolist() if method == "advanced" else ():
             pk, rk = int(p_k[k]), int(r_k[k])
             sizes_k = flat_sizes[piece_off[k]:piece_off[k + 1]].reshape(pk, rk)
             starts_k = starts_flat[piece_off[k]:piece_off[k + 1]].reshape(pk, rk)
-            g_sizes = np.asarray(subgroup_sizes[k], dtype=np.int64)
-            if int(g_sizes.sum()) != pk:
-                raise ValueError("sub-groups must partition their island")
-            g_starts = np.zeros(g_sizes.size, dtype=np.int64)
-            np.cumsum(g_sizes[:-1], out=g_starts[1:])
-            if method == "naive":
-                parts_k = _flat_assign_by_prefix(
-                    sizes_k, starts_k, g_starts, g_sizes, None
-                )
-            elif method == "randomized":
-                orders = []
-                for j in range(rk):
-                    perm = FeistelPermutation(pk, seed=seed * 104729 + j)
-                    orders.append(np.argsort(perm.permutation_array(), kind="stable"))
-                parts_k = _flat_assign_by_prefix(
-                    sizes_k, starts_k, g_starts, g_sizes, orders
-                )
-            else:  # advanced
-                parts_k, desc_src, desc_dest = _flat_advanced_parts(
-                    sizes_k, starts_k, g_starts, g_sizes, seed
-                )
-                if desc_src.size:
-                    desc_parts.append(np.stack([
-                        desc_src + isl_off[k], desc_dest + isl_off[k],
-                        np.full(desc_src.size, k, dtype=np.int64),
-                    ]))
-            for part in parts_k:
-                # Island-local ranks -> batch ranks (starts are global already).
-                part = part.copy()
-                part[0] += isl_off[k]
-                part[1] += isl_off[k]
-                parts.append(part)
+            msgs, desc_src, desc_dest = _flat_advanced_parts(
+                sizes_k, starts_k, g_start[g_off[k]:g_off[k + 1]] - isl_off[k],
+                g_size[g_off[k]:g_off[k + 1]], seed,
+            )
+            if desc_src.size:
+                desc_parts.append(np.stack([
+                    desc_src + isl_off[k], desc_dest + isl_off[k],
+                    np.full(desc_src.size, k, dtype=np.int64),
+                ]))
+            # Island-local ranks -> batch ranks (starts are global already).
+            msgs[:2] += isl_off[k]
+            parts.append(msgs)
 
         # Advanced: one batched cost-only descriptor exchange for the
         # islands that delegated chunks (the others skip it, as per island).
@@ -1054,10 +1036,10 @@ def deliver_to_groups_batched(
                 dense = np.repeat(p_k - 1, p_k)
                 msg_s = dense.copy()
                 msg_r = dense.copy()
-            sel = np.isin(pe_isl, desc_islands)
+            in_desc = np.isin(pe_isl, desc_islands)
             islands.select(desc_islands).charge_exchange(
-                words_s[sel], words_r[sel], msg_s[sel], msg_r[sel],
-                charge_copy=False,
+                words_s[in_desc], words_r[in_desc], msg_s[in_desc],
+                msg_r[in_desc], charge_copy=False,
             )
 
         if parts:
@@ -1113,9 +1095,8 @@ def deliver_to_groups_batched(
 
         # Assemble the received DistArray from all runs (network + kept),
         # ordered by (receiver, source, send order) as in the reference.
-        # A column-major buffer whose pieces are all whole messages to
-        # single-PE groups is already in that order; otherwise messages
-        # are gathered out of the piece buffer.
+        # An in-place column-major buffer is already in that order;
+        # otherwise messages are gathered out of the piece buffer.
         if in_place:
             recv_values = piece_values
         else:

@@ -246,6 +246,29 @@ def _split_sizes(p: int, r: int) -> np.ndarray:
     )
 
 
+def _level_islands(comm, dist: DistArray, isl_offsets: np.ndarray) -> tuple:
+    """The islands of one batched level that still hold more than one PE.
+
+    ``isl_offsets`` delimits the level's islands as contiguous rank ranges
+    of ``comm``.  Returns ``(active, batch_ranks, islands, dist_b)``: the
+    indices of the islands of more than one PE, the comm ranks of their
+    PEs, those islands as one :class:`GroupBatch` and their PEs' data.
+    Singleton islands are at their base case and sit the level out.
+    Shared by every level executor (AMS-sort, RLM-sort, parallel
+    quicksort), as is :func:`_level_result`.
+    """
+    sizes_isl = np.diff(isl_offsets)
+    active = np.flatnonzero(sizes_isl > 1)
+    act_sizes = sizes_isl[active]
+    act_off = np.zeros(active.size + 1, dtype=np.int64)
+    np.cumsum(act_sizes, out=act_off[1:])
+    batch_ranks = concat_ranges(isl_offsets[active], act_sizes)
+    islands = GroupBatch(comm.machine, comm.members[batch_ranks], act_off)
+    if active.size != sizes_isl.size:
+        dist = dist.take_segments(batch_ranks)
+    return active, batch_ranks, islands, dist
+
+
 def _level_result(
     dist: DistArray,
     isl_offsets: np.ndarray,
@@ -258,8 +281,7 @@ def _level_result(
 
     Scatters the batch PEs' received segments back into comm order (passive
     singleton islands keep their data untouched) and splits every active
-    island's rank range at its sub-group boundaries.  Shared by the AMS and
-    RLM level executors — their reassembly is identical.
+    island's rank range at its sub-group boundaries.
 
     Returns ``(new_dist, next_isl_offsets)``.
     """
@@ -326,26 +348,21 @@ def _level_result(
 def _segmented_sample_splitters(
     samples_b: DistArray,
     isl_sample_tot: np.ndarray,
-    r_act: np.ndarray,
-    sampling: SamplingParams,
+    ns: np.ndarray,
 ) -> tuple:
-    """Sort the batch sample per island and pick equidistant splitters.
+    """Sort the batch sample per island and pick ``ns`` equidistant splitters.
 
     One segmented (per-island) value sort over the whole batch, then one
     vectorised :func:`~repro.blocks.sampling.splitter_ranks` pick for
     every island at once; islands with no sample or no splitters get an
-    empty slice.  Returns the
-    concatenated splitters ``(spl_values, spl_off)``.  Charge-free — the
-    caller charges the grid sample sort's collectives.
+    empty slice.  Returns the concatenated splitters ``(spl_values,
+    spl_off)``.  Charge-free — the caller charges the sample sort.
+    Shared with the baselines' splitter and pivot picks.
     """
     n_act = int(isl_sample_tot.size)
     sample_off = np.zeros(n_act + 1, dtype=np.int64)
     np.cumsum(isl_sample_tot, out=sample_off[1:])
     sorted_samples = segmented_sort_values(samples_b.values, sample_off)
-    uniq_r, inv_r = np.unique(r_act, return_inverse=True)
-    ns = np.array(
-        [sampling.num_splitters(int(rk)) for rk in uniq_r], dtype=np.int64
-    )[inv_r]
     ns = np.where((ns > 0) & (isl_sample_tot > 0), ns, 0)
     spl_off = np.zeros(n_act + 1, dtype=np.int64)
     np.cumsum(ns, out=spl_off[1:])
@@ -504,8 +521,12 @@ def _batched_grid_splitters(
 
         # Sample-sort data: shared segmented argsort + splitter pick; only
         # islands that actually have splitters charge the broadcast.
+        uniq_r, inv_r = np.unique(r_act, return_inverse=True)
         spl_values, spl_off = _segmented_sample_splitters(
-            samples_b, isl_sample_tot, r_act, sampling
+            samples_b, isl_sample_tot, np.array(
+                [sampling.num_splitters(int(rk)) for rk in uniq_r],
+                dtype=np.int64,
+            )[inv_r],
         )
         spl_sizes = np.diff(spl_off)
         bcast_idx = np.flatnonzero(spl_sizes > 0)
@@ -700,18 +721,11 @@ def _ams_level_batched(
     """
     machine = comm.machine
     spec = comm.spec
-    sizes_isl = np.diff(isl_offsets)
-    num_isl = int(sizes_isl.size)
-    active = np.flatnonzero(sizes_isl > 1)
-    n_act = int(active.size)
-    act_sizes = sizes_isl[active]
-    act_off = np.zeros(n_act + 1, dtype=np.int64)
-    np.cumsum(act_sizes, out=act_off[1:])
-    batch_ranks = concat_ranges(isl_offsets[active], act_sizes)
-    batch_members = comm.members[batch_ranks]
-    islands = GroupBatch(machine, batch_members, act_off)
+    active, batch_ranks, islands, dist_b = _level_islands(comm, dist, isl_offsets)
+    n_act = islands.num_groups
+    act_sizes, act_off = islands.sizes, islands.offsets
+    batch_members = islands.members
     pe_isl = np.repeat(np.arange(n_act, dtype=np.int64), act_sizes)
-    dist_b = dist if n_act == num_isl else dist.take_segments(batch_ranks)
     data_sizes = dist_b.sizes()
 
     # Group counts, sampling counts and sub-group layouts depend on the
@@ -845,6 +859,26 @@ def _ams_level_batched(
     )
 
 
+def _run_levels(comm, dist: DistArray, level_fn) -> DistArray:
+    """Run a batched recursion level by level, then the base cases.
+
+    ``level_fn(dist, isl_offsets, level)`` executes one level for all
+    islands and returns ``(dist, isl_offsets)`` for the next; the loop ends
+    when every island is one PE.  The recursive base cases then collapse
+    into one segmented sort charged with every PE's own local-sort time.
+    Shared by AMS-sort and parallel quicksort.
+    """
+    isl_offsets = np.array([0, comm.size], dtype=np.int64)
+    level = 0
+    while int(np.diff(isl_offsets).max()) > 1:
+        dist, isl_offsets = level_fn(dist, isl_offsets, level)
+        level += 1
+    with comm.phase(PHASE_LOCAL_SORT):
+        out = dist.sort_segments()
+        comm.charge_sort(dist.sizes())
+    return out
+
+
 def _ams_sort_flat(comm, dist: DistArray, config: AMSConfig) -> DistArray:
     """AMS-sort on the flat engine: the whole recursion in lockstep.
 
@@ -856,33 +890,29 @@ def _ams_sort_flat(comm, dist: DistArray, config: AMSConfig) -> DistArray:
     as the depth-first per-PE reference, which only the batching across
     *disjoint* PE sets makes possible.
     """
-    p = comm.size
-
-    # ------------------------------------------------------------------
-    # Base case: a single PE sorts locally.
-    # ------------------------------------------------------------------
-    if p == 1:
-        with comm.phase(PHASE_LOCAL_SORT):
-            out = dist.sort_segments()
-            comm.charge_sort([out.total])
-        return out
-
-    plan = config.plan_for(p)
+    plan = config.plan_for(comm.size)
     n_total = dist.total
-    isl_offsets = np.array([0, p], dtype=np.int64)
-    level = 0
-    while int(np.diff(isl_offsets).max(initial=0)) > 1:
-        dist, isl_offsets = _ams_level_batched(
-            comm, dist, isl_offsets, config, level, plan, n_total
-        )
-        level += 1
+    return _run_levels(comm, dist, lambda d, isl_offsets, level: _ams_level_batched(
+        comm, d, isl_offsets, config, level, plan, n_total
+    ))
 
-    # All islands are singletons: the recursive base cases collapse into
-    # one segmented sort charged with every PE's own local-sort time.
-    with comm.phase(PHASE_LOCAL_SORT):
-        out = dist.sort_segments()
-        comm.charge_sort(dist.sizes())
-    return out
+
+def _dispatch(flat_func, comm, local_data, *args):
+    """Run a flat-engine sort, converting list inputs at the boundary.
+
+    ``local_data`` is a :class:`~repro.dist.array.DistArray` or the classic
+    per-PE list (one array per member PE, converted with the cheap
+    ``DistArray.from_list`` / ``to_list`` round-trip); the output has the
+    input's representation.
+    """
+    if isinstance(local_data, DistArray):
+        if local_data.p != comm.size:
+            raise ValueError("need one local segment per member PE")
+        return flat_func(comm, local_data, *args)
+    if len(local_data) != comm.size:
+        raise ValueError("need one local array per member PE")
+    dist = DistArray.from_list([np.asarray(d) for d in local_data])
+    return flat_func(comm, dist, *args).to_list()
 
 
 def ams_sort(
@@ -910,13 +940,7 @@ def ams_sort(
     DistArray or list of numpy.ndarray
         The sorted output in the same representation as the input.
     """
-    if config is None:
-        config = AMSConfig()
-    if isinstance(local_data, DistArray):
-        if local_data.p != comm.size:
-            raise ValueError("need one local segment per member PE")
-        return _ams_sort_flat(comm, local_data, config)
-    if len(local_data) != comm.size:
-        raise ValueError("need one local array per member PE")
-    dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    return _ams_sort_flat(comm, dist, config).to_list()
+    return _dispatch(
+        _ams_sort_flat, comm, local_data,
+        AMSConfig() if config is None else config,
+    )

@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -28,14 +29,17 @@ import numpy as np
 from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_batched
 from repro.blocks.multiselect import multisequence_select, multisequence_select_batched
 from repro.blocks.sampling import draw_samples_flat, splitter_ranks
-from repro.dist.array import DistArray
-from repro.dist.flatops import (
-    bincount,
-    gather,
-    segmented_sort_values,
-    stable_key_argsort,
-    stable_two_key_argsort,
+from repro.core.ams_sort import (
+    _LevelBlocks,
+    _dispatch,
+    _level_islands,
+    _level_result,
+    _run_levels,
+    _segmented_sample_splitters,
+    _split_sizes,
 )
+from repro.dist.array import DistArray
+from repro.dist.flatops import blockwise_searchsorted, map_by_unique, map_by_unique2
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
     PHASE_LOCAL_SORT,
@@ -222,71 +226,77 @@ def parallel_quicksort_reference(
 # Flat (DistArray) engine ports
 # ======================================================================
 #
-# Each baseline runs its delivery (and mergesort its splitting) through the
-# flat engine's lockstep building blocks on a one-island batch: the same
-# code path AMS-sort and RLM-sort run for every island of a level.
+# The baselines run on AMS-sort's level machinery: quicksort loops over its
+# recursion depths, all islands of a depth in lockstep, and sample sort is
+# one island.  Both split islands with the cache-blocked bucket pass; the
+# naive delivery takes the column-major piece plane as the received data.
 
 
-def _one_island(comm) -> GroupBatch:
-    """``comm`` as a one-island :class:`~repro.sim.groups.GroupBatch`."""
-    return GroupBatch(
-        comm.machine, comm.members, np.array([0, comm.size], dtype=np.int64)
+def _split_islands(
+    dist_b: DistArray, act_off: np.ndarray, splitters: np.ndarray,
+    spl_off: np.ndarray, r: int, side: str,
+) -> tuple:
+    """Split every island at its splitters, bucket ``j`` to group ``j``.
+
+    ``act_off`` delimits the islands of ``dist_b``'s PEs, ``spl_off`` their
+    splitters (searched with ``side``); every island has ``r`` groups.
+    Returns :meth:`~repro.core.ams_sort._LevelBlocks.reorder_pieces`'s
+    column-major piece plane and ``(PE, group)`` piece sizes.
+    """
+    n = int(act_off.size) - 1
+    elem_off = dist_b.offsets[act_off]
+    bucket_of = blockwise_searchsorted(
+        splitters, spl_off, dist_b.values, elem_off, side=side
+    )
+    blocks = _LevelBlocks(
+        dist_b.offsets, act_off, elem_off, r * np.arange(n + 1, dtype=np.int64)
+    )
+    return blocks.reorder_pieces(
+        dist_b.values, bucket_of, np.tile(np.arange(r, dtype=np.int32), n),
+        np.full(n, r, dtype=np.int64), blocks.bucket_sizes(bucket_of),
     )
 
 
-def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
-    """Flat-engine port of the classic single-level sample sort."""
+def _sample_sort_level(comm, dist: DistArray, *_) -> tuple:
+    """Sample sort's one level, which splits the machine into single PEs."""
     p = comm.size
-    if p == 1:
-        with comm.phase(PHASE_LOCAL_SORT):
-            out = dist.sort_segments()
-            comm.charge_sort([out.total])
-        return out
-    sizes = dist.sizes()
 
     # --- centralized splitter selection (counter-RNG sample) ------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
             dist, OVERSAMPLING, comm.machine.sample_rng, 0, comm.members
-        ).to_list()
-        gathered = comm.gather(samples, root=0, words_each=OVERSAMPLING)
-        pieces = [np.asarray(s) for s in gathered if np.asarray(s).size > 0]
-        sample = np.concatenate(pieces) if pieces else np.empty(0)
-        sample = segmented_sort_values(sample, np.array([0, sample.size]))
-        comm.charge_local(0, comm.spec.local_sort_time(int(sample.size)))
-        if sample.size == 0:
-            splitters = sample[:0]
-        else:
-            ranks = splitter_ranks(int(sample.size), p - 1)
-            splitters = sample[ranks]
+        )
+        comm.gather(samples.to_list(), root=0, words_each=OVERSAMPLING)
+        comm.charge_local(0, comm.spec.local_sort_time(samples.total))
+        splitters, spl_off = _segmented_sample_splitters(
+            samples, np.array([samples.total]), np.array([p - 1])
+        )
         comm.bcast(splitters, root=0, words=int(splitters.size))
 
-    # --- partition into p buckets (one argsort over (PE, bucket) keys) --
+    # --- partition into p buckets, bucket j to PE j ----------------------
     with comm.phase(PHASE_BUCKET_PROCESSING):
-        seg = dist.segment_ids()
-        if splitters.size == 0:
-            dest = np.zeros(dist.total, dtype=np.int64)
-        else:
-            dest = bucket_indices(dist.values, splitters)
-        key = seg * p + dest
-        order = stable_two_key_argsort(seg, dest, p, p)
-        piece_values = gather(dist.values, order)
-        piece_sizes = bincount(key, minlength=p * p).reshape(p, p).astype(
-            np.int64, copy=False
+        piece_values, piece_len = _split_islands(
+            dist, np.array([0, p]), splitters, spl_off, p, "right"
         )
-        comm.charge_partition(sizes, p)
+        comm.charge_partition(dist.sizes(), p)
 
     # --- dense all-to-allv (every PE is its own group) ------------------
     delivery = deliver_to_groups_batched(
-        _one_island(comm), [np.ones(p, dtype=np.int64)], piece_values,
-        [piece_sizes], method="naive", schedule="dense",
+        GroupBatch(comm.machine, comm.members, np.array([0, p])),
+        [np.ones(p, dtype=np.int64)], piece_values,
+        [piece_len.reshape(p, p)], method="naive", schedule="dense",
+        piece_layout="colmaj",
     )
+    return delivery.received, np.arange(p + 1, dtype=np.int64)
 
-    # --- final local sort ------------------------------------------------
-    with comm.phase(PHASE_LOCAL_SORT):
-        output = delivery.received.sort_segments()
-        comm.charge_sort(delivery.received_sizes)
-    return output
+
+def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
+    """Flat-engine port of the classic single-level sample sort.
+
+    One level into single PEs, then their local sorts (at ``p = 1`` only
+    the local sort, as in the reference).
+    """
+    return _run_levels(comm, dist, partial(_sample_sort_level, comm))
 
 
 def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
@@ -300,20 +310,16 @@ def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
     if p == 1:
         return local_sorted
 
-    n_total = local_sorted.total
-    sizes = local_sorted.sizes()
-    island = _one_island(comm)
-
+    island = GroupBatch(comm.machine, comm.members, np.array([0, p]))
     with comm.phase(PHASE_SPLITTER_SELECTION):
-        ranks = [(g * n_total) // p for g in range(1, p)]
+        ranks = [(g * local_sorted.total) // p for g in range(1, p)]
         selection = multisequence_select_batched(
             island, local_sorted, [ranks], [comm.rng]
         )[0]
-
-    bounds = np.vstack([
-        np.zeros((1, p), dtype=np.int64), selection.splits, sizes[None, :],
-    ])
-    piece_sizes = np.diff(bounds, axis=0).T.astype(np.int64)
+    piece_sizes = np.diff(np.vstack([
+        np.zeros((1, p), dtype=np.int64), selection.splits,
+        local_sorted.sizes()[None, :],
+    ]), axis=0).T.astype(np.int64)
 
     delivery = deliver_to_groups_batched(
         island, [np.ones(p, dtype=np.int64)], local_sorted.values,
@@ -329,73 +335,66 @@ def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
     return output
 
 
-def _parallel_quicksort_flat(
-    comm, dist: DistArray, seed_offset: int = 0
-) -> DistArray:
-    """Flat-engine port of recursive parallel quicksort.
+def _quicksort_level_batched(
+    comm, dist: DistArray, isl_offsets: np.ndarray, depth: int
+) -> tuple:
+    """One recursion depth of parallel quicksort, all islands in lockstep.
 
-    ``seed_offset`` is the recursion depth, as in the reference.
+    Charges every island of more than one PE as the reference charges one
+    recursive call; singleton islands pass through.  Returns
+    ``(new_dist, new_isl_offsets)``.
     """
-    p = comm.size
+    spec = comm.spec
+    active, batch_ranks, islands, dist_b = _level_islands(comm, dist, isl_offsets)
+    act_sizes, act_off = islands.sizes, islands.offsets
 
-    if p == 1:
-        with comm.phase(PHASE_LOCAL_SORT):
-            out = dist.sort_segments()
-            comm.charge_sort([out.total])
-        return out
-    sizes = dist.sizes()
-
-    # --- pivot selection from a small sample ---------------------------
+    # --- pivot: the middle element of the island's gathered sample ------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         samples = draw_samples_flat(
-            dist, OVERSAMPLING, comm.machine.sample_rng, seed_offset, comm.members
-        ).to_list()
-        gathered = comm.allgather_arrays(samples, merge_sorted=True)
-        if gathered.size == 0:
-            pivot = None
-        else:
-            pivot = gathered[gathered.size // 2]
-
-    # --- partition into two pieces and deliver to two halves -----------
-    with comm.phase(PHASE_BUCKET_PROCESSING):
-        seg = dist.segment_ids()
-        if pivot is None:
-            side = np.zeros(dist.total, dtype=np.int64)
-        else:
-            side = (dist.values > pivot).astype(np.int64)
-        key = seg * 2 + side
-        order = stable_key_argsort(key, p * 2)
-        piece_values = gather(dist.values, order)
-        piece_sizes = bincount(key, minlength=p * 2).reshape(p, 2).astype(
-            np.int64, copy=False
+            dist_b, OVERSAMPLING, comm.machine.sample_rng, depth, islands.members
         )
-        comm.charge_partition(sizes, 2)
+        s_tot = np.add.reduceat(samples.sizes(), act_off[:-1])
+        # The all-gather with merging: ceil(mean sample) words, one round
+        # per PE, then every PE merges the whole sample if there is one.
+        islands.charge_collective(
+            np.maximum(1, -(-s_tot // act_sizes)), rounds_factors=act_sizes
+        )
+        drew = np.flatnonzero(s_tot)
+        if drew.size:
+            islands.select(drew).advance(map_by_unique2(
+                s_tot[drew], np.maximum(2, act_sizes[drew]), spec.local_merge_time
+            ))
+        pivots, piv_off = _segmented_sample_splitters(
+            samples, s_tot, np.ones_like(s_tot)
+        )
 
-    groups = comm.split(2)
-    delivery = deliver_to_groups_batched(
-        _one_island(comm), [np.array([g.size for g in groups], dtype=np.int64)],
-        piece_values, [piece_sizes], method="naive", seed=seed_offset,
+    # --- split at the pivot into two pieces per PE -----------------------
+    with comm.phase(PHASE_BUCKET_PROCESSING):
+        piece_values, piece_len = _split_islands(
+            dist_b, act_off, pivots, piv_off, 2, "left"
+        )
+        islands.machine.advance_many(islands.members, map_by_unique(
+            dist_b.sizes(), lambda m: spec.local_partition_time(m, 2)
+        ))
+
+    halves = {pk: _split_sizes(pk, 2) for pk in np.unique(act_sizes).tolist()}
+    sub_sizes = [halves[pk] for pk in act_sizes.tolist()]
+    received = deliver_to_groups_batched(
+        islands, sub_sizes, piece_values,
+        np.split(piece_len.reshape(-1, 2), act_off[1:-1]),
+        method="naive", piece_layout="colmaj",
+    ).received
+    return _level_result(
+        dist, isl_offsets, active, batch_ranks, received, sub_sizes
     )
 
-    parts: List[DistArray] = []
-    start_rank = 0
-    for group in groups:
-        sub = delivery.received.slice_segments(start_rank, start_rank + group.size)
-        parts.append(_parallel_quicksort_flat(group, sub, seed_offset + 1))
-        start_rank += group.size
-    return DistArray.concatenate(parts)
 
+def _parallel_quicksort_flat(comm, dist: DistArray) -> DistArray:
+    """Flat-engine port of recursive parallel quicksort, depth by depth.
 
-def _dispatch(flat_func, comm, local_data):
-    """Run a flat baseline, converting list inputs at the boundary."""
-    if isinstance(local_data, DistArray):
-        if local_data.p != comm.size:
-            raise ValueError("need one local segment per member PE")
-        return flat_func(comm, local_data)
-    if len(local_data) != comm.size:
-        raise ValueError("need one local array per member PE")
-    dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    return flat_func(comm, dist).to_list()
+    The depth keys the sample streams, as in the reference.
+    """
+    return _run_levels(comm, dist, partial(_quicksort_level_batched, comm))
 
 
 def single_level_sample_sort(
@@ -408,8 +407,8 @@ def single_level_sample_sort(
     per-PE list (converted at this boundary).  Every PE draws
     :data:`OVERSAMPLING` samples; the root picks ``p - 1`` equidistant
     splitters from the gathered, sorted sample.  The exchange is a dense
-    all-to-allv (``p - 1`` startups per PE), the behaviour the paper
-    attributes to single-level algorithms.
+    all-to-allv (``p - 1`` startups per PE), as the paper describes
+    single-level algorithms.
     """
     return _dispatch(_single_level_sample_sort_flat, comm, local_data)
 

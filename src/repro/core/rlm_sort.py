@@ -29,17 +29,22 @@ import numpy as np
 
 from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_batched
 from repro.blocks.multiselect import multisequence_select, multisequence_select_batched
-from repro.core.ams_sort import _level_r, _level_result, _split_sizes
+from repro.core.ams_sort import (
+    _dispatch,
+    _level_islands,
+    _level_r,
+    _level_result,
+    _split_sizes,
+)
 from repro.core.config import RLMConfig
 from repro.dist.array import DistArray
-from repro.dist.flatops import concat_ranges, map_by_unique2
+from repro.dist.flatops import map_by_unique2
 from repro.machine.counters import (
     PHASE_BUCKET_PROCESSING,
     PHASE_LOCAL_SORT,
     PHASE_SPLITTER_SELECTION,
 )
 from repro.seq.merge import merge_runs_numpy
-from repro.sim.groups import GroupBatch
 
 
 def rlm_sort_reference(
@@ -177,17 +182,10 @@ def _rlm_level_batched(
     """
     machine = comm.machine
     spec = comm.spec
-    sizes_isl = np.diff(isl_offsets)
-    num_isl = int(sizes_isl.size)
-    active = np.flatnonzero(sizes_isl > 1)
-    n_act = int(active.size)
-    act_sizes = sizes_isl[active]
-    act_off = np.zeros(n_act + 1, dtype=np.int64)
-    np.cumsum(act_sizes, out=act_off[1:])
-    batch_ranks = concat_ranges(isl_offsets[active], act_sizes)
-    batch_members = comm.members[batch_ranks]
-    islands = GroupBatch(machine, batch_members, act_off)
-    dist_b = dist if n_act == num_isl else dist.take_segments(batch_ranks)
+    active, batch_ranks, islands, dist_b = _level_islands(comm, dist, isl_offsets)
+    n_act = islands.num_groups
+    act_sizes, act_off = islands.sizes, islands.offsets
+    batch_members = islands.members
     data_sizes = dist_b.sizes()
 
     # Group counts and sub-group layouts depend only on the island size;
@@ -338,13 +336,7 @@ def rlm_sort(
         output is perfectly balanced: every PE holds ``floor(n/p)`` or
         ``ceil(n/p)`` elements.
     """
-    if config is None:
-        config = RLMConfig()
-    if isinstance(local_data, DistArray):
-        if local_data.p != comm.size:
-            raise ValueError("need one local segment per member PE")
-        return _rlm_sort_flat(comm, local_data, config)
-    if len(local_data) != comm.size:
-        raise ValueError("need one local array per member PE")
-    dist = DistArray.from_list([np.asarray(d) for d in local_data])
-    return _rlm_sort_flat(comm, dist, config).to_list()
+    return _dispatch(
+        _rlm_sort_flat, comm, local_data,
+        RLMConfig() if config is None else config,
+    )

@@ -125,21 +125,12 @@ class DistArray:
         """Owning-PE index of every element (length ``total``)."""
         return segment_ids(self.offsets)
 
-    def slice_segments(self, lo: int, hi: int) -> "DistArray":
-        """Sub-array over segments ``lo .. hi - 1`` (views, zero copy)."""
-        if not 0 <= lo <= hi <= self.p:
-            raise IndexError(f"segment range [{lo}, {hi}) out of bounds")
-        base = self.offsets[lo]
-        return DistArray(
-            self.values[base:self.offsets[hi]], self.offsets[lo:hi + 1] - base
-        )
-
     def take_segments(self, idx: np.ndarray) -> "DistArray":
         """Sub-array over an arbitrary (ascending or not) list of segments.
 
         Segment ``k`` of the result is segment ``idx[k]`` of this array; the
         values are gathered with one :func:`~repro.dist.flatops.take_ranges`
-        indexing pass.  Unlike :meth:`slice_segments` this copies.
+        indexing pass.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
@@ -164,20 +155,6 @@ class DistArray:
     def copy(self) -> "DistArray":
         """Deep copy."""
         return DistArray(self.values.copy(), self.offsets.copy())
-
-    @staticmethod
-    def concatenate(parts: Sequence["DistArray"]) -> "DistArray":
-        """Concatenate along the PE axis (segments of all parts in order)."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("need at least one part")
-        values = [d.values for d in parts if d.values.size > 0]
-        if values:
-            flat = np.concatenate(values) if len(values) > 1 else values[0]
-        else:
-            flat = np.empty(0, dtype=parts[0].dtype)
-        sizes = np.concatenate([d.sizes() for d in parts])
-        return DistArray.from_sizes(flat, sizes)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

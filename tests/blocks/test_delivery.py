@@ -13,6 +13,7 @@ from repro.blocks.delivery import (
     deliver_to_groups_batched,
 )
 from repro.machine.spec import laptop_like
+from repro.sim.comm import Comm
 from repro.sim.groups import GroupBatch
 from repro.sim.machine import SimulatedMachine
 
@@ -177,12 +178,14 @@ class TestDeliveryValidation:
         Only piece sizes enter the assignment, so one 2**61-element piece
         (no data behind it) reaches the bound without allocating anything.
         """
-        sizes = np.array([2**61, 0, 1, 1, 0, 1], dtype=np.int64)  # (3, 2)
+        # A (3, 2) piece matrix [[2**61, 0], [1, 1], [0, 1]] enumerated
+        # (group, sender), delivered to sub-groups of 2 and 1 PEs.
+        sizes = np.array([2**61, 1, 0, 0, 1, 1], dtype=np.int64)
         with pytest.raises(OverflowError):
             _flat_assign_deterministic_batched(
-                sizes, np.cumsum(sizes) - sizes, np.array([0, 6]),
-                np.array([3]), np.array([2]), np.array([0]),
-                np.array([0, 3]), [np.array([2, 1])],
+                sizes, np.cumsum(sizes) - sizes, np.tile(np.arange(3), 2),
+                np.array([3]), np.array([2]), np.array([2, 1]),
+                np.array([0, 2]),
             )
 
 
@@ -294,8 +297,27 @@ class TestDeliveryProperties:
         assert sent == received
 
 
+def batched_inputs(shapes, pieces, piece_layout):
+    """``deliver_to_groups_batched`` inputs for islands of ``(p, r)`` shapes.
+
+    Returns the island offsets, the per-island sub-group sizes (``Comm.split``
+    sizes) and piece-size matrices, and the flat piece buffer.
+    """
+    offsets = np.concatenate([[0], np.cumsum([p for p, _ in shapes])])
+    group_sizes = [np.array([g.size for g in np.array_split(np.arange(p), r)])
+                   for p, r in shapes]
+    sizes = [np.array([[x.size for x in row] for row in isl], dtype=np.int64)
+             for isl in pieces]
+    if piece_layout == "rowmaj":
+        parts = [x for isl in pieces for row in isl for x in row]
+    else:
+        parts = [isl[i][j] for isl, (p, r) in zip(pieces, shapes)
+                 for j in range(r) for i in range(p)]
+    return offsets, group_sizes, sizes, np.concatenate(parts)
+
+
 class TestBatchedDeliveryEquivalence:
-    """A one-island ``deliver_to_groups_batched`` is the per-PE reference."""
+    """A many-island ``deliver_to_groups_batched`` is the per-PE reference."""
 
     @given(
         st.integers(1, 12),
@@ -373,22 +395,15 @@ class TestBatchedDeliveryEquivalence:
             skewed_pieces(p, r, seed + k, skew)
             for k, (p, r) in enumerate(shapes)
         ]
-        sizes = [np.array([[x.size for x in row] for row in isl], dtype=np.int64)
-                 for isl in pieces]
-        group_sizes = [np.array([g.size for g in np.array_split(np.arange(p), r)])
-                       for p, r in shapes]
-        offsets = np.concatenate([[0], np.cumsum([p for p, _ in shapes])])
-        buffers = {
-            "rowmaj": [x for isl in pieces for row in isl for x in row],
-            "colmaj": [isl[i][j] for isl, (p, r) in zip(pieces, shapes)
-                       for j in range(r) for i in range(p)],
-        }
         out = {}
-        for layout, parts in buffers.items():
+        for layout in ("rowmaj", "colmaj"):
+            offsets, group_sizes, sizes, values = batched_inputs(
+                shapes, pieces, layout
+            )
             machine = SimulatedMachine(int(offsets[-1]), spec=laptop_like(), seed=9)
             res = deliver_to_groups_batched(
                 GroupBatch(machine, np.arange(offsets[-1]), offsets),
-                group_sizes, np.concatenate(parts), sizes,
+                group_sizes, values, sizes,
                 method=method, seed=seed, piece_layout=layout,
             )
             out[layout] = (res, machine)
@@ -405,3 +420,88 @@ class TestBatchedDeliveryEquivalence:
             assert np.array_equal(
                 getattr(m_col.counters, name), getattr(m_row.counters, name)
             ), name
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                 min_size=2, max_size=4),
+        st.integers(0, 10_000),
+        st.sampled_from(list(DELIVERY_METHODS)),
+        st.sampled_from(["sparse", "dense"]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["rowmaj", "colmaj"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_many_islands_match_reference_per_island(
+        self, shapes, seed, method, schedule, skew, faulty, piece_layout
+    ):
+        """One batch of islands equals one reference call per island.
+
+        The reference delivers island by island on its own communicator of
+        an identical machine; islands of single-PE groups mix with islands
+        of larger ones.
+        """
+        shapes = [(p, min(r, p)) for p, r in shapes]
+        pieces = [
+            skewed_pieces(p, r, seed + k, skew)
+            for k, (p, r) in enumerate(shapes)
+        ]
+        offsets, group_sizes, sizes, values = batched_inputs(
+            shapes, pieces, piece_layout
+        )
+        total_p = int(offsets[-1])
+        faults = FAULT_SPEC if faulty else None
+        kwargs = dict(method=method, seed=seed, schedule=schedule)
+
+        m_ref = SimulatedMachine(total_p, spec=laptop_like(), seed=9, faults=faults)
+        refs = []
+        for k, (p, r) in enumerate(shapes):
+            comm = Comm(m_ref, np.arange(offsets[k], offsets[k + 1]))
+            refs.append(deliver_to_groups(comm, comm.split(r), pieces[k], **kwargs))
+
+        m_flat = SimulatedMachine(total_p, spec=laptop_like(), seed=9, faults=faults)
+        res = deliver_to_groups_batched(
+            GroupBatch(m_flat, np.arange(total_p), offsets), group_sizes,
+            values, sizes, piece_layout=piece_layout, **kwargs
+        )
+
+        for k, ref in enumerate(refs):
+            for i in range(shapes[k][0]):
+                got = res.received.segment(int(offsets[k]) + i)
+                want = ref.received_concat(i)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.array_equal(
+                res.received_sizes[offsets[k]:offsets[k + 1]], ref.received_sizes
+            )
+        assert np.array_equal(m_flat.clock, m_ref.clock)
+        assert sorted(m_flat.breakdown.phases()) == sorted(m_ref.breakdown.phases())
+        for phase in m_ref.breakdown.phases():
+            assert np.array_equal(
+                m_flat.breakdown.per_pe(phase), m_ref.breakdown.per_pe(phase)
+            ), phase
+        for name in COUNTER_FIELDS:
+            assert np.array_equal(
+                getattr(m_flat.counters, name), getattr(m_ref.counters, name)
+            ), name
+
+    def test_naive_colmaj_plane_is_received_in_place(self):
+        """Naive delivery takes a column-major plane as the received data.
+
+        Each (island, group) pair's prefix-sum stream is that pair's run of
+        the plane, cut in receiver order, so the plane is returned itself,
+        not a copy, even where groups hold several PEs.
+        """
+        shapes = [(5, 2), (7, 3), (3, 3), (6, 1)]
+        pieces = [
+            skewed_pieces(p, r, 11 + k, skew=True)
+            for k, (p, r) in enumerate(shapes)
+        ]
+        offsets, group_sizes, sizes, values = batched_inputs(
+            shapes, pieces, "colmaj"
+        )
+        machine = SimulatedMachine(int(offsets[-1]), spec=laptop_like(), seed=9)
+        res = deliver_to_groups_batched(
+            GroupBatch(machine, np.arange(offsets[-1]), offsets),
+            group_sizes, values, sizes, method="naive", piece_layout="colmaj",
+        )
+        assert res.received.values is values

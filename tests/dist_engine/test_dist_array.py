@@ -38,14 +38,6 @@ class TestDistArrayBasics:
         with pytest.raises(IndexError):
             d.segment(2)
 
-    def test_slice_segments_zero_copy(self):
-        d = DistArray.from_list([np.arange(3), np.arange(3, 5), np.arange(5, 9)])
-        sub = d.slice_segments(1, 3)
-        assert sub.p == 2
-        assert sub.values.tolist() == [3, 4, 5, 6, 7, 8]
-        assert sub.offsets.tolist() == [0, 2, 6]
-        assert np.shares_memory(sub.values, d.values)
-
     def test_invalid_offsets(self):
         with pytest.raises(ValueError):
             DistArray(np.arange(3), np.array([0, 2]))
@@ -56,14 +48,6 @@ class TestDistArrayBasics:
         d = DistArray.empty(4, dtype=np.int64)
         assert d.p == 4 and d.total == 0
         assert all(s.size == 0 for s in d.to_list())
-
-    def test_concatenate(self):
-        a = DistArray.from_list([np.array([1]), np.array([2, 3])])
-        b = DistArray.from_list([np.array([4, 5, 6])])
-        c = DistArray.concatenate([a, b])
-        assert c.p == 3
-        assert c.values.tolist() == [1, 2, 3, 4, 5, 6]
-        assert c.sizes().tolist() == [1, 2, 3]
 
 
 class TestDistArrayRoundTrip:

@@ -296,6 +296,13 @@ class TestRLMMultiLevelEquivalence:
         )
 
 
+BASELINES = {
+    "samplesort": (single_level_sample_sort, single_level_sample_sort_reference),
+    "mergesort": (single_level_mergesort, single_level_mergesort_reference),
+    "quicksort": (parallel_quicksort, parallel_quicksort_reference),
+}
+
+
 class TestBaselineEquivalence:
     def test_sample_sort(self):
         data = random_data(8, 200, 0)
@@ -325,13 +332,67 @@ class TestBaselineEquivalence:
         Quicksort exchanges sparsely; sample sort and mergesort always use
         their dense all-to-allv.
         """
-        flat_fn, ref_fn = {
-            "samplesort": (single_level_sample_sort, single_level_sample_sort_reference),
-            "mergesort": (single_level_mergesort, single_level_mergesort_reference),
-            "quicksort": (parallel_quicksort, parallel_quicksort_reference),
-        }[name]
         data = random_data(p, 120, 40 + p)
-        assert_engines_identical(flat_fn, ref_fn, p, data, 40 + p)
+        assert_engines_identical(*BASELINES[name], p, data, 40 + p)
+
+    @pytest.mark.parametrize("p", [1, 2, 33, 100])
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    def test_machine_sizes(self, name, p):
+        data = random_data(p, 60, 50 + p)
+        assert_engines_identical(*BASELINES[name], p, data, 50 + p)
+
+    @pytest.mark.parametrize("p", [2, 33, 100])
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    def test_fewer_keys_than_pes(self, name, p):
+        """``n < p``: quicksort islands with no sample, hence no pivot."""
+        rng = np.random.default_rng(p)
+        data = [rng.integers(0, 100, int(rng.random() < 0.3)) for _ in range(p)]
+        assert sum(d.size for d in data) < p
+        assert_engines_identical(*BASELINES[name], p, data, p)
+
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    def test_all_equal_keys(self, name):
+        rng = np.random.default_rng(5)
+        data = [np.full(rng.integers(0, 40), 7) for _ in range(33)]
+        assert_engines_identical(*BASELINES[name], 33, data, 5)
+
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    def test_input_above_block_size(self, name, monkeypatch):
+        """More keys than one bucket-processing block holds.
+
+        With 30,000 keys on each of 4 PEs the last PE starts at 90,000,
+        past the first ``_BLOCK_ELEMS`` (2**16) elements, so the first
+        level cuts its island into blocks and ``reorder_pieces`` places the
+        group runs through the split-island cursors.
+        """
+        ams_module = importlib.import_module("repro.core.ams_sort")
+        split_levels = []
+        blocks_init = ams_module._LevelBlocks.__init__
+
+        def recording_init(blocks, *args):
+            blocks_init(blocks, *args)
+            split_levels.append(any(b[6] for b in blocks.blocks))
+
+        monkeypatch.setattr(ams_module._LevelBlocks, "__init__", recording_init)
+        rng = np.random.default_rng(8)
+        data = [rng.integers(0, 10**9, 30_000) for _ in range(4)]
+        assert_engines_identical(*BASELINES[name], 4, data, 8)
+        assert split_levels[0]
+
+    def test_quicksort_delivers_once_per_depth(self, monkeypatch):
+        """All islands of a recursion depth share one delivery call."""
+        baselines = importlib.import_module("repro.core.baselines")
+        islands = []
+        deliver = baselines.deliver_to_groups_batched
+
+        def counting(batch, *args, **kwargs):
+            islands.append(batch.num_groups)
+            return deliver(batch, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "deliver_to_groups_batched", counting)
+        machine = SimulatedMachine(64, spec=laptop_like(), seed=3)
+        parallel_quicksort(machine.world(), random_data(64, 50, 3))
+        assert islands == [1, 2, 4, 8, 16, 32]
 
 
 class TestSignedZeroEquivalence:
@@ -343,14 +404,15 @@ class TestSignedZeroEquivalence:
     """
 
     @pytest.mark.parametrize("p", [64, 256])
-    @pytest.mark.parametrize("name", ["rlm", "mergesort"])
+    @pytest.mark.parametrize(
+        "name", ["rlm", "mergesort", "samplesort", "quicksort"]
+    )
     def test_outputs_byte_identical(self, name, p):
-        flat_fn, ref_fn, kwargs = {
-            "rlm": (rlm_sort, rlm_sort_reference,
-                    {"config": RLMConfig(levels=2, node_size=4)}),
-            "mergesort": (single_level_mergesort,
-                          single_level_mergesort_reference, {}),
-        }[name]
+        if name == "rlm":
+            flat_fn, ref_fn = rlm_sort, rlm_sort_reference
+            kwargs = {"config": RLMConfig(levels=2, node_size=4)}
+        else:
+            (flat_fn, ref_fn), kwargs = BASELINES[name], {}
         data = signed_zero_data(p, 100, p)
         assert_engines_identical(flat_fn, ref_fn, p, data, p, **kwargs)
 
