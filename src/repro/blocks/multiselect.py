@@ -27,25 +27,32 @@ All ``r`` selections run simultaneously; every iteration uses a single
 vector-valued reduction of length ``r`` (running time contribution
 ``O(r beta + alpha log p)`` per iteration, Equation (1) of the paper).
 
-Pivot randomness: all active ranks of one iteration draw their pivot
-positions with a *single* vectorised ``Generator.integers`` call on the
-shared generator.  The generator defaults to the communicator's replicated
-stream; the multi-level sorting algorithms pass a per-group stream
-(:meth:`repro.sim.machine.SimulatedMachine.group_rng`) instead so that
-sibling groups of one recursion level draw independently of each other —
-the precondition for executing them in lockstep
-(:func:`multisequence_select_batched`).
+Pivot randomness: the pivot of rank row ``t`` in pivot round ``k`` of the
+group whose first PE is ``i`` at recursion level ``l`` is word
+``k << 32 | t`` of stream ``(l, i)`` of the machine's counter-based
+``pivot_rng``.  Every member draws it without communicating (replicated
+randomness), and no group's draws depend on another's or on earlier calls,
+so :func:`multisequence_select` and the lockstep
+:func:`multisequence_select_batched`, which draws all islands' pivots of a
+round in one call, draw the same pivots by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.dist.array import DistArray
 from repro.dist.flatops import concat_ranges, segmented_searchsorted
+
+
+def _draw_pivots(machine, level, root_pe, rounds, rows, bounds) -> np.ndarray:
+    """Pivot offsets in ``[0, bounds)``: word ``rounds << 32 | rows`` of the
+    machine's pivot stream ``(level, root_pe)``.  The arguments broadcast."""
+    index = (np.asarray(rounds, dtype=np.int64) << 32) + rows
+    return machine.pivot_rng.integers(level, root_pe, index, bounds)
 
 
 @dataclass
@@ -83,7 +90,7 @@ def multisequence_select(
     comm,
     local_sorted: Sequence[np.ndarray],
     ranks: Sequence[int],
-    rng: Optional[np.random.Generator] = None,
+    level: int = 0,
 ) -> MultiselectResult:
     """Run the distributed multisequence selection on communicator ``comm``.
 
@@ -96,14 +103,10 @@ def multisequence_select(
     ranks:
         Target global ranks, non-decreasing, each in ``0 .. n`` where ``n``
         is the total number of elements.
-    rng:
-        Replicated random stream for the pivot draws; defaults to the
-        communicator's shared generator.  The multi-level algorithms pass a
-        per-group stream so sibling groups can run in lockstep.
+    level:
+        Recursion level of the selection (a key of the pivot draws).
     """
     p = comm.size
-    if rng is None:
-        rng = comm.rng
     if len(local_sorted) != p:
         raise ValueError("need one sorted array per member PE")
     runs = [np.asarray(a) for a in local_sorted]
@@ -144,33 +147,28 @@ def multisequence_select(
             raise RuntimeError("multisequence selection failed to converge")
 
         # --- choose pivots (replicated random choice per active rank) -----
-        draw_ts: List[int] = []
-        bounds: List[int] = []
+        pivots = {}
         for t in range(num_ranks):
             if done[t]:
                 continue
-            remaining = int((hi[t] - lo[t]).sum())
+            widths = hi[t] - lo[t]
+            remaining = int(widths.sum())
             if remaining == 0:
                 # Window collapsed; the committed left part must match the rank.
                 if int(lo[t].sum()) != int(ranks_arr[t]):
                     raise RuntimeError("multiselect window collapsed at wrong rank")
                 done[t] = True
                 continue
-            draw_ts.append(t)
-            bounds.append(remaining)
-        if not draw_ts:
-            continue
-        # One vectorised draw for all active ranks of this iteration.
-        us = rng.integers(0, np.asarray(bounds, dtype=np.int64))
-        pivots = {}
-        for t, u in zip(draw_ts, us):
-            widths = hi[t] - lo[t]
-            u = int(u)
+            u = int(_draw_pivots(
+                comm.machine, level, comm.global_pe(0), iterations, t, remaining
+            ))
             csum = np.cumsum(widths)
             q = int(np.searchsorted(csum, u, side="right"))
             offset = u - (int(csum[q - 1]) if q > 0 else 0)
             pos = int(lo[t, q] + offset)
             pivots[t] = (runs[q][pos], q, pos)
+        if not pivots:
+            continue
 
         # --- local counting: elements <= pivot inside the candidate window --
         counts = np.zeros((num_ranks, p), dtype=np.int64)
@@ -235,16 +233,16 @@ def multisequence_select_batched(
     islands,
     local_sorted: DistArray,
     ranks_per_island: Sequence[Sequence[int]],
-    rngs: Sequence[np.random.Generator],
+    level: int = 0,
 ) -> List[MultiselectResult]:
     """Run the multisequence selections of many disjoint PE groups in lockstep.
 
     ``islands`` is a :class:`~repro.sim.groups.GroupBatch`; segment ``i`` of
     ``local_sorted`` belongs to batch PE ``i`` (``islands.members[i]``) and
     is individually sorted.  Island ``k`` selects the target ranks
-    ``ranks_per_island[k]`` within its own data using its own replicated
-    pivot stream ``rngs[k]`` (one vectorised draw per iteration, exactly as
-    :func:`multisequence_select` does on a single communicator).  This is
+    ``ranks_per_island[k]`` within its own data, drawing the pivots that
+    :func:`multisequence_select` draws on the island's communicator at
+    recursion level ``level``.  This is
     the flat engine's only multisequence selection; single-level mergesort
     calls it with a one-island batch.
 
@@ -252,8 +250,9 @@ def multisequence_select_batched(
     window counting is one segmented two-sided binary search over every open
     ``(island, rank, PE)`` window in the batch, the local search cost is one
     whole-batch charge, and the per-island all-reduce becomes one
-    :meth:`~repro.sim.groups.GroupBatch.charge_collective`.  Because the
-    islands are disjoint and each consumes only its own RNG stream, every PE
+    :meth:`~repro.sim.groups.GroupBatch.charge_collective`, and one counter
+    call draws every island's pivots.  Because the islands are disjoint and
+    each island's draws are keyed by its own root PE, every PE
     receives exactly the charge sequence of the island-by-island execution,
     so clocks, breakdowns and split matrices are byte-identical to running
     :func:`multisequence_select` per island.
@@ -274,8 +273,8 @@ def multisequence_select_batched(
     n_isl = islands.num_groups
     if local_sorted.p != q_pes:
         raise ValueError("need one sorted segment per batch PE")
-    if len(ranks_per_island) != n_isl or len(rngs) != n_isl:
-        raise ValueError("need one rank list and one RNG per island")
+    if len(ranks_per_island) != n_isl:
+        raise ValueError("need one rank list per island")
     values = local_sorted.values
     offsets = local_sorted.offsets
     sizes = local_sorted.sizes()
@@ -337,6 +336,7 @@ def multisequence_select_batched(
     ).astype(np.int64) * np.maximum(1, nr_k)
     # Round-invariant lookups, hoisted out of the pivot loop.
     pe_isl_map = np.repeat(np.arange(n_isl, dtype=np.int64), p_k)
+    isl_root = islands.members[isl_off[:-1]]
     log_sizes = np.maximum(1.0, np.log2(np.maximum(sizes, 2)))
 
     while True:
@@ -364,15 +364,12 @@ def multisequence_select_batched(
         csum = np.cumsum(widths)
         row_rem = np.add.reduceat(widths, row_first)
 
-        # --- pivot draws: one vectorised call per island, islands in order
-        # (rows are laid out island-major, so each drawing island is one
-        # contiguous slice — no per-island masks).
-        us = np.empty(draw_rows.size, dtype=np.int64)
+        # --- pivot draws of every drawing row in one counter call -------
         d_isl = row_isl[draw_rows]
-        d_starts = np.flatnonzero(np.diff(d_isl, prepend=-1))
-        d_ends = np.append(d_starts[1:], d_isl.size)
-        for a, b in zip(d_starts.tolist(), d_ends.tolist()):
-            us[a:b] = rngs[int(d_isl[a])].integers(0, row_rem[a:b])
+        us = _draw_pivots(
+            machine, level, isl_root[d_isl], iterations[d_isl],
+            draw_rows - row_off[d_isl], row_rem,
+        )
 
         # --- locate the pivots: element u of a row is element row start + u
         # of all open windows; u < row_rem keeps it inside the row ----------
@@ -400,7 +397,8 @@ def multisequence_select_batched(
         cnt[q] = pos_row - o_lo[q] + 1
 
         # --- local binary-search charge for every island that drew --------
-        charged_isl = d_isl[d_starts]  # sorted unique (rows island-major)
+        # (rows are laid out island-major, so d_isl is sorted)
+        charged_isl = d_isl[np.flatnonzero(np.diff(d_isl, prepend=-1))]
         ops = np.bincount(o_pe, minlength=q_pes)
         drawn = np.zeros(n_isl, dtype=bool)
         drawn[charged_isl] = True

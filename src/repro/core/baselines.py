@@ -134,7 +134,7 @@ def single_level_mergesort_reference(
 
     with comm.phase(PHASE_SPLITTER_SELECTION):
         ranks = [(g * n_total) // p for g in range(1, p)]
-        selection = multisequence_select(comm, local_sorted, ranks)
+        selection = multisequence_select(comm, local_sorted, ranks, level=0)
 
     pieces: List[List[np.ndarray]] = []
     for i in range(p):
@@ -233,23 +233,19 @@ def parallel_quicksort_reference(
 
 
 def _split_islands(
-    dist_b: DistArray, act_off: np.ndarray, splitters: np.ndarray,
-    spl_off: np.ndarray, r: int, side: str,
+    dist_b: DistArray, act_off: np.ndarray, bucket_of: np.ndarray, r: int
 ) -> tuple:
-    """Split every island at its splitters, bucket ``j`` to group ``j``.
+    """Split every island into its ``r`` groups, bucket ``j`` to group ``j``.
 
-    ``act_off`` delimits the islands of ``dist_b``'s PEs, ``spl_off`` their
-    splitters (searched with ``side``); every island has ``r`` groups.
-    Returns :meth:`~repro.core.ams_sort._LevelBlocks.reorder_pieces`'s
-    column-major piece plane and ``(PE, group)`` piece sizes.
+    ``act_off`` delimits the islands of ``dist_b``'s PEs and ``bucket_of``
+    holds every element's bucket.  Returns
+    :meth:`~repro.core.ams_sort._LevelBlocks.reorder_pieces`'s column-major
+    piece plane and ``(PE, group)`` piece sizes.
     """
     n = int(act_off.size) - 1
-    elem_off = dist_b.offsets[act_off]
-    bucket_of = blockwise_searchsorted(
-        splitters, spl_off, dist_b.values, elem_off, side=side
-    )
     blocks = _LevelBlocks(
-        dist_b.offsets, act_off, elem_off, r * np.arange(n + 1, dtype=np.int64)
+        dist_b.offsets, act_off, dist_b.offsets[act_off],
+        r * np.arange(n + 1, dtype=np.int64),
     )
     return blocks.reorder_pieces(
         dist_b.values, bucket_of, np.tile(np.arange(r, dtype=np.int32), n),
@@ -275,8 +271,12 @@ def _sample_sort_level(comm, dist: DistArray, *_) -> tuple:
 
     # --- partition into p buckets, bucket j to PE j ----------------------
     with comm.phase(PHASE_BUCKET_PROCESSING):
+        bucket_of = blockwise_searchsorted(
+            splitters, spl_off, dist.values, np.array([0, dist.total]),
+            side="right",
+        )
         piece_values, piece_len = _split_islands(
-            dist, np.array([0, p]), splitters, spl_off, p, "right"
+            dist, np.array([0, p]), bucket_of, p
         )
         comm.charge_partition(dist.sizes(), p)
 
@@ -314,7 +314,7 @@ def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
     with comm.phase(PHASE_SPLITTER_SELECTION):
         ranks = [(g * local_sorted.total) // p for g in range(1, p)]
         selection = multisequence_select_batched(
-            island, local_sorted, [ranks], [comm.rng]
+            island, local_sorted, [ranks], level=0
         )[0]
     piece_sizes = np.diff(np.vstack([
         np.zeros((1, p), dtype=np.int64), selection.splits,
@@ -364,15 +364,18 @@ def _quicksort_level_batched(
             islands.select(drew).advance(map_by_unique2(
                 s_tot[drew], np.maximum(2, act_sizes[drew]), spec.local_merge_time
             ))
-        pivots, piv_off = _segmented_sample_splitters(
+        pivots, _ = _segmented_sample_splitters(
             samples, s_tot, np.ones_like(s_tot)
         )
 
     # --- split at the pivot into two pieces per PE -----------------------
     with comm.phase(PHASE_BUCKET_PROCESSING):
-        piece_values, piece_len = _split_islands(
-            dist_b, act_off, pivots, piv_off, 2, "left"
-        )
+        # The reference's ``data <= pivot`` (so a NaN goes right).  An
+        # island without a sample holds no element (every non-empty PE
+        # draws), so the drawing islands' pivots cover every element.
+        isl_elems = np.diff(dist_b.offsets[act_off])
+        right = ~(dist_b.values <= np.repeat(pivots, isl_elems[s_tot > 0]))
+        piece_values, piece_len = _split_islands(dist_b, act_off, right, 2)
         islands.machine.advance_many(islands.members, map_by_unique(
             dist_b.sizes(), lambda m: spec.local_partition_time(m, 2)
         ))

@@ -99,14 +99,7 @@ def rlm_sort_reference(
     with comm.phase(PHASE_SPLITTER_SELECTION):
         cumulative_pes = np.cumsum([g.size for g in groups])
         ranks = [int((n_total * int(c)) // p) for c in cumulative_pes[:-1]]
-        # Per-group pivot stream: sibling groups draw independently, which
-        # is what lets the flat engine run them in lockstep (the draws are
-        # identical either way because the stream only depends on
-        # (machine seed, level, first group PE)).
-        selection = multisequence_select(
-            comm, local_sorted, ranks,
-            rng=comm.machine.group_rng(level, comm.global_pe(0)),
-        )
+        selection = multisequence_select(comm, local_sorted, ranks, level)
 
     # ------------------------------------------------------------------
     # Build the r pieces per PE from the split positions
@@ -203,7 +196,7 @@ def _rlm_level_batched(
 
     # ------------------------------------------------------------------
     # 1. Splitter selection: exact multisequence selection, all islands in
-    #    lockstep with per-island replicated pivot streams
+    #    lockstep
     # ------------------------------------------------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
         isl_totals = np.add.reduceat(data_sizes, act_off[:-1])
@@ -224,12 +217,8 @@ def _rlm_level_batched(
         c = cum[keep]
         ranks_flat = a * c + (b * c) // p_rep
         ranks_per_island = np.split(ranks_flat, np.cumsum(nr)[:-1])
-        rngs = [
-            machine.group_rng(level, int(batch_members[act_off[k]]))
-            for k in range(n_act)
-        ]
         selections = multisequence_select_batched(
-            islands, dist_b, ranks_per_island, rngs
+            islands, dist_b, ranks_per_island, level
         )
 
     # ------------------------------------------------------------------

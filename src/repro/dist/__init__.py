@@ -14,8 +14,7 @@ This package provides the *flat* engine:
   pure offset arithmetic.
 * :mod:`~repro.dist.flatops` — the vectorised kernels the engine is built
   from: segment-id expansion, ragged gathers (``concat_ranges``), segmented
-  stable sorts, and interval splitting against cut points (the primitive
-  behind message assembly in the data-delivery algorithms).
+  value sorts and searches, and stable key argsorts.
 
 Every algorithm of :mod:`repro.core` has been ported onto ``DistArray``; the
 ports charge *exactly* the same modelled costs and produce *byte-identical*
@@ -33,7 +32,6 @@ from repro.dist.flatops import (
     concat_ranges,
     segment_ids,
     segmented_sort_values,
-    split_intervals,
     stable_key_argsort,
 )
 
@@ -44,6 +42,5 @@ __all__ = [
     "philox4x32",
     "segment_ids",
     "segmented_sort_values",
-    "split_intervals",
     "stable_key_argsort",
 ]

@@ -17,7 +17,7 @@ reference, so the choice never changes engine output.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -797,37 +797,3 @@ def map_by_unique2(a: np.ndarray, b: np.ndarray, fn) -> np.ndarray:
         a * bound + b, lambda key: fn(int(key) // bound, int(key) % bound)
     )
 
-
-def split_intervals(
-    bounds: np.ndarray, cuts: np.ndarray, total: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split the position range ``[0, total)`` at piece bounds and cut points.
-
-    ``bounds`` are the *piece* boundaries (``len(pieces) + 1`` entries,
-    starting at 0 and ending at ``total``); ``cuts`` are additional cut
-    positions (e.g. destination-PE capacity boundaries).  The range is split
-    into maximal intervals that cross neither kind of boundary — exactly the
-    messages a prefix-sum data delivery produces when pieces are laid out
-    consecutively over destination slots.
-
-    Returns ``(piece_idx, start, length, interval_start)`` per interval, in
-    ascending position order: the index of the piece the interval belongs
-    to, the offset *within* that piece, the interval length, and the
-    absolute start position (used to derive the destination).
-    """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if total <= 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e.copy(), e.copy()
-    cuts = np.asarray(cuts, dtype=np.int64)
-    cuts = cuts[(cuts > 0) & (cuts < total)]
-    points = np.unique(np.concatenate([bounds, cuts, [0, total]]))
-    points = points[(points >= 0) & (points <= total)]
-    starts_abs = points[:-1]
-    lengths = np.diff(points)
-    keep = lengths > 0
-    starts_abs = starts_abs[keep]
-    lengths = lengths[keep]
-    piece_idx = np.searchsorted(bounds, starts_abs, side="right") - 1
-    start_in_piece = starts_abs - bounds[piece_idx]
-    return piece_idx, start_in_piece, lengths, starts_abs

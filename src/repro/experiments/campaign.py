@@ -58,10 +58,12 @@ from repro.workloads.generators import WORKLOADS, per_pe_workload
 
 #: Code-relevant RNG generation.  The cell cache key includes this string, so
 #: bumping it invalidates every cached summary.  Bump whenever a change moves
-#: which random streams the algorithms consume (e.g. the PR 2 pivot-stream
-#: move or the PR 3 counter-RNG migration): such changes shift modelled
-#: clocks/imbalance and stale cached summaries would otherwise survive.
-RNG_VERSION = "ctr-philox-v1+group-rng-v1"
+#: which random streams the algorithms consume (e.g. the move of the samples
+#: onto the counter RNG, ``ctr-philox-v1``, or of the selection pivots from
+#: per-group PCG64 generators onto keyed counter streams, ``pivot-ctr-v1``):
+#: such changes shift modelled clocks/imbalance and stale cached summaries
+#: would otherwise survive.
+RNG_VERSION = "ctr-philox-v1+pivot-ctr-v1"
 
 #: Experiments a campaign can expand, in display order.
 CAMPAIGN_EXPERIMENTS = (

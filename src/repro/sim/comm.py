@@ -73,11 +73,6 @@ class Comm:
         """The machine's :class:`~repro.machine.spec.MachineSpec`."""
         return self.machine.spec
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """Replicated random generator (same stream on every member)."""
-        return self.machine.rng
-
     def phase(self, name: str) -> PhaseTimer:
         """Attribute subsequent costs to phase ``name`` (context manager)."""
         return self.machine.phase(name)

@@ -18,6 +18,8 @@ from repro.dist.flatops import enable_malloc_reuse
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology, topology_for
 
+_PIVOT_SEED_SALT = 0x91F07_5E1EC7
+
 
 class SimulatedMachine:
     """A distributed-memory machine of ``p`` PEs with modelled time.
@@ -67,9 +69,9 @@ class SimulatedMachine:
     topology:
         Network topology; defaults to a hierarchical topology matching ``spec``.
     seed:
-        Seed for the machine's replicated random generator (used for
-        decisions that the paper makes identically on all PEs, e.g. the
-        shared random pivot in multisequence selection).
+        Key of the machine's counter-based random streams
+        (:attr:`sample_rng`, :attr:`pivot_rng`): every draw is a pure
+        function of the seed and its coordinates, never of earlier draws.
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` (or spec string like
         ``"stragglers:0.1,droprate:0.01"``) injecting deterministic
@@ -113,8 +115,13 @@ class SimulatedMachine:
         self.breakdown = PhaseBreakdown(self.p)
         self.current_phase: str = PHASE_OTHER
         self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
-        self._sample_rng = CounterRNG(self.seed)
+        #: Counter-based sample streams: every draw is a pure function of
+        #: ``(seed, level, pe, index)``, so one vectorised call draws a whole
+        #: level's samples and the per-PE reference draws the same values.
+        self.sample_rng = CounterRNG(self.seed)
+        #: The replicated pivot streams of the multisequence selection, under
+        #: a salted seed so they are uncorrelated with the sample streams.
+        self.pivot_rng = CounterRNG(self.seed ^ _PIVOT_SEED_SALT)
         self.wall_profile: Optional[dict] = None
         self._wall_mark: Optional[float] = None
         #: Name of the backend the most recent ``run_on_machine`` executed
@@ -143,46 +150,6 @@ class SimulatedMachine:
         modelled clocks are unaffected.
         """
         self.arena.release()
-
-    # ------------------------------------------------------------------
-    # Random number generation
-    # ------------------------------------------------------------------
-    @property
-    def sample_rng(self) -> CounterRNG:
-        """Counter-based random streams for the sampled algorithm paths.
-
-        A :class:`~repro.dist.ctr_rng.CounterRNG` keyed by the machine seed:
-        every draw is a pure function of ``(seed, level, pe, index)``, so one
-        vectorised call produces the whole machine's sample positions for a
-        recursion level while the per-PE reference path obtains *identical*
-        values from the same helper.  Being stateless, the streams are
-        unaffected by :meth:`reset` — same seed, same draws, in any
-        batching.
-        """
-        return self._sample_rng
-
-    def group_rng(self, level: int, root_pe: int) -> np.random.Generator:
-        """Deterministic random stream replicated within one PE group.
-
-        Used for decisions a *sub-group* of the machine makes identically on
-        all of its members (e.g. the shared random pivots of a multisequence
-        selection at recursion level ``level`` in the group whose first PE is
-        ``root_pe``).  Unlike :attr:`rng` the stream depends only on
-        ``(machine seed, level, root_pe)``, never on what other groups have
-        drawn before — which is what lets the lockstep engine run all
-        sibling groups of a recursion level as one batch while remaining
-        byte-identical to the group-by-group reference execution.  A fresh
-        generator is returned on every call.
-        """
-        if not 0 <= root_pe < self.p:
-            raise IndexError(f"PE index {root_pe} out of range")
-        if level < 0:
-            raise ValueError("level must be non-negative")
-        return np.random.default_rng(
-            (self.seed + 1) * 2_147_483_629
-            + (level + 1) * 15_485_863
-            + root_pe
-        )
 
     # ------------------------------------------------------------------
     # Clock management
@@ -250,18 +217,17 @@ class SimulatedMachine:
         return float(self.clock[idx].max())
 
     def reset(self) -> None:
-        """Reset clocks, counters, phase breakdown and random generators.
+        """Reset clocks, counters, phase breakdown and fault tallies.
 
-        The counter-based sampling streams (:attr:`sample_rng`) carry no
-        state and are therefore unaffected: the same seed draws the same
-        samples before and after a reset.  An enabled wall-clock profile is
+        The random streams carry no state, so there is none to reset: the
+        same seed draws the same samples and pivots in every run on the
+        machine, with or without a reset.  An enabled wall-clock profile is
         cleared but stays enabled.
         """
         self.clock.fill(0.0)
         self.counters.reset()
         self.breakdown.reset()
         self.current_phase = PHASE_OTHER
-        self.rng = np.random.default_rng(self.seed)
         if self.faults is not None:
             self.faults.reset()
         if self.wall_profile is not None:

@@ -185,8 +185,7 @@ def _splits_and_machine(data, ranks, via):
             np.array([0, p], dtype=np.int64),
         )
         res = multisequence_select_batched(
-            islands, DistArray.from_list([d.copy() for d in data]),
-            [ranks], [machine.rng],
+            islands, DistArray.from_list([d.copy() for d in data]), [ranks]
         )[0]
     return res, machine
 
@@ -279,6 +278,7 @@ class TestBatchedLockstepAcrossIslands:
     def test_property_matches_per_island_selection(self, data):
         isl_sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
         high = data.draw(st.sampled_from([3, 10**6]))  # few or many keys
+        level = data.draw(st.integers(0, 3))
         runs, ranks = [], []
         for size in isl_sizes:
             isl_runs = [
@@ -301,14 +301,13 @@ class TestBatchedLockstepAcrossIslands:
         islands = GroupBatch(batched, np.arange(p, dtype=np.int64), offsets)
         got = multisequence_select_batched(
             islands, DistArray.from_list([r.copy() for r in runs]), ranks,
-            [batched.group_rng(0, int(first)) for first in offsets[:-1]],
+            level,
         )
 
         per_island = SimulatedMachine(p, spec=laptop_like(), seed=3)
         for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
             expect = multisequence_select(
-                per_island.comm(range(a, b)), runs[a:b], ranks[k],
-                rng=per_island.group_rng(0, int(a)),
+                per_island.comm(range(a, b)), runs[a:b], ranks[k], level
             )
             assert np.array_equal(got[k].splits, expect.splits), k
             assert got[k].iterations == expect.iterations, k

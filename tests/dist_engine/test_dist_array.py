@@ -9,7 +9,6 @@ from repro.dist.flatops import (
     concat_ranges,
     segment_ids,
     segmented_sort_values,
-    split_intervals,
     stable_key_argsort,
     stable_two_key_argsort,
 )
@@ -127,13 +126,3 @@ class TestFlatOps:
         assert np.array_equal(
             stable_two_key_argsort(major, minor, 5000, 300), expect
         )
-
-    def test_split_intervals_against_cuts(self):
-        # pieces of sizes 3, 4 over [0, 7); cuts at 2 and 5
-        piece, off, lengths, abs_start = split_intervals(
-            np.array([0, 3, 7]), np.array([2, 5]), 7
-        )
-        assert abs_start.tolist() == [0, 2, 3, 5]
-        assert piece.tolist() == [0, 0, 1, 1]
-        assert off.tolist() == [0, 2, 0, 2]
-        assert lengths.tolist() == [2, 1, 2, 2]

@@ -356,6 +356,19 @@ class TestBaselineEquivalence:
         data = [np.full(rng.integers(0, 40), 7) for _ in range(33)]
         assert_engines_identical(*BASELINES[name], 33, data, 5)
 
+    def test_quicksort_nan_pivot(self):
+        """Mostly-NaN keys make a NaN pivot; ``data <= pivot`` is then
+        false everywhere, so both engines send every element right.
+
+        ``run_on_machine`` rejects NaN keys, but ``parallel_quicksort`` is
+        public and takes them.
+        """
+        data = [np.concatenate([[1.0, 2.0], np.full(30, np.nan)])] * 2
+        assert_engines_identical(*BASELINES["quicksort"], 2, data, 0)
+        machine = SimulatedMachine(2, spec=laptop_like(), seed=0)
+        out = parallel_quicksort(machine.world(), [d.copy() for d in data])
+        assert [o.size for o in out] == [0, 64]
+
     @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
     def test_input_above_block_size(self, name, monkeypatch):
         """More keys than one bucket-processing block holds.

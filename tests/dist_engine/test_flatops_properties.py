@@ -18,7 +18,6 @@ from repro.dist.flatops import (
     segment_ids,
     segmented_searchsorted,
     segmented_sort_values,
-    split_intervals,
     stable_key_argsort,
     stable_two_key_argsort,
 )
@@ -94,32 +93,6 @@ class TestSegmentedSort:
              for i in range(len(sizes))] or [values]
         ) if values.size else values
         assert np.array_equal(got, expected)
-
-
-class TestSplitIntervals:
-    @given(
-        st.lists(st.integers(0, 6), min_size=1, max_size=6),
-        st.lists(st.integers(0, 25), max_size=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_intervals_partition_and_respect_cuts(self, piece_sizes, cuts):
-        bounds = _layout(piece_sizes)
-        total = int(bounds[-1])
-        cuts_arr = np.asarray(cuts, dtype=np.int64)
-        piece_idx, start, length, abs_start = split_intervals(
-            bounds, cuts_arr, total
-        )
-        # Intervals tile [0, total) in order without gaps.
-        assert int(length.sum()) == total
-        assert np.all(length > 0)
-        assert np.array_equal(abs_start, np.cumsum(length) - length)
-        # Every interval lies inside its piece and crosses no boundary.
-        for pi, s, ln, ab in zip(piece_idx, start, length, abs_start):
-            assert bounds[pi] + s == ab
-            assert bounds[pi] <= ab and ab + ln <= bounds[pi + 1]
-            for c in cuts_arr:
-                if 0 < c < total:
-                    assert not (ab < c < ab + ln)
 
 
 class TestSegmentedSearchsorted:
