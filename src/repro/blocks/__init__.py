@@ -25,7 +25,7 @@ engine has one lockstep implementation per block,
 :func:`~repro.blocks.multiselect.multisequence_select_batched` and
 :func:`~repro.blocks.delivery.deliver_to_groups_batched`, which run every
 island of a recursion level over one :class:`~repro.sim.groups.GroupBatch`
-(the single-level baselines pass a one-island batch); the grid sample
+(a single-level sort's one level is a one-island batch); the grid sample
 sort's lockstep port lives in :mod:`repro.core.ams_sort`.
 """
 

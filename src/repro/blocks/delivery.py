@@ -341,7 +341,7 @@ def deliver_to_groups(
         Seed for the pseudorandom permutations of the randomized methods.
     schedule:
         Exchange schedule: ``'sparse'`` (AMS-sort, RLM-sort, quicksort) or
-        ``'dense'`` (the single-level sample sort and mergesort).
+        ``'dense'`` (sample sort, and mergesort: RLM-sort's level at r = p).
 
     The modelled time goes to the data-delivery phase.
     """
@@ -460,7 +460,7 @@ def deliver_to_groups(
 #
 # The functions below are vectorised ports of the per-PE assignment
 # algorithms above, called by :func:`deliver_to_groups_batched`.  Pieces
-# are given as one flat value buffer plus a piece-size matrix per island;
+# are given as one flat value buffer plus one flat vector of piece sizes;
 # messages are built as flat ``(src, dest, start, length)`` index arrays
 # instead of per-piece Python loops.  Every port emits *exactly* the
 # message stream of its per-PE counterpart (same sources, destinations and
@@ -825,9 +825,10 @@ class BatchedDeliveryResult:
 
 def deliver_to_groups_batched(
     islands,
-    subgroup_sizes: Sequence[np.ndarray],
+    group_counts: np.ndarray,
+    subgroup_sizes: np.ndarray,
     piece_values: np.ndarray,
-    piece_sizes: Sequence[np.ndarray],
+    piece_sizes: np.ndarray,
     method: str = "deterministic",
     seed: int = 0,
     schedule: str = "sparse",
@@ -841,22 +842,25 @@ def deliver_to_groups_batched(
     streams of all islands are executed as one whole-machine exchange.
     Because the islands are pairwise disjoint, every PE receives exactly
     the charge sequence (and the received data) of the island-by-island
-    execution.  Every level of AMS-sort, RLM-sort and parallel quicksort
-    is one call; sample sort and mergesort deliver as one-island batches.
+    execution.  Every level of every flat sort is one call; the level
+    layout arrives as flat arrays, island after island.
 
     Parameters
     ----------
     islands:
         :class:`~repro.sim.groups.GroupBatch` of the islands delivering at
         this level; "batch PEs" are ``islands.members`` in order.
+    group_counts:
+        Per island ``k``, its number ``r_k >= 1`` of destination sub-groups.
     subgroup_sizes:
-        Per island, the sizes of its ``r_k`` destination sub-groups
-        (island-local, summing to the island size).
+        The sizes of every island's ``r_k`` sub-groups, island after island
+        (``sum(r_k)`` entries; an island's sizes sum to its PE count).
     piece_values:
         One flat buffer holding every batch PE's pieces, each piece one
         contiguous run, in the order ``piece_layout`` names.
     piece_sizes:
-        Per island, the ``(p_k, r_k)`` piece-size matrix.
+        The piece sizes in row-major ``(island, batch PE, group)`` order
+        (``sum(p_k * r_k)`` entries), whatever ``piece_layout`` is.
     method, seed, schedule:
         As for :func:`deliver_to_groups`; the per-group pseudorandom
         permutation seeds restart at every island exactly like the
@@ -887,37 +891,30 @@ def deliver_to_groups_batched(
     spec = machine.spec
     q = int(islands.members.size)
     n_isl = islands.num_groups
-    if len(subgroup_sizes) != n_isl or len(piece_sizes) != n_isl:
-        raise ValueError("need one sub-group layout and piece matrix per island")
-    piece_values = np.asarray(piece_values)
-    isl_off = islands.offsets
     p_k = islands.sizes
-    pe_isl = np.repeat(np.arange(n_isl, dtype=np.int64), p_k)
-
-    r_k = np.empty(n_isl, dtype=np.int64)
-    for k in range(n_isl):
-        shape = np.shape(piece_sizes[k])
-        if shape != (int(p_k[k]), int(np.asarray(subgroup_sizes[k]).size)):
-            raise ValueError("piece matrix does not match the island layout")
-        if shape[1] == 0:
-            raise ValueError("need at least one target group")
-        r_k[k] = shape[1]
-    # Piece sizes row-major (island, sender, group); sub-group sizes.
-    flat_sizes = g_size = np.empty(0, dtype=np.int64)
-    if n_isl:
-        flat_sizes = np.concatenate([
-            np.asarray(m, dtype=np.int64).reshape(-1) for m in piece_sizes
-        ])
-        g_size = np.concatenate(subgroup_sizes).astype(np.int64, copy=False)
-    if int(flat_sizes.sum()) != piece_values.size:
-        raise ValueError("piece_values size does not match piece_sizes")
+    r_k = np.asarray(group_counts, dtype=np.int64)
+    if r_k.shape != (n_isl,):
+        raise ValueError("need one group count per island")
+    if np.any(r_k < 1):
+        raise ValueError("need at least one target group")
+    g_off = np.zeros(n_isl + 1, dtype=np.int64)
+    np.cumsum(r_k, out=g_off[1:])
     piece_cnt = p_k * r_k
     piece_off = np.zeros(n_isl + 1, dtype=np.int64)
     np.cumsum(piece_cnt, out=piece_off[1:])
-    g_off = np.zeros(n_isl + 1, dtype=np.int64)
-    np.cumsum(r_k, out=g_off[1:])
-    if np.any(np.add.reduceat(g_size, g_off[:-1]) != p_k):
+    g_size = np.asarray(subgroup_sizes, dtype=np.int64)
+    flat_sizes = np.asarray(piece_sizes, dtype=np.int64)
+    piece_values = np.asarray(piece_values)
+    if g_size.shape != (int(g_off[-1]),) or np.any(
+        np.add.reduceat(g_size, g_off[:-1]) != p_k
+    ):
         raise ValueError("sub-groups must partition their island")
+    if flat_sizes.shape != (int(piece_off[-1]),):
+        raise ValueError("need one piece size per (island, PE, group)")
+    if int(flat_sizes.sum()) != piece_values.size:
+        raise ValueError("piece_values size does not match piece_sizes")
+    isl_off = islands.offsets
+    pe_isl = np.repeat(np.arange(n_isl, dtype=np.int64), p_k)
     # Islands are contiguous batch-rank ranges partitioned by their
     # groups, so every group's first batch rank is a running sum.
     g_start = np.cumsum(g_size) - g_size

@@ -32,9 +32,10 @@ group whose first PE is ``i`` at recursion level ``l`` is word
 ``k << 32 | t`` of stream ``(l, i)`` of the machine's counter-based
 ``pivot_rng``.  Every member draws it without communicating (replicated
 randomness), and no group's draws depend on another's or on earlier calls,
-so :func:`multisequence_select` and the lockstep
-:func:`multisequence_select_batched`, which draws all islands' pivots of a
-round in one call, draw the same pivots by construction.
+so :func:`multisequence_select`, which draws all rank rows' pivots of a
+round in one call, and the lockstep :func:`multisequence_select_batched`,
+which draws all islands' pivots of a round in one call, draw the same
+pivots by construction.
 """
 
 from __future__ import annotations
@@ -147,28 +148,28 @@ def multisequence_select(
             raise RuntimeError("multisequence selection failed to converge")
 
         # --- choose pivots (replicated random choice per active rank) -----
+        # A live rank whose windows collapsed is done; the committed left
+        # part must match the rank.  Every other live rank draws, all of
+        # them in one counter call.
+        remaining = (hi - lo).sum(axis=1)
+        collapsed = ~done & (remaining == 0)
+        if np.any(lo[collapsed].sum(axis=1) != ranks_arr[collapsed]):
+            raise RuntimeError("multiselect window collapsed at wrong rank")
+        done |= collapsed
+        rows = np.flatnonzero(~done)
+        if rows.size == 0:
+            continue
+        us = _draw_pivots(
+            comm.machine, level, comm.global_pe(0), iterations, rows,
+            remaining[rows],
+        )
         pivots = {}
-        for t in range(num_ranks):
-            if done[t]:
-                continue
-            widths = hi[t] - lo[t]
-            remaining = int(widths.sum())
-            if remaining == 0:
-                # Window collapsed; the committed left part must match the rank.
-                if int(lo[t].sum()) != int(ranks_arr[t]):
-                    raise RuntimeError("multiselect window collapsed at wrong rank")
-                done[t] = True
-                continue
-            u = int(_draw_pivots(
-                comm.machine, level, comm.global_pe(0), iterations, t, remaining
-            ))
-            csum = np.cumsum(widths)
+        for t, u in zip(rows.tolist(), us.tolist()):
+            csum = np.cumsum(hi[t] - lo[t])
             q = int(np.searchsorted(csum, u, side="right"))
             offset = u - (int(csum[q - 1]) if q > 0 else 0)
             pos = int(lo[t, q] + offset)
             pivots[t] = (runs[q][pos], q, pos)
-        if not pivots:
-            continue
 
         # --- local counting: elements <= pivot inside the candidate window --
         counts = np.zeros((num_ranks, p), dtype=np.int64)
@@ -242,9 +243,9 @@ def multisequence_select_batched(
     is individually sorted.  Island ``k`` selects the target ranks
     ``ranks_per_island[k]`` within its own data, drawing the pivots that
     :func:`multisequence_select` draws on the island's communicator at
-    recursion level ``level``.  This is
-    the flat engine's only multisequence selection; single-level mergesort
-    calls it with a one-island batch.
+    recursion level ``level``.  This is the flat engine's only
+    multisequence selection; single-level mergesort reaches it through
+    RLM-sort's level, with a one-island batch.
 
     Every pivot round advances *all* still-active islands at once: the
     window counting is one segmented two-sided binary search over every open

@@ -227,23 +227,18 @@ def ams_sort_reference(
     return output
 
 
-def _level_r(plan: List[int], level: int, group_size: int) -> int:
-    """Group count a recursion level uses for a group of ``group_size`` PEs."""
-    if group_size == 1:
-        return 1
-    if level < len(plan):
-        r = min(int(plan[level]), group_size)
-    else:
-        r = group_size
-    return max(2, min(r, group_size))
+def _level_r(plan: List[int], level: int, sizes: np.ndarray) -> np.ndarray:
+    """Group counts a recursion level uses for islands of ``sizes`` PEs."""
+    r = np.minimum(int(plan[level]), sizes) if level < len(plan) else sizes
+    return np.where(sizes > 1, np.maximum(2, r), 1)
 
 
-def _split_sizes(p: int, r: int) -> np.ndarray:
-    """Sub-group sizes of ``Comm.split``: near-equal, first groups larger."""
-    base, extra = divmod(int(p), int(r))
-    return np.array(
-        [base + (1 if g < extra else 0) for g in range(int(r))], dtype=np.int64
-    )
+def _split_sizes(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sub-group sizes of ``Comm.split`` for islands of ``p`` PEs split into
+    ``r`` groups each, concatenated: near-equal, first groups larger."""
+    base, extra = np.divmod(p, r)
+    group = concat_ranges(np.zeros_like(r), r)  # group index in its island
+    return np.repeat(base, r) + (group < np.repeat(extra, r))
 
 
 def _level_islands(comm, dist: DistArray, isl_offsets: np.ndarray) -> tuple:
@@ -254,8 +249,9 @@ def _level_islands(comm, dist: DistArray, isl_offsets: np.ndarray) -> tuple:
     indices of the islands of more than one PE, the comm ranks of their
     PEs, those islands as one :class:`GroupBatch` and their PEs' data.
     Singleton islands are at their base case and sit the level out.
-    Shared by every level executor (AMS-sort, RLM-sort, parallel
-    quicksort), as is :func:`_level_result`.
+    Shared by the level executors of AMS-sort, RLM-sort (and so
+    single-level mergesort) and parallel quicksort, as is
+    :func:`_level_result`.
     """
     sizes_isl = np.diff(isl_offsets)
     active = np.flatnonzero(sizes_isl > 1)
@@ -275,13 +271,15 @@ def _level_result(
     active: np.ndarray,
     batch_ranks: np.ndarray,
     received: DistArray,
-    sub_sizes: List[np.ndarray],
+    r_act: np.ndarray,
+    sub_sizes: np.ndarray,
 ) -> tuple:
     """Assemble one batched level's result and the next island layout.
 
     Scatters the batch PEs' received segments back into comm order (passive
     singleton islands keep their data untouched) and splits every active
-    island's rank range at its sub-group boundaries.
+    island's rank range into its ``r_act`` sub-groups, whose sizes
+    ``sub_sizes`` lists island after island.
 
     Returns ``(new_dist, next_isl_offsets)``.
     """
@@ -315,33 +313,16 @@ def _level_result(
         ws.recycle(idx)
         new_dist = DistArray(new_values, new_offsets)
 
-    # Next-level island offsets: active islands contribute their sub-group
-    # starts (start + exclusive cumsum of sub sizes), singleton islands
-    # just their own start — all scattered in one pass.
-    active_mask = np.zeros(num_isl, dtype=bool)
-    active_mask[active] = True
+    # Next-level islands: a passive island stays whole and an active one
+    # becomes its sub-groups; the running sum of their sizes is the layout.
     cnt = np.ones(num_isl, dtype=np.int64)
-    next_offsets_tail = int(isl_offsets[-1])
-    if len(sub_sizes):
-        r_g = np.fromiter(
-            (s.size for s in sub_sizes), dtype=np.int64, count=len(sub_sizes)
-        )
-        cnt[active] = r_g
+    cnt[active] = r_act
     out_off = np.zeros(num_isl + 1, dtype=np.int64)
     np.cumsum(cnt, out=out_off[1:])
-    next_offsets = np.empty(int(out_off[-1]) + 1, dtype=np.int64)
-    next_offsets[-1] = next_offsets_tail
-    passive_mask = ~active_mask
-    next_offsets[out_off[:-1][passive_mask]] = isl_offsets[:-1][passive_mask]
-    if len(sub_sizes):
-        sub_flat = np.concatenate(sub_sizes)
-        excl = np.cumsum(sub_flat) - sub_flat
-        sub_off = np.zeros(r_g.size + 1, dtype=np.int64)
-        np.cumsum(r_g, out=sub_off[1:])
-        excl -= np.repeat(excl[sub_off[:-1]], r_g)
-        next_offsets[concat_ranges(out_off[active], r_g)] = (
-            np.repeat(isl_offsets[active], r_g) + excl
-        )
+    next_sizes = np.repeat(sizes_isl, cnt)
+    next_sizes[concat_ranges(out_off[active], r_act)] = sub_sizes
+    next_offsets = np.zeros(next_sizes.size + 1, dtype=np.int64)
+    np.cumsum(next_sizes, out=next_offsets[1:])
     return new_dist, next_offsets
 
 
@@ -728,12 +709,10 @@ def _ams_level_batched(
     pe_isl = np.repeat(np.arange(n_act, dtype=np.int64), act_sizes)
     data_sizes = dist_b.sizes()
 
-    # Group counts, sampling counts and sub-group layouts depend on the
-    # island only through its size; evaluate once per distinct size.
+    # Group and sampling counts depend on the island only through its
+    # size; the sampling counts are evaluated once per distinct size.
     uniq_sz, inv_sz = np.unique(act_sizes, return_inverse=True)
-    r_uniq = np.array(
-        [_level_r(plan, level, int(pk)) for pk in uniq_sz], dtype=np.int64
-    )
+    r_uniq = _level_r(plan, level, uniq_sz)
     r_act = r_uniq[inv_sz]
     sampling = config.sampling_for(max(n_total, 2))
 
@@ -828,24 +807,13 @@ def _ams_level_batched(
     # ------------------------------------------------------------------
     # 3. Data delivery for every island at once
     # ------------------------------------------------------------------
-    sub_cache = {
-        int(pk): _split_sizes(int(pk), int(rk))
-        for pk, rk in zip(uniq_sz, r_uniq)
-    }
-    sub_sizes = [sub_cache[int(pk)] for pk in act_sizes]
-    piece_base = np.zeros(n_act + 1, dtype=np.int64)
-    np.cumsum(act_sizes * r_act, out=piece_base[1:])
-    piece_mats = [
-        piece_len[piece_base[k]:piece_base[k + 1]].reshape(
-            int(act_sizes[k]), int(r_act[k])
-        )
-        for k in range(n_act)
-    ]
+    sub_sizes = _split_sizes(act_sizes, r_act)
     received = deliver_to_groups_batched(
         islands,
+        r_act,
         sub_sizes,
         piece_values,
-        piece_mats,
+        piece_len,
         method=config.delivery,
         seed=machine.seed + level + 1,
         piece_layout="colmaj",
@@ -855,28 +823,38 @@ def _ams_level_batched(
     # 4. Next-level island layout (+ pass-through of singleton islands)
     # ------------------------------------------------------------------
     return _level_result(
-        dist, isl_offsets, active, batch_ranks, received, sub_sizes
+        dist, isl_offsets, active, batch_ranks, received, r_act, sub_sizes
     )
 
 
-def _run_levels(comm, dist: DistArray, level_fn) -> DistArray:
-    """Run a batched recursion level by level, then the base cases.
+def _run_levels(
+    comm, dist: DistArray, level_fn, sort_first: bool = False
+) -> DistArray:
+    """Run a batched recursion level by level, with one local sort.
 
     ``level_fn(dist, isl_offsets, level)`` executes one level for all
     islands and returns ``(dist, isl_offsets)`` for the next; the loop ends
-    when every island is one PE.  The recursive base cases then collapse
-    into one segmented sort charged with every PE's own local-sort time.
-    Shared by AMS-sort and parallel quicksort.
+    when every island is one PE.  The local sort is one segmented sort
+    charged with every PE's own local-sort time.  By default it runs after
+    the levels, where the recursive base cases of AMS-sort, sample sort and
+    parallel quicksort collapse into it; with ``sort_first`` it runs before
+    them, because the levels of RLM-sort and single-level mergesort split
+    and merge sorted runs.  Every flat sort is one call of this loop.
     """
+    def local_sort(dist):
+        with comm.phase(PHASE_LOCAL_SORT):
+            out = dist.sort_segments()
+            comm.charge_sort(dist.sizes())
+        return out
+
+    if sort_first:
+        dist = local_sort(dist)
     isl_offsets = np.array([0, comm.size], dtype=np.int64)
     level = 0
     while int(np.diff(isl_offsets).max()) > 1:
         dist, isl_offsets = level_fn(dist, isl_offsets, level)
         level += 1
-    with comm.phase(PHASE_LOCAL_SORT):
-        out = dist.sort_segments()
-        comm.charge_sort(dist.sizes())
-    return out
+    return dist if sort_first else local_sort(dist)
 
 
 def _ams_sort_flat(comm, dist: DistArray, config: AMSConfig) -> DistArray:

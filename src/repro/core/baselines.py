@@ -27,7 +27,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.blocks.delivery import deliver_to_groups, deliver_to_groups_batched
-from repro.blocks.multiselect import multisequence_select, multisequence_select_batched
+from repro.blocks.multiselect import multisequence_select
 from repro.blocks.sampling import draw_samples_flat, splitter_ranks
 from repro.core.ams_sort import (
     _LevelBlocks,
@@ -38,6 +38,7 @@ from repro.core.ams_sort import (
     _segmented_sample_splitters,
     _split_sizes,
 )
+from repro.core.rlm_sort import _rlm_level_batched
 from repro.dist.array import DistArray
 from repro.dist.flatops import blockwise_searchsorted, map_by_unique, map_by_unique2
 from repro.machine.counters import (
@@ -226,10 +227,12 @@ def parallel_quicksort_reference(
 # Flat (DistArray) engine ports
 # ======================================================================
 #
-# The baselines run on AMS-sort's level machinery: quicksort loops over its
-# recursion depths, all islands of a depth in lockstep, and sample sort is
-# one island.  Both split islands with the cache-blocked bucket pass; the
-# naive delivery takes the column-major piece plane as the received data.
+# Every baseline is one run of the multi-level sorts' level loop,
+# ``_run_levels``.  Quicksort's levels are its recursion depths, all
+# islands of a depth in lockstep, and sample sort's one level splits the
+# machine into single PEs.  Both split islands with AMS-sort's cache-blocked
+# bucket pass; the naive delivery takes the column-major piece plane as the
+# received data.  Single-level mergesort is RLM-sort's level with r = p.
 
 
 def _split_islands(
@@ -283,9 +286,8 @@ def _sample_sort_level(comm, dist: DistArray, *_) -> tuple:
     # --- dense all-to-allv (every PE is its own group) ------------------
     delivery = deliver_to_groups_batched(
         GroupBatch(comm.machine, comm.members, np.array([0, p])),
-        [np.ones(p, dtype=np.int64)], piece_values,
-        [piece_len.reshape(p, p)], method="naive", schedule="dense",
-        piece_layout="colmaj",
+        np.array([p]), np.ones(p, dtype=np.int64), piece_values, piece_len,
+        method="naive", schedule="dense", piece_layout="colmaj",
     )
     return delivery.received, np.arange(p + 1, dtype=np.int64)
 
@@ -300,39 +302,16 @@ def _single_level_sample_sort_flat(comm, dist: DistArray) -> DistArray:
 
 
 def _single_level_mergesort_flat(comm, dist: DistArray) -> DistArray:
-    """Flat-engine port of single-level multiway mergesort (MP-sort style)."""
-    p = comm.size
+    """Flat-engine port of single-level multiway mergesort (MP-sort style).
 
-    with comm.phase(PHASE_LOCAL_SORT):
-        local_sorted = dist.sort_segments()
-        comm.charge_sort(dist.sizes())
-
-    if p == 1:
-        return local_sorted
-
-    island = GroupBatch(comm.machine, comm.members, np.array([0, p]))
-    with comm.phase(PHASE_SPLITTER_SELECTION):
-        ranks = [(g * local_sorted.total) // p for g in range(1, p)]
-        selection = multisequence_select_batched(
-            island, local_sorted, [ranks], level=0
-        )[0]
-    piece_sizes = np.diff(np.vstack([
-        np.zeros((1, p), dtype=np.int64), selection.splits,
-        local_sorted.sizes()[None, :],
-    ]), axis=0).T.astype(np.int64)
-
-    delivery = deliver_to_groups_batched(
-        island, [np.ones(p, dtype=np.int64)], local_sorted.values,
-        [piece_sizes], method="naive", schedule="dense",
-    )
-
-    with comm.phase(PHASE_BUCKET_PROCESSING):
-        # Merging the received sorted runs in source order equals a stable
-        # segmented sort of the received buffer; the charge is the merge.
-        output = delivery.received.sort_segments()
-        ways = np.maximum(2, delivery.nonempty_runs)
-        comm.charge_merge(delivery.received_sizes, ways)
-    return output
+    RLM-sort's one level with ``r = p``: the local sort, the exact ``p``-way
+    selection, a naive delivery over the dense all-to-allv and the merge of
+    the received runs (at ``p = 1`` only the local sort).
+    """
+    return _run_levels(comm, dist, partial(
+        _rlm_level_batched, comm, plan=[comm.size], delivery="naive",
+        schedule="dense",
+    ), sort_first=True)
 
 
 def _quicksort_level_batched(
@@ -380,15 +359,14 @@ def _quicksort_level_batched(
             dist_b.sizes(), lambda m: spec.local_partition_time(m, 2)
         ))
 
-    halves = {pk: _split_sizes(pk, 2) for pk in np.unique(act_sizes).tolist()}
-    sub_sizes = [halves[pk] for pk in act_sizes.tolist()]
+    r_act = np.full_like(act_sizes, 2)
+    sub_sizes = _split_sizes(act_sizes, r_act)
     received = deliver_to_groups_batched(
-        islands, sub_sizes, piece_values,
-        np.split(piece_len.reshape(-1, 2), act_off[1:-1]),
+        islands, r_act, sub_sizes, piece_values, piece_len,
         method="naive", piece_layout="colmaj",
     ).received
     return _level_result(
-        dist, isl_offsets, active, batch_ranks, received, sub_sizes
+        dist, isl_offsets, active, batch_ranks, received, r_act, sub_sizes
     )
 
 

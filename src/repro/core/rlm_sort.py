@@ -23,6 +23,7 @@ slowdown experiment (Figure 7) makes visible.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.core.ams_sort import (
     _level_islands,
     _level_r,
     _level_result,
+    _run_levels,
     _split_sizes,
 )
 from repro.core.config import RLMConfig
@@ -159,104 +161,89 @@ def _rlm_level_batched(
     comm,
     dist: DistArray,
     isl_offsets: np.ndarray,
-    config: RLMConfig,
     level: int,
-    plan,
+    plan: List[int],
+    delivery: str,
+    schedule: str,
 ) -> tuple:
     """Run one RLM-sort recursion level for *all* islands in lockstep.
 
     Mirrors :func:`repro.core.ams_sort._ams_level_batched`: the exact
     multisequence selections of every island run as one batched pivot loop
     (:func:`multisequence_select_batched`), the piece delivery of the whole
-    level is one :func:`deliver_to_groups_batched` call, and the
-    post-delivery multiway merges collapse into one segmented sort.
-    Singleton islands are already sorted and pass through untouched (their
-    base case charges nothing).
+    level is one :func:`deliver_to_groups_batched` call with the
+    ``delivery`` method and exchange ``schedule``, and the post-delivery
+    multiway merges collapse into one segmented sort.  Singleton islands
+    are already sorted and pass through untouched (their base case charges
+    nothing).  Single-level mergesort is this level with ``r = p``.
     """
     machine = comm.machine
     spec = comm.spec
     active, batch_ranks, islands, dist_b = _level_islands(comm, dist, isl_offsets)
-    n_act = islands.num_groups
     act_sizes, act_off = islands.sizes, islands.offsets
-    batch_members = islands.members
     data_sizes = dist_b.sizes()
-
-    # Group counts and sub-group layouts depend only on the island size;
-    # evaluate once per distinct size.
-    uniq_sz, inv_sz = np.unique(act_sizes, return_inverse=True)
-    r_uniq = np.array(
-        [_level_r(plan, level, int(pk)) for pk in uniq_sz], dtype=np.int64
-    )
-    r_act = r_uniq[inv_sz]
-    sub_cache = {
-        int(pk): _split_sizes(int(pk), int(rk))
-        for pk, rk in zip(uniq_sz, r_uniq)
-    }
-    sub_sizes = [sub_cache[int(pk)] for pk in act_sizes]
+    r_act = _level_r(plan, level, act_sizes)
+    sub_sizes = _split_sizes(act_sizes, r_act)
 
     # ------------------------------------------------------------------
     # 1. Splitter selection: exact multisequence selection, all islands in
     #    lockstep
     # ------------------------------------------------------------------
     with comm.phase(PHASE_SPLITTER_SELECTION):
-        isl_totals = np.add.reduceat(data_sizes, act_off[:-1])
-        # All islands' target ranks in one pass: per-island inclusive
+        # All islands' target ranks in one pass: the island-local inclusive
         # cumsum of the sub-group sizes, last entry dropped, scaled by
         # total/p.  With a, b = divmod(total, p), a*c + (b*c)//p equals
         # (total*c)//p exactly and cannot overflow (b*c < p**2).
-        sub_flat = np.concatenate(sub_sizes)  # a level has an active island
-        sub_off = np.zeros(n_act + 1, dtype=np.int64)
-        np.cumsum(r_act, out=sub_off[1:])
-        cum = np.cumsum(sub_flat)
-        cum -= np.repeat(cum[sub_off[:-1]] - sub_flat[sub_off[:-1]], r_act)
-        keep = np.ones(int(sub_off[-1]), dtype=bool)
-        keep[sub_off[1:] - 1] = False
+        isl_totals = np.add.reduceat(data_sizes, act_off[:-1])
+        cum = np.cumsum(sub_sizes) - np.repeat(act_off[:-1], r_act)
+        keep = np.ones(cum.size, dtype=bool)
+        keep[np.cumsum(r_act) - 1] = False
         nr = r_act - 1
         p_rep = np.repeat(act_sizes, nr)
         a, b = np.divmod(np.repeat(isl_totals, nr), p_rep)
         c = cum[keep]
         ranks_flat = a * c + (b * c) // p_rep
-        ranks_per_island = np.split(ranks_flat, np.cumsum(nr)[:-1])
         selections = multisequence_select_batched(
-            islands, dist_b, ranks_per_island, level
+            islands, dist_b, np.split(ranks_flat, np.cumsum(nr)[:-1]), level
         )
 
     # ------------------------------------------------------------------
-    # 2. Pieces: consecutive slices of the sorted segments
+    # 2. Pieces: consecutive slices of the sorted segments, sized (island,
+    #    PE, group) by the gaps between 0, the PE's splits and its size
     # ------------------------------------------------------------------
-    piece_mats = []
-    for k in range(n_act):
-        pk = int(act_sizes[k])
-        bounds = np.vstack([
-            np.zeros((1, pk), dtype=np.int64),
-            selections[k].splits,
-            data_sizes[act_off[k]:act_off[k + 1]][None, :],
-        ])
-        piece_mats.append(np.diff(bounds, axis=0).T.astype(np.int64))
+    r_pe = np.repeat(r_act, act_sizes)
+    first = np.cumsum(r_pe) - r_pe  # every PE's first piece
+    ends = np.repeat(data_sizes, r_pe)  # a PE's last piece ends at its size
+    inner = np.ones(ends.size, dtype=bool)
+    inner[first + r_pe - 1] = False
+    ends[inner] = np.concatenate([s.splits.T.reshape(-1) for s in selections])
+    piece_len = np.diff(ends, prepend=0)
+    piece_len[first] = ends[first]  # a PE's first piece starts at 0
 
     # ------------------------------------------------------------------
     # 3. Data delivery for every island at once
     # ------------------------------------------------------------------
-    delivery = deliver_to_groups_batched(
+    delivered = deliver_to_groups_batched(
         islands,
+        r_act,
         sub_sizes,
         dist_b.values,
-        piece_mats,
-        method=config.delivery,
+        piece_len,
+        method=delivery,
         seed=machine.seed + level + 1,
+        schedule=schedule,
     )
-    received = delivery.received
 
     # ------------------------------------------------------------------
     # 4. Bucket processing: one segmented sort merges all received runs
     # ------------------------------------------------------------------
     with comm.phase(PHASE_BUCKET_PROCESSING):
-        merged = received.sort_segments()
+        merged = delivered.received.sort_segments()
         machine.advance_many(
-            batch_members,
+            islands.members,
             map_by_unique2(
-                delivery.received_sizes,
-                np.maximum(2, delivery.nonempty_runs),
+                delivered.received_sizes,
+                np.maximum(2, delivered.nonempty_runs),
                 lambda m, w: spec.local_merge_time(m, w),
             ),
         )
@@ -265,7 +252,7 @@ def _rlm_level_batched(
     # 5. Next-level island layout (+ pass-through of singleton islands)
     # ------------------------------------------------------------------
     return _level_result(
-        dist, isl_offsets, active, batch_ranks, merged, sub_sizes
+        dist, isl_offsets, active, batch_ranks, merged, r_act, sub_sizes
     )
 
 
@@ -273,32 +260,16 @@ def _rlm_sort_flat(comm, dist: DistArray, config: RLMConfig) -> DistArray:
     """RLM-sort on the flat engine: the whole recursion in lockstep.
 
     The first-level local sort and every post-delivery multiway merge are
-    single segmented stable sorts of the flat buffer; the exact splitting of
-    all islands of a level runs as one batched multisequence selection, and
+    single segmented sorts of the flat buffer; the exact splitting of all
+    islands of a level runs as one batched multisequence selection, and
     the piece delivery of a level is one whole-machine batch.  Deeper levels
     receive data that is already locally sorted, so after the last level the
     array is globally sorted and perfectly balanced.
     """
-    p = comm.size
-
-    # ------------------------------------------------------------------
-    # Local sorting (first level only)
-    # ------------------------------------------------------------------
-    with comm.phase(PHASE_LOCAL_SORT):
-        dist = dist.sort_segments()
-        comm.charge_sort(dist.sizes())
-    if p == 1:
-        return dist
-
-    plan = config.plan_for(p)
-    isl_offsets = np.array([0, p], dtype=np.int64)
-    level = 0
-    while int(np.diff(isl_offsets).max(initial=0)) > 1:
-        dist, isl_offsets = _rlm_level_batched(
-            comm, dist, isl_offsets, config, level, plan
-        )
-        level += 1
-    return dist
+    return _run_levels(comm, dist, partial(
+        _rlm_level_batched, comm, plan=config.plan_for(comm.size),
+        delivery=config.delivery, schedule="sparse",
+    ), sort_first=True)
 
 
 def rlm_sort(

@@ -36,8 +36,9 @@ Design:
   release; they simply are not re-pooled when recycled afterwards.
 * Everything here is bookkeeping: a checkout is ``np.empty`` semantics
   (uninitialised), so call sites must fully overwrite before reading,
-  and outputs stay byte-identical with the arena on, off
-  (``REPRO_ARENA=off``) or released at any point.
+  and outputs stay byte-identical with the arena pooling, replaced by a
+  fresh-allocating :class:`NullArena` (``set_arena``) or released at any
+  point.
 
 The arena is deliberately per *process*: the engine simulates one
 machine at a time, ``SimulatedMachine`` holds the process arena and
@@ -59,7 +60,6 @@ __all__ = [
     "get_arena",
     "set_arena",
     "reset_arena",
-    "arena_enabled",
 ]
 
 
@@ -223,7 +223,7 @@ class WorkspaceArena:
 
 
 class NullArena:
-    """Arena-shaped front for plain numpy allocation (``REPRO_ARENA=off``).
+    """Arena-shaped front for plain numpy allocation (see ``set_arena``).
 
     Every checkout is a fresh allocation and :meth:`recycle` does nothing,
     which restores the pre-arena allocation behaviour exactly — the
@@ -264,21 +264,11 @@ class NullArena:
 _ARENA: Optional[object] = None
 
 
-def arena_enabled() -> bool:
-    """Whether ``REPRO_ARENA`` selects the pooling arena (default on)."""
-    return os.environ.get("REPRO_ARENA", "on").lower() not in (
-        "off",
-        "0",
-        "no",
-        "false",
-    )
-
-
 def get_arena():
-    """The process arena, created on first use per the ``REPRO_ARENA`` toggle."""
+    """The process arena, a :class:`WorkspaceArena` created on first use."""
     global _ARENA
     if _ARENA is None:
-        _ARENA = WorkspaceArena() if arena_enabled() else NullArena()
+        _ARENA = WorkspaceArena()
     return _ARENA
 
 

@@ -168,9 +168,39 @@ class TestDeliveryValidation:
         island = GroupBatch(machine, np.arange(2), np.array([0, 2]))
         with pytest.raises(ValueError, match="at least one target group"):
             deliver_to_groups_batched(
-                island, [np.empty(0, dtype=np.int64)], np.empty(0),
-                [np.zeros((2, 0), dtype=np.int64)], method=method,
+                island, np.array([0]), np.empty(0, dtype=np.int64),
+                np.empty(0), np.empty(0, dtype=np.int64), method=method,
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("group_counts", np.array([2]), "one group count per island"),
+        ("subgroup_sizes", np.array([2, 1]),
+         "sub-groups must partition their island"),
+        ("subgroup_sizes", np.array([2, 1, 1]),
+         "sub-groups must partition their island"),
+        ("piece_sizes", np.ones(7, dtype=np.int64),
+         r"one piece size per \(island, PE, group\)"),
+        ("piece_values", np.arange(5), "piece_values size does not match"),
+    ], ids=["group-counts", "subgroup-count", "subgroup-sum", "piece-sizes",
+            "piece-values"])
+    def test_batched_malformed_flat_layout(self, field, value, message):
+        """Each malformed flat level layout raises its own ``ValueError``.
+
+        The valid layout: islands of 3 and 2 PEs, split into 2 and 1
+        sub-groups, six plus two pieces of one element each.
+        """
+        machine = SimulatedMachine(5, spec=laptop_like())
+        islands = GroupBatch(machine, np.arange(5), np.array([0, 3, 5]))
+        args = dict(
+            group_counts=np.array([2, 1]),
+            subgroup_sizes=np.array([2, 1, 2]),
+            piece_values=np.arange(8),
+            piece_sizes=np.ones(8, dtype=np.int64),
+        )
+        deliver_to_groups_batched(islands, **args)
+        args[field] = value
+        with pytest.raises(ValueError, match=message):
+            deliver_to_groups_batched(islands, **args)
 
     def test_batched_deterministic_key_overflow_raises(self):
         """Composed (pair, position) keys past int64 raise, never fall back.
@@ -300,20 +330,22 @@ class TestDeliveryProperties:
 def batched_inputs(shapes, pieces, piece_layout):
     """``deliver_to_groups_batched`` inputs for islands of ``(p, r)`` shapes.
 
-    Returns the island offsets, the per-island sub-group sizes (``Comm.split``
-    sizes) and piece-size matrices, and the flat piece buffer.
+    Returns the island offsets, the group counts, the flat sub-group sizes
+    (``Comm.split`` sizes) and ``(island, PE, group)`` piece sizes, and the
+    flat piece buffer.
     """
     offsets = np.concatenate([[0], np.cumsum([p for p, _ in shapes])])
-    group_sizes = [np.array([g.size for g in np.array_split(np.arange(p), r)])
-                   for p, r in shapes]
-    sizes = [np.array([[x.size for x in row] for row in isl], dtype=np.int64)
-             for isl in pieces]
+    counts = np.array([r for _, r in shapes])
+    group_sizes = np.array([g.size for p, r in shapes
+                            for g in np.array_split(np.arange(p), r)])
+    sizes = np.array([x.size for isl in pieces for row in isl for x in row],
+                     dtype=np.int64)
     if piece_layout == "rowmaj":
         parts = [x for isl in pieces for row in isl for x in row]
     else:
         parts = [isl[i][j] for isl, (p, r) in zip(pieces, shapes)
                  for j in range(r) for i in range(p)]
-    return offsets, group_sizes, sizes, np.concatenate(parts)
+    return offsets, counts, group_sizes, sizes, np.concatenate(parts)
 
 
 class TestBatchedDeliveryEquivalence:
@@ -344,7 +376,7 @@ class TestBatchedDeliveryEquivalence:
 
         m_flat = SimulatedMachine(p, spec=laptop_like(), seed=9, faults=faults)
         island = GroupBatch(m_flat, np.arange(p), np.array([0, p]))
-        sizes = np.array([[piece.size for piece in row] for row in pieces])
+        sizes = np.array([piece.size for row in pieces for piece in row])
         if piece_layout == "rowmaj":
             values = np.concatenate([piece for row in pieces for piece in row])
         else:
@@ -353,7 +385,7 @@ class TestBatchedDeliveryEquivalence:
             )
         group_sizes = np.array([g.size for g in m_flat.world().split(r)])
         res = deliver_to_groups_batched(
-            island, [group_sizes], values, [sizes],
+            island, np.array([r]), group_sizes, values, sizes,
             piece_layout=piece_layout, **kwargs
         )
 
@@ -397,13 +429,13 @@ class TestBatchedDeliveryEquivalence:
         ]
         out = {}
         for layout in ("rowmaj", "colmaj"):
-            offsets, group_sizes, sizes, values = batched_inputs(
+            offsets, counts, group_sizes, sizes, values = batched_inputs(
                 shapes, pieces, layout
             )
             machine = SimulatedMachine(int(offsets[-1]), spec=laptop_like(), seed=9)
             res = deliver_to_groups_batched(
                 GroupBatch(machine, np.arange(offsets[-1]), offsets),
-                group_sizes, values, sizes,
+                counts, group_sizes, values, sizes,
                 method=method, seed=seed, piece_layout=layout,
             )
             out[layout] = (res, machine)
@@ -446,7 +478,7 @@ class TestBatchedDeliveryEquivalence:
             skewed_pieces(p, r, seed + k, skew)
             for k, (p, r) in enumerate(shapes)
         ]
-        offsets, group_sizes, sizes, values = batched_inputs(
+        offsets, counts, group_sizes, sizes, values = batched_inputs(
             shapes, pieces, piece_layout
         )
         total_p = int(offsets[-1])
@@ -461,8 +493,8 @@ class TestBatchedDeliveryEquivalence:
 
         m_flat = SimulatedMachine(total_p, spec=laptop_like(), seed=9, faults=faults)
         res = deliver_to_groups_batched(
-            GroupBatch(m_flat, np.arange(total_p), offsets), group_sizes,
-            values, sizes, piece_layout=piece_layout, **kwargs
+            GroupBatch(m_flat, np.arange(total_p), offsets), counts,
+            group_sizes, values, sizes, piece_layout=piece_layout, **kwargs
         )
 
         for k, ref in enumerate(refs):
@@ -496,12 +528,12 @@ class TestBatchedDeliveryEquivalence:
             skewed_pieces(p, r, 11 + k, skew=True)
             for k, (p, r) in enumerate(shapes)
         ]
-        offsets, group_sizes, sizes, values = batched_inputs(
+        offsets, counts, group_sizes, sizes, values = batched_inputs(
             shapes, pieces, "colmaj"
         )
         machine = SimulatedMachine(int(offsets[-1]), spec=laptop_like(), seed=9)
         res = deliver_to_groups_batched(
-            GroupBatch(machine, np.arange(offsets[-1]), offsets),
+            GroupBatch(machine, np.arange(offsets[-1]), offsets), counts,
             group_sizes, values, sizes, method="naive", piece_layout="colmaj",
         )
         assert res.received.values is values

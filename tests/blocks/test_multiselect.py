@@ -9,6 +9,7 @@ from repro.blocks.multiselect import (
     multisequence_select_batched,
 )
 from repro.dist.array import DistArray
+from repro.dist.ctr_rng import CounterRNG
 from repro.machine.spec import laptop_like
 from repro.seq.select import (
     split_positions_are_consistent,
@@ -108,6 +109,26 @@ class TestMultisequenceSelect:
         data = sorted_local_data(4, [100] * 4, seed=5)
         multisequence_select(comm, data, [200])
         assert comm.machine.elapsed() > 0
+
+    def test_reference_draws_each_round_in_one_call(self, monkeypatch):
+        """Every live rank of a pivot round draws in one counter call, as
+        in the batched selection: each call holds one round, and the
+        calls' rounds strictly increase."""
+        rounds = []
+        draw = CounterRNG.integers
+
+        def recording(rng, level, pe, index, bound):
+            rounds.append(np.unique(np.asarray(index) >> 32).tolist())
+            return draw(rng, level, pe, index, bound)
+
+        monkeypatch.setattr(CounterRNG, "integers", recording)
+        comm = make_comm(4)
+        data = sorted_local_data(4, [60] * 4, seed=4)
+        result = multisequence_select(comm, data, [30, 90, 150, 200])
+        assert rounds and all(len(r) == 1 for r in rounds)
+        per_call = [r[0] for r in rounds]
+        assert per_call == sorted(set(per_call))
+        assert per_call[-1] <= result.iterations
 
     def test_splits_monotone_across_ranks(self):
         comm = make_comm(4)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blocks.sampling import SamplingParams
-from repro.core.ams_sort import ams_sort
+from repro.core.ams_sort import _split_sizes, ams_sort
 from repro.core.config import AMSConfig
 from repro.core.validation import check_globally_sorted, check_permutation, output_imbalance
 from repro.machine.counters import PAPER_PHASES
 from repro.machine.spec import laptop_like
+from repro.sim.comm import Comm
 from repro.sim.machine import SimulatedMachine
 from repro.workloads.generators import per_pe_workload
 
@@ -144,3 +145,24 @@ class TestAMSProperty:
                           config=AMSConfig(levels=levels, node_size=2))
         assert check_globally_sorted(output)
         assert check_permutation(data, output)
+
+
+class TestLevelLayout:
+    """The flat level layout every level executor hands to the delivery."""
+
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=12),
+           st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_split_sizes_match_comm_split(self, sizes, seed):
+        """One call over a batch of islands gives each island's
+        ``Comm.split`` group sizes, island after island."""
+        p = np.array(sizes, dtype=np.int64)
+        r = np.random.default_rng(seed).integers(1, p + 1)
+        machine = SimulatedMachine(int(p.max()), spec=laptop_like())
+        want = [
+            g.size for pk, rk in zip(p.tolist(), r.tolist())
+            for g in Comm(machine, np.arange(pk)).split(rk)
+        ]
+        got = _split_sizes(p, r)
+        assert got.dtype == np.int64
+        assert got.tolist() == want

@@ -336,21 +336,22 @@ class TestBaselineEquivalence:
         assert_engines_identical(*BASELINES[name], p, data, 40 + p)
 
     @pytest.mark.parametrize("p", [1, 2, 33, 100])
-    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort", "mergesort"])
     def test_machine_sizes(self, name, p):
         data = random_data(p, 60, 50 + p)
         assert_engines_identical(*BASELINES[name], p, data, 50 + p)
 
     @pytest.mark.parametrize("p", [2, 33, 100])
-    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort", "mergesort"])
     def test_fewer_keys_than_pes(self, name, p):
-        """``n < p``: quicksort islands with no sample, hence no pivot."""
+        """``n < p``: quicksort islands with no sample, hence no pivot, and
+        mergesort PEs that hold and receive nothing."""
         rng = np.random.default_rng(p)
         data = [rng.integers(0, 100, int(rng.random() < 0.3)) for _ in range(p)]
         assert sum(d.size for d in data) < p
         assert_engines_identical(*BASELINES[name], p, data, p)
 
-    @pytest.mark.parametrize("name", ["samplesort", "quicksort"])
+    @pytest.mark.parametrize("name", ["samplesort", "quicksort", "mergesort"])
     def test_all_equal_keys(self, name):
         rng = np.random.default_rng(5)
         data = [np.full(rng.integers(0, 40), 7) for _ in range(33)]

@@ -14,7 +14,6 @@ from repro.dist import flatops
 from repro.dist.workspace import (
     NullArena,
     WorkspaceArena,
-    arena_enabled,
     get_arena,
     reset_arena,
     set_arena,
@@ -152,18 +151,7 @@ class TestNullArena:
         assert np.array_equal(null.arange(10), np.arange(10))
         assert not null.zeros(5).any()
 
-    def test_env_toggle_selects_null(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA", "off")
-        assert not arena_enabled()
-        reset_arena()
-        try:
-            assert isinstance(get_arena(), NullArena)
-        finally:
-            reset_arena()
-
-    def test_default_is_pooling(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARENA", raising=False)
-        assert arena_enabled()
+    def test_default_is_pooling(self):
         reset_arena()
         try:
             assert isinstance(get_arena(), WorkspaceArena)

@@ -143,6 +143,18 @@ class TestExpansion:
         with pytest.raises(KeyError):
             cm.expand_campaign(MICRO_PROFILE, workloads=("fractal",))
 
+    def test_large_comparison_caps_mergesort(self):
+        """Mergesort's p * (p - 1) selection windows stop it at p = 4,096;
+        the other algorithms still reach the large profile's p = 8,192."""
+        cells = cm.expand_campaign(
+            scale_profile("large"), experiments=("comparison",)
+        )
+        merge_ps = {c.p for c in cells if c.algorithm == "mergesort"}
+        assert merge_ps and max(merge_ps) <= cm.MERGESORT_MAX_P == 4096
+        for algorithm in ("ams", "samplesort", "quicksort"):
+            assert 8192 in {c.p for c in cells if c.algorithm == algorithm}
+        assert "mergesort only up to p = 4096" in cm._SECTION_TITLES["comparison"]
+
     def test_paper_profile_rules(self):
         profile = scale_profile("paper")
         cells = cm.expand_campaign(profile)
