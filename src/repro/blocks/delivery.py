@@ -462,9 +462,18 @@ def deliver_to_groups(
 # algorithms above, called by :func:`deliver_to_groups_batched`.  Pieces
 # are given as one flat value buffer plus one flat vector of piece sizes;
 # messages are built as flat ``(src, dest, start, length)`` index arrays
-# instead of per-piece Python loops.  Every port emits *exactly* the
-# message stream of its per-PE counterpart (same sources, destinations and
-# payload slices), which keeps costs and data byte-identical.
+# instead of per-piece Python loops.  Every assignment but the phase-1
+# small pieces of the deterministic one lays each (island, group) pair's
+# pieces out back to back and cuts that stream at its PEs' slot starts,
+# all pairs in one :func:`_cut_streams`: at uniform blocks for the
+# naive, randomized and advanced deliveries, and at the residual
+# capacities for the deterministic phase 2.  Islands whose groups are
+# all single PEs skip the enumeration and the cut: each of their pieces
+# is one whole message (``whole`` in :func:`deliver_to_groups_batched`),
+# which keeps the p * r pieces of a single-level sort out of the cut's
+# temporaries.  Every port emits *exactly* the message stream of its
+# per-PE counterpart (same sources, destinations and payload slices),
+# which keeps costs and data byte-identical.
 
 
 def _enumerate_pieces(
@@ -476,11 +485,11 @@ def _enumerate_pieces(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pieces of islands ``sel`` in (island, group, sender) order.
 
-    A delivery's one enumeration, read by the column-major piece starts
-    and the deterministic and prefix-sum assignments.  Returns per piece
-    its index into the row-major (island, sender, group) piece list, its
-    sender's batch rank and its position in its island's column-major
-    (group, sender) order.
+    A delivery's one enumeration: the column-major piece starts, the
+    deterministic assignment and the streams the prefix-sum assignments
+    cut all read it.  Returns per piece its index into the row-major
+    (island, sender, group) piece list, its sender's batch rank and its
+    position in its island's column-major (group, sender) order.
     """
     pcs = p_k[sel] * r_k[sel]
     pos = concat_ranges(np.zeros(sel.size, dtype=np.int64), pcs)
@@ -514,6 +523,54 @@ def _randomized_order(
     return order
 
 
+def _cut_streams(
+    sz: np.ndarray,
+    st: np.ndarray,
+    sender: np.ndarray,
+    pair_len: np.ndarray,
+    slot_start: np.ndarray,
+    p_g: np.ndarray,
+    g_start: np.ndarray,
+) -> np.ndarray:
+    """Cut every (island, group) pair's piece stream at its PEs' slots.
+
+    The pieces (sizes ``sz``, buffer starts ``st``, senders ``sender``)
+    come pair by pair, ``pair_len`` of them in each pair's stream order.
+    ``slot_start`` lists every pair's ``p_g`` nondecreasing slot starts,
+    the first 0, and ``g_start`` the batch rank of the pair's first PE.
+    Position ``x`` of a pair's stream goes to the last PE whose slot
+    starts at or before ``x`` (the last PE takes the rest), so a piece
+    becomes one message per non-empty slot it meets, in stream order and
+    ascending PE.  Returns the stacked ``(src, dest, start, length)``
+    messages.
+    """
+    # One stream coordinate for all pairs: piece i spans [bound[i],
+    # bound[i + 1]), each pair starts where the one before it ends, and
+    # its slot starts are clamped to its end, so the slot edges of all
+    # pairs ascend together.  Of every run of equal edges only the last PE
+    # receives anything, and an edge at the stream's end receives nothing.
+    bound = np.zeros(sz.size + 1, dtype=np.int64)
+    np.cumsum(sz, out=bound[1:])
+    pair_off = np.zeros(pair_len.size + 1, dtype=np.int64)
+    np.cumsum(pair_len, out=pair_off[1:])
+    base = bound[pair_off]
+    edge = np.repeat(base[:-1], p_g) + np.minimum(
+        slot_start, np.repeat(np.diff(base), p_g)
+    )
+    slot = np.flatnonzero(edge < np.append(edge[1:], bound[-1]))
+    dest = np.repeat(g_start - (np.cumsum(p_g) - p_g), p_g)[slot] + slot
+    edge = np.append(edge[slot], bound[-1])
+    piece = np.flatnonzero(sz)
+    first = np.searchsorted(edge, bound[piece], side="right") - 1
+    cnt = np.searchsorted(edge, bound[piece + 1], side="left") - first
+    piece = np.repeat(piece, cnt)
+    slot = concat_ranges(first, cnt)
+    at = bound[piece]
+    lo = np.maximum(edge[slot], at)
+    hi = np.minimum(edge[slot + 1], bound[piece + 1])
+    return np.stack([sender[piece], dest[slot], st[piece] + (lo - at), hi - lo])
+
+
 def _flat_assign_by_prefix_batched(
     sz: np.ndarray,
     st: np.ndarray,
@@ -526,34 +583,16 @@ def _flat_assign_by_prefix_batched(
 
     The pieces come pair by pair, ``pair_len`` of them in each pair's
     enumeration order; ``p_g`` and ``g_start`` are every pair's group size
-    and first batch rank.  A pair lays its ``m`` elements out back to back
-    and hands position ``x`` to group PE ``min(x // ceil(m / p_g), p_g - 1)``,
-    so a piece becomes one message per group PE its positions meet.
-    Returns the stacked ``(src, dest, start, length)`` messages.
+    and first batch rank.  A pair of ``m`` elements cuts its stream at the
+    uniform slot starts ``k * ceil(m / p_g)`` (:func:`_cut_streams`), so
+    position ``x`` goes to group PE ``min(x // ceil(m / p_g), p_g - 1)``.
     """
-    pair_off = np.zeros(pair_len.size + 1, dtype=np.int64)
-    np.cumsum(pair_len, out=pair_off[1:])
-    csum = np.zeros(sz.size + 1, dtype=np.int64)
-    np.cumsum(sz, out=csum[1:])
-    block = np.maximum(1, -(-(csum[pair_off[1:]] - csum[pair_off[:-1]]) // p_g))
-    nz = np.flatnonzero(sz > 0)
-    pair = np.repeat(np.arange(pair_len.size, dtype=np.int64), pair_len)[nz]
-    at = csum[nz] - csum[pair_off[pair]]  # position of each piece in its pair
-    end = at + sz[nz]
-    b = block[pair]
-    first = np.minimum(at // b, p_g[pair] - 1)
-    cnt = np.minimum((end - 1) // b, p_g[pair] - 1) - first + 1
-    msg = np.repeat(np.arange(nz.size, dtype=np.int64), cnt)
-    pe = concat_ranges(first, cnt)
-    lo = pe * b[msg]
-    hi = lo + b[msg]
-    head = np.cumsum(cnt) - cnt
-    lo[head] = at
-    hi[head + cnt - 1] = end
-    return np.stack([
-        sender[nz][msg], g_start[pair][msg] + pe,
-        st[nz][msg] + (lo - at[msg]), hi - lo,
-    ])
+    bound = np.zeros(sz.size + 1, dtype=np.int64)
+    np.cumsum(sz, out=bound[1:])
+    m = np.diff(bound[np.cumsum(np.append(0, pair_len))])
+    block = np.repeat(np.maximum(1, -(-m // p_g)), p_g)
+    k = np.arange(block.size) - np.repeat(np.cumsum(p_g) - p_g, p_g)
+    return _cut_streams(sz, st, sender, pair_len, k * block, p_g, g_start)
 
 
 def _flat_assign_deterministic_batched(
@@ -572,18 +611,14 @@ def _flat_assign_deterministic_batched(
     (:func:`_enumerate_pieces`); ``p_g`` and ``g_start`` give every
     ``(island, group)`` pair's group size and the batch rank of its first
     PE.  Runs the two-phase deterministic assignment of every pair at
-    once: phase-1 small pieces place by a segmented enumeration count,
-    phase-2 large pieces split against the residual capacities through
-    one composed-key interval merge — no Python loop over islands or
-    groups.  Emits exactly the messages of the per-PE reference; their
-    order differs, which is unobservable because the deterministic
-    assignment sends at most one message per ``(source, destination)``
-    pair.  Returns the stacked ``(src, dest, start, length)`` message
-    matrix (``(4, 0)`` when nothing is sent).
-
-    Raises :class:`OverflowError` when the composed ``(pair, position)``
-    keys do not fit in int64, which needs ``p * n >= 2**61`` for ``p`` PEs
-    and ``n`` keys.
+    once: phase-1 small pieces place by a segmented enumeration count, and
+    phase 2 lays every pair's large pieces out back to back and cuts them
+    at the exclusive prefix sums of the residual capacities
+    (:func:`_cut_streams`) — no Python loop over islands or groups.  Emits
+    exactly the messages of the per-PE reference; their order differs,
+    which is unobservable because the deterministic assignment sends at
+    most one message per ``(source, destination)`` pair.  Returns the
+    stacked ``(src, dest, start, length)`` message matrix.
     """
     pcs = p_k * r_k
     g_off = np.zeros(p_k.size + 1, dtype=np.int64)
@@ -600,8 +635,6 @@ def _flat_assign_deterministic_batched(
     isl_tot = np.add.reduceat(m_j, g_off[:-1])
     thr_rep = np.repeat(np.maximum(1, isl_tot // (2 * pcs)), pcs)
 
-    parts: List[np.ndarray] = []
-
     # Phase 1: small pieces whole, round-robin by enumeration index.
     small = (sz > 0) & (sz <= thr_rep)
     excl = np.cumsum(small.astype(np.int64)) - small
@@ -610,131 +643,29 @@ def _flat_assign_deterministic_batched(
         p_g[pair_of_piece] - 1, s_idx // np.maximum(1, np.repeat(r_k, pcs))
     )
     sm = np.flatnonzero(small)
-    if sm.size:
-        parts.append(np.stack([
-            sender[sm], g_start[pair_of_piece[sm]] + pe_small[sm],
-            st[sm], sz[sm],
-        ]))
+    pe_small = pe_small[sm]
+    phase1 = np.stack([
+        sender[sm], g_start[pair_of_piece[sm]] + pe_small, st[sm], sz[sm],
+    ])
 
-    # Residual capacities per (pair, group PE) slot.
-    slot_off = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(p_g, out=slot_off[1:])
-    total_slots = int(slot_off[-1])
+    # Phase 2: large pieces fill the residual capacities per (pair, group
+    # PE) slot.  The residuals of a pair sum to at least p_g * cap minus
+    # its small pieces, which is at least its large pieces, so the
+    # reference's capacity bump never fires.
+    slot_off = np.cumsum(p_g) - p_g
     load = np.bincount(
-        slot_off[pair_of_piece[sm]] + pe_small[sm],
-        weights=sz[sm], minlength=total_slots,
+        slot_off[pair_of_piece[sm]] + pe_small,
+        weights=sz[sm], minlength=int(p_g.sum()),
     ).astype(np.int64)
-    large = sz > thr_rep
-    large_total = np.add.reduceat(
-        np.where(large, sz, 0), pair_off[:-1]
-    )
-    cap = -(-m_j // np.maximum(p_g, 1))
-    residual = np.maximum(0, np.repeat(cap, p_g) - load)
-    res_sum = np.add.reduceat(residual, slot_off[:-1])
-    bump = np.where(
-        res_sum < large_total,
-        -(-(large_total - res_sum) // np.maximum(p_g, 1)),
-        0,
-    )
-    cap = cap + bump
-    residual = np.maximum(0, np.repeat(cap, p_g) - load)
-
-    # Phase 2: large pieces fill the residuals.  All pairs with large
-    # pieces run one composed-key interval merge: candidate split points
-    # are the large-piece bounds and the interior residual prefixes, keyed
-    # by (pair, position) so one sort + dedupe + two searchsorted calls
-    # produce every pair's message intervals at once.
-    lp = np.flatnonzero(large_total > 0)
-    if lp.size == 0:
-        return (np.concatenate(parts, axis=1) if parts
-                else np.empty((4, 0), dtype=np.int64))
-    n_lp = int(lp.size)
-    lp_flag = np.zeros(n_pairs, dtype=bool)
-    lp_flag[lp] = True
-    dense = np.zeros(n_pairs, dtype=np.int64)
-    dense[lp] = np.arange(n_lp, dtype=np.int64)
-
-    lg = np.flatnonzero(large & lp_flag[pair_of_piece])
-    l_pair = pair_of_piece[lg]
-    l_cnt = np.bincount(dense[l_pair], minlength=n_lp)
-    l_off = np.zeros(n_lp + 1, dtype=np.int64)
-    np.cumsum(l_cnt, out=l_off[1:])
-    l_sz = sz[lg]
-    lexcl = np.cumsum(l_sz) - l_sz
-    lexcl = lexcl - np.repeat(lexcl[l_off[:-1]], l_cnt)  # bounds[piece]
-
-    # Candidate points: each large piece's lower bound, each pair's total,
-    # and the interior residual prefixes strictly inside (0, total).
-    res_in_lp = residual[concat_ranges(slot_off[lp], p_g[lp])]
-    rexcl = np.cumsum(res_in_lp) - res_in_lp
-    rp_pair = np.repeat(np.arange(n_lp, dtype=np.int64), p_g[lp])
-    rexcl = rexcl - np.repeat(rexcl[np.cumsum(p_g[lp]) - p_g[lp]], p_g[lp])
-    cut_keep = (rexcl > 0) & (rexcl < large_total[lp][rp_pair])
-
-    vmax = max(int(large_total[lp].max()), int(rexcl.max(initial=0)))
-    bits = max(1, vmax.bit_length())
-    if (n_lp << bits) >= (1 << 62):
-        raise OverflowError("composed delivery keys would overflow int64")
-    key = np.int64(1) << np.int64(bits)
-    # The piece bounds are already sorted (pair-major, ascending within
-    # each pair) and so are the residual cuts, so the candidate points
-    # merge by insertion — no sort.
-    nb = l_cnt + 1
-    nb_off = np.zeros(n_lp + 1, dtype=np.int64)
-    np.cumsum(nb, out=nb_off[1:])
-    # The candidate-point planes (m1, the merged pts buffer and its scatter
-    # index) are piece-scale scratch, dead once the unique points are
-    # extracted — all workspace checkouts.
-    ws = get_arena()
-    m1 = ws.empty(int(nb_off[-1]), np.int64)
-    idx = concat_ranges(nb_off[:-1], l_cnt, arena=ws)
-    m1[idx] = dense[l_pair] * key + lexcl
-    ws.recycle(idx)
-    m1[nb_off[1:] - 1] = dense[lp] * key + large_total[lp]
-    ck = rp_pair[cut_keep] * key + rexcl[cut_keep]
-    cpos = np.searchsorted(m1, ck, side="left") + \
-        np.arange(ck.size, dtype=np.int64)
-    pts_buf = ws.empty(m1.size + ck.size, np.int64)
-    keep_m = np.ones(pts_buf.size, dtype=bool)
-    keep_m[cpos] = False
-    pts_buf[cpos] = ck
-    pts_buf[keep_m] = m1
-    ws.recycle(m1)
-    uniq = np.ones(pts_buf.size, dtype=bool)
-    uniq[1:] = pts_buf[1:] != pts_buf[:-1]
-    pts = pts_buf[uniq]
-    ws.recycle(pts_buf)
-    pt_pair = pts >> np.int64(bits)
-    pt_val = pts & (key - 1)
-    # Intervals: consecutive unique points of the same pair.
-    same = pt_pair[1:] == pt_pair[:-1]
-    ivl = np.flatnonzero(same)
-    abs_start = pt_val[ivl]
-    lengths = pt_val[ivl + 1] - abs_start
-    ivl_pair = pt_pair[ivl]
-
-    # Piece of every interval: composed-key bisection into the bounds.
-    bound_keys = dense[l_pair] * key + lexcl
-    piece_idx = np.searchsorted(
-        bound_keys, ivl_pair * key + abs_start, side="right"
-    ) - 1 - l_off[ivl_pair]
-    piece = lg[l_off[ivl_pair] + piece_idx]
-    # Destination PE: composed-key bisection into the residual prefixes.
-    rp_off = np.zeros(n_lp + 1, dtype=np.int64)
-    np.cumsum(p_g[lp], out=rp_off[1:])
-    res_keys = rp_pair * key + rexcl
-    pe = np.minimum(
-        np.searchsorted(res_keys, ivl_pair * key + abs_start, side="right")
-        - 1 - rp_off[ivl_pair],
-        p_g[lp][ivl_pair] - 1,
-    )
-    parts.append(np.stack([
-        sender[piece],
-        g_start[lp[ivl_pair]] + pe,
-        st[piece] + (abs_start - lexcl[l_off[ivl_pair] + piece_idx]),
-        lengths,
-    ]))
-    return np.concatenate(parts, axis=1)
+    residual = np.maximum(0, np.repeat(-(-m_j // p_g), p_g) - load)
+    res_start = np.cumsum(residual) - residual
+    res_start -= np.repeat(res_start[slot_off], p_g)
+    lg = np.flatnonzero(sz > thr_rep)
+    return np.concatenate([phase1, _cut_streams(
+        sz[lg], st[lg], sender[lg],
+        np.bincount(pair_of_piece[lg], minlength=n_pairs),
+        res_start, p_g, g_start,
+    )], axis=1)
 
 
 def _flat_chunks_for_group(
@@ -970,7 +901,7 @@ def deliver_to_groups_batched(
 
         # The other islands' pieces, enumerated once (island, group,
         # sender); the naive and randomized prefix sums and the
-        # deterministic assignment run over all of them in one pass.
+        # deterministic assignment each cut all of them in one pass.
         sel = np.flatnonzero(~whole)
         if sel.size and (method != "advanced" or starts_flat is None):
             idx, sender, pos = _enumerate_pieces(p_k, r_k, piece_off, isl_off, sel)

@@ -172,22 +172,22 @@ def multisequence_select(
             pivots[t] = (runs[q][pos], q, pos)
 
         # --- local counting: elements <= pivot inside the candidate window --
+        # A PE searches its whole sorted run for every drawing rank's pivot
+        # at once; clipped into a rank's window, that is the window search.
         counts = np.zeros((num_ranks, p), dtype=np.int64)
         search_ops = np.zeros(p, dtype=np.int64)
-        for t, (pv, q, pos) in a_items(pivots):
-            for i in range(p):
-                lo_i, hi_i = int(lo[t, i]), int(hi[t, i])
-                if hi_i <= lo_i:
-                    continue
-                window = runs[i][lo_i:hi_i]
-                if i < q:
-                    cnt = int(np.searchsorted(window, pv, side="right"))
-                elif i > q:
-                    cnt = int(np.searchsorted(window, pv, side="left"))
-                else:
-                    cnt = pos - lo_i + 1
-                counts[t, i] = cnt
-                search_ops[i] += 1
+        pv, q, pos = (np.array(col) for col in zip(*(pivots[t] for t in rows)))
+        for i in range(p):
+            lo_i, hi_i = lo[rows, i], hi[rows, i]
+            cnt = np.where(
+                q > i,
+                np.searchsorted(runs[i], pv, side="right"),
+                np.searchsorted(runs[i], pv, side="left"),
+            )
+            cnt = np.where(q == i, pos + 1, np.clip(cnt, lo_i, hi_i)) - lo_i
+            open_ = hi_i > lo_i
+            counts[rows, i] = np.where(open_, cnt, 0)
+            search_ops[i] = np.count_nonzero(open_)
         comm.charge_local_many(
             [
                 comm.spec.comparison_ns

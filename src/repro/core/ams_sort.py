@@ -66,7 +66,6 @@ from repro.dist.flatops import (
     map_by_unique2,
     segmented_sort_values,
     stable_key_argsort,
-    stable_two_key_argsort,
     take_ranges,
 )
 from repro.dist.workspace import get_arena
@@ -644,21 +643,12 @@ class _LevelBlocks:
                 + group,
                 minlength=pc_hi - pc_lo,
             )
-            n_isl = i_hi - i_lo
-            bound = int(g_off[i_hi] - g_off[i_lo])
-            if n_isl == 1:
-                order = stable_key_argsort(group, bound)
-            else:
-                isl_sizes = np.diff(isl_elem[i_lo:i_hi + 1])
-                if bound <= 2 ** 16:
-                    order = stable_key_argsort(np.repeat(
-                        g_off[i_lo:i_hi] - g_off[i_lo], isl_sizes
-                    ) + group, bound)
-                else:
-                    order = stable_two_key_argsort(
-                        np.repeat(np.arange(n_isl), isl_sizes), group,
-                        n_isl, int(r_act[i_lo:i_hi].max()),
-                    )
+            if i_hi - i_lo > 1:
+                group = np.repeat(
+                    g_off[i_lo:i_hi] - g_off[i_lo],
+                    np.diff(isl_elem[i_lo:i_hi + 1]),
+                ) + group
+            order = stable_key_argsort(group, int(g_off[i_hi] - g_off[i_lo]))
             moved = gather(values[e_lo:e_hi], order)
             if not split:
                 out[e_lo:e_hi] = moved

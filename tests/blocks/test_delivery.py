@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocks.delivery import (
     DELIVERY_METHODS,
+    _cut_streams,
     _flat_assign_deterministic_batched,
     deliver_to_groups,
     deliver_to_groups_batched,
@@ -202,22 +203,6 @@ class TestDeliveryValidation:
         with pytest.raises(ValueError, match=message):
             deliver_to_groups_batched(islands, **args)
 
-    def test_batched_deterministic_key_overflow_raises(self):
-        """Composed (pair, position) keys past int64 raise, never fall back.
-
-        Only piece sizes enter the assignment, so one 2**61-element piece
-        (no data behind it) reaches the bound without allocating anything.
-        """
-        # A (3, 2) piece matrix [[2**61, 0], [1, 1], [0, 1]] enumerated
-        # (group, sender), delivered to sub-groups of 2 and 1 PEs.
-        sizes = np.array([2**61, 1, 0, 0, 1, 1], dtype=np.int64)
-        with pytest.raises(OverflowError):
-            _flat_assign_deterministic_batched(
-                sizes, np.cumsum(sizes) - sizes, np.tile(np.arange(3), 2),
-                np.array([3]), np.array([2]), np.array([2, 1]),
-                np.array([0, 2]),
-            )
-
 
 class TestMessageBounds:
     def test_sender_message_bound(self):
@@ -298,6 +283,101 @@ class TestMessageBounds:
         a = max(1.0, np.sqrt(r / np.log(r * p)))
         assert a == 1.0
         assert result.max_received_messages() <= 1 + 2 * r * (1 + 1 / a)
+
+
+class TestStreamCut:
+    """Every assignment's messages come from one cut of the piece streams."""
+
+    @staticmethod
+    def scalar_cut(pairs, sender, start):
+        """The reference's phase-2 ``while`` loop over arbitrary slot starts.
+
+        ``pairs`` lists every pair's piece sizes, slot starts and first
+        PE; ``sender`` and ``start`` run over all pieces, pair after pair.
+        """
+        msgs = []
+        piece = 0
+        for sizes, slots, first_pe in pairs:
+            offset = 0
+            for size in sizes:
+                consumed = 0
+                pos = offset
+                while consumed < size:
+                    pe = int(np.searchsorted(slots, pos, side="right")) - 1
+                    room_end = (slots[pe + 1] if pe + 1 < len(slots)
+                                else pos + (size - consumed))
+                    take = min(size - consumed, max(1, room_end - pos))
+                    msgs.append((sender[piece], first_pe + pe,
+                                 start[piece] + consumed, take))
+                    pos += take
+                    consumed += take
+                offset += size
+                piece += 1
+        return msgs
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 12), max_size=6),
+                st.lists(st.integers(0, 6), min_size=1, max_size=5),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_cut_matches_scalar_loop(self, shapes):
+        """The cut is the per-pair scalar loop, message for message.
+
+        Slot capacities of 0 give several PEs the same slot start, a pair's
+        pieces may end before its last slots or run past its last slot
+        start, and pairs may hold no piece at all.
+        """
+        pairs = []
+        first_pe = 0
+        for sizes, room in shapes:
+            slots = np.concatenate([[0], np.cumsum(room[:-1])]).astype(np.int64)
+            pairs.append((sizes, slots, first_pe))
+            first_pe += len(room) + 1  # a gap: groups need not be adjacent
+        sz = np.array([s for sizes, _ in shapes for s in sizes], dtype=np.int64)
+        # Pieces sit back to front in their buffer, with senders of their own.
+        start = sz.sum() - np.cumsum(sz)
+        sender = np.arange(sz.size, dtype=np.int64) * 3 + 1
+        msgs = _cut_streams(
+            sz, start, sender,
+            np.array([len(sizes) for sizes, _ in shapes], dtype=np.int64),
+            np.concatenate([slots for _, slots, _ in pairs]),
+            np.array([len(room) for _, room in shapes], dtype=np.int64),
+            np.array([pe for _, _, pe in pairs], dtype=np.int64),
+        )
+        assert msgs.shape[0] == 4 and msgs.dtype == np.int64
+        assert [tuple(m) for m in msgs.T.tolist()] == self.scalar_cut(
+            pairs, sender.tolist(), start.tolist()
+        )
+
+    def test_deterministic_huge_piece_closed_form(self):
+        """A 2**61-element piece is cut at its residual capacities exactly.
+
+        Only piece sizes enter the assignment, so the piece needs no data
+        behind it.  Group 0 (2 PEs) has capacity 2**60 + 1 per PE; its one
+        small piece takes an element of PE 0, and the large piece fills
+        the residuals 2**60 and 2**60 + 1.  Group 1 (1 PE) takes two small
+        pieces whole.
+        """
+        # A (3, 2) piece matrix [[2**61, 0], [1, 1], [0, 1]] enumerated
+        # (group, sender), delivered to sub-groups of 2 and 1 PEs.
+        sizes = np.array([2**61, 1, 0, 0, 1, 1], dtype=np.int64)
+        msgs = _flat_assign_deterministic_batched(
+            sizes, np.cumsum(sizes) - sizes, np.tile(np.arange(3), 2),
+            np.array([3]), np.array([2]), np.array([2, 1]),
+            np.array([0, 2]),
+        )
+        assert sorted(map(tuple, msgs.T.tolist())) == [
+            (0, 0, 0, 2**60),
+            (0, 1, 2**60, 2**60),
+            (1, 0, 2**61, 1),
+            (1, 2, 2**61 + 1, 1),
+            (2, 2, 2**61 + 2, 1),
+        ]
 
 
 class TestDeliveryProperties:

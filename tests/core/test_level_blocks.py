@@ -104,7 +104,7 @@ def test_blocks_match_whole_machine_oracle(layout, block):
 
 
 def test_keys_past_16_bits():
-    """Blocks whose sort keys exceed 16 bits take the two-key argsort.
+    """Blocks whose (island, group) sort keys exceed 16 bits sort alike.
 
     130 two-PE islands with 512 groups each share one block: 66,560
     (island, group) keys.
